@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -64,22 +65,16 @@ def _poly_fn(interval: Interval, coeffs: list[float]) -> SmoothFn:
     c1 = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
     c2 = np.polynomial.polynomial.polyder(c1) if c1.size > 1 else np.zeros(1)
     pv = np.polynomial.polynomial.polyval
-    return SmoothFn(interval, lambda t: pv(t, c), lambda t: pv(t, c1),
-                    lambda t: pv(t, c2), name="poly")
+    return SmoothFn(interval, lambda t: (pv(t, c), pv(t, c1), pv(t, c2)), name="poly")
 
 
 def _exp_exp_fn(interval: Interval) -> SmoothFn:
-    def d0(t):
-        return np.exp(-np.exp(t))
-
-    def d1(t):
-        return -np.exp(t) * np.exp(-np.exp(t))
-
-    def d2(t):
+    def jet(t):
         e = np.exp(t)
-        return (e * e - e) * np.exp(-np.exp(t))
+        v = np.exp(-e)
+        return v, -e * v, (e * e - e) * v
 
-    return SmoothFn(interval, d0, d1, d2, name="exp-exp")
+    return SmoothFn(interval, jet, name="exp-exp")
 
 
 def build_family(name: str, interval: Interval, args: dict[str, Any]) -> SmoothFn:
@@ -89,8 +84,7 @@ def build_family(name: str, interval: Interval, args: dict[str, Any]) -> SmoothF
             raise BadConfig("poly family needs coeffs")
         return _poly_fn(interval, coeffs)
     if name == "log1p":
-        fs = fs_potential()
-        return SmoothFn(interval, fs.eval0, fs.eval1, fs.eval2, name="log1p")
+        return dataclasses.replace(fs_potential(), domain=interval)
     if name == "feps":
         eps = args.get("eps")
         if eps is None:
@@ -395,7 +389,7 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
         ts = np.linspace(result.working.lo, result.working.hi, args.h_points)
         _write_csv_table(args.h_csv, ["t", "h", "h1", "h2"],
                          [[float(a), float(b), float(c_), float(d)] for a, b, c_, d in
-                          zip(ts, result.h.d0(ts), result.h.d1(ts), result.h.d2(ts))])
+                          zip(ts, *result.h.eval(ts))])
         results["h_csv"] = args.h_csv
     inputs = {k: getattr(args, k) for k in
               ("mode", "left_fn", "left_interval", "left_coeffs", "right_fn",
@@ -451,7 +445,7 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
     if args.detail_k is not None:
         eps = 2.0**-args.detail_k
         chart = build_v_eps(CounterexampleParams(eps, n))
-        m = chart_measure(n)
+        m = chart_measure(n, eps)
         dens = density_ratio(chart, m)
         path = args.detail_out or f"density_k{args.detail_k}.csv"
         _write_csv_table(path, ["t", "weight", "value"],

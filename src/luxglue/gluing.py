@@ -30,7 +30,7 @@ from .errors import (
     NotStrictlyConvexPiece,
     VerificationFailed,
 )
-from .numgrid import Interval, SmoothFn, check_derivative_consistency
+from .numgrid import Interval, Jet, SmoothFn, check_derivative_consistency, piecewise
 
 # Curvature ceiling constant of the mollified absolute value: rho'' <= M/eps.
 # The bump mollifier actually peaks near 1.66/eps; certificates use M = 3.
@@ -153,32 +153,19 @@ def rho_eps(eps: float) -> SmoothFn:
         raise NonPositiveEps(f"eps must be positive, got {eps}")
     bt = _bump_tables()
 
-    def d0(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def outer(t: np.ndarray) -> Jet:
+        return np.abs(t), np.sign(t), 0.0
+
+    def inner(t: np.ndarray) -> Jet:
         x = t / eps
-        inner = np.abs(x) < 1.0
-        out = np.abs(t)
-        if np.any(inner):
-            xi = x[inner]
-            out = out.copy()
-            out[inner] = 2.0 * eps * bt.cdf_integral(xi) - t[inner]
-        return out
+        return (2.0 * eps * bt.cdf_integral(x) - t, 2.0 * bt.cdf(x) - 1.0,
+                2.0 * bt.density(x) / eps)
 
-    def d1(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = t / eps
-        inner = np.abs(x) < 1.0
-        out = np.sign(t)
-        if np.any(inner):
-            out = out.copy()
-            out[inner] = 2.0 * bt.cdf(x[inner]) - 1.0
-        return out
+    def jet(t: np.ndarray) -> Jet:
+        core = np.abs(t / eps) < 1.0
+        return piecewise(t, [(~core, outer), (core, inner)])
 
-    def d2(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return 2.0 * bt.density(t / eps) / eps
-
-    return SmoothFn(Interval(-2.0 * eps, 2.0 * eps), d0, d1, d2, name=f"rho[{eps:g}]")
+    return SmoothFn(Interval(-2.0 * eps, 2.0 * eps), jet, name=f"rho[{eps:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +239,14 @@ def compatibility(problem: GlueProblem) -> CompatReport:
     f, g = problem.left.fn, problem.right.fn
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
+    fb, f1b, _ = map(float, f.eval(b1))
+    ga, g1a, _ = map(float, g.eval(a2))
     if problem.mode == "radial_psh":
-        lhs = b1 * float(f.d1(b1))
-        mid = (float(g.d0(a2)) - float(f.d0(b1))) / (np.log(a2) - np.log(b1))
-        rhs = a2 * float(g.d1(a2))
+        lhs = b1 * f1b
+        mid = (ga - fb) / (np.log(a2) - np.log(b1))
+        rhs = a2 * g1a
     else:
-        lhs = float(f.d1(b1))
-        mid = (float(g.d0(a2)) - float(f.d0(b1))) / (a2 - b1)
-        rhs = float(g.d1(a2))
+        lhs, mid, rhs = f1b, (ga - fb) / (a2 - b1), g1a
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
 
@@ -284,6 +271,7 @@ def delta_search(problem: GlueProblem, c: float) -> float:
     sup_g = _min_max_on(g, a2, b2)[1]
     mid = compat.mid
     f1b, g1a = compat.lhs, compat.rhs
+    f_b1, g_a2 = float(f.d0(b1)), float(g.d0(a2))
 
     for j in range(2, 61):
         delta = gap / 2.0**j
@@ -291,19 +279,17 @@ def delta_search(problem: GlueProblem, c: float) -> float:
         min_g_d, max_g_d = _min_max_on(g, a2 - delta, b2 + delta)
         if max_f_d > sup_f + 1.0 or max_g_d > sup_g + 1.0:
             continue
-        fb = float(f.d0(b1 + delta))
-        fpb = float(f.d1(b1 + delta))
-        ga = float(g.d0(a2 - delta))
-        gpa = float(g.d1(a2 - delta))
+        fb, fpb, _ = map(float, f.eval(b1 + delta))
+        ga, gpa, _ = map(float, g.eval(a2 - delta))
         if problem.mode == "strictly_convex":
             if min_f_d < c or min_g_d < c:
                 continue
             if not (gpa - fpb) / (gap - 2 * delta) > c:
                 continue
-            lhs4 = 2.0 * ((float(g.d0(a2)) - fb) / (gap - delta) - fpb) / (gap - delta)
+            lhs4 = 2.0 * ((g_a2 - fb) / (gap - delta) - fpb) / (gap - delta)
             if not lhs4 >= c / 2.0 + (mid - f1b) / gap:
                 continue
-            lhs5 = 2.0 * (gpa - (ga - float(f.d0(b1))) / (gap - delta)) / (gap - delta)
+            lhs5 = 2.0 * (gpa - (ga - f_b1) / (gap - delta)) / (gap - delta)
             if not lhs5 >= c / 2.0 + (g1a - mid) / gap:
                 continue
         else:
@@ -314,119 +300,82 @@ def delta_search(problem: GlueProblem, c: float) -> float:
                 continue
             if not fpb < gpa:
                 continue
-            if not 2.0 * ((float(g.d0(a2)) - fb) / (gap - delta) - fpb) >= mid - f1b:
+            if not 2.0 * ((g_a2 - fb) / (gap - delta) - fpb) >= mid - f1b:
                 continue
-            if not 2.0 * (gpa - (ga - float(f.d0(b1))) / (gap - delta)) >= g1a - mid:
+            if not 2.0 * (gpa - (ga - f_b1) / (gap - delta)) >= g1a - mid:
                 continue
         return delta
     raise DeltaSearchFailed("no dyadic delta satisfied the side conditions (j <= 60)")
 
 
-class _Regularized:
-    """Piece modified outside its interval: second derivative is damped to the
-    floor c through a smooth cutoff with support margin 0.9 * delta.
+def _regularized(piece: SmoothFn, anchor: float, c: float,
+                 delta: float) -> Callable[[np.ndarray], Jet]:
+    """Jet of the piece modified outside its interval: second derivative is
+    damped to the floor c through a smooth cutoff with support margin
+    0.9 * delta.
 
     Exact on the piece interval by the identity
     value(t) = double integral of cutoff*(f''-c) from the anchor, plus the
     anchored parabola; the double integral telescopes against the closed
     forms there.
     """
+    A, B = piece.domain.lo, piece.domain.hi
+    if anchor not in (A, B):
+        raise ValueError("anchor must be a piece endpoint")
+    ds = 0.9 * delta
 
-    def __init__(self, piece: SmoothFn, anchor: float, c: float, delta: float):
-        A, B = piece.domain.lo, piece.domain.hi
-        if anchor not in (A, B):
-            raise ValueError("anchor must be a piece endpoint")
-        self.piece = piece
-        self.A, self.B, self.P, self.c = A, B, anchor, c
-        self.ds = 0.9 * delta
-        ds = self.ds
-        f0, f1, f2 = piece.d0, piece.d1, piece.d2
+    def fall(s: np.ndarray) -> np.ndarray:
+        return 1.0 - smoothstep(s)
 
-        def fall(s: np.ndarray) -> np.ndarray:
-            return 1.0 - smoothstep(s)
+    # I and J integrate cutoff*(f''-c) once and twice across each band
+    right = _UnitTable(lambda s: fall(s) * (piece.d2(B + s * ds) - c))
+    left = _UnitTable(lambda s: fall(s) * (piece.d2(A - s * ds) - c))
+    (f0A, f0B), (f1A, f1B), _ = piece.eval(np.array([A, B], dtype=float))
+    # W = integral of cutoff*(f''-c) from A, V = integral of W from A
+    WB = f1B - f1A - c * (B - A)
+    VB = f0B - f0A - f1A * (B - A) - 0.5 * c * (B - A) ** 2
+    W_end_R = WB + ds * float(right.I[-1])
+    W_end_L = -ds * float(left.I[-1])
+    V_Bd = VB + WB * ds + ds**2 * float(right.J[-1])
+    V_Ad = ds**2 * float(left.J[-1])
+    WP, VP, f0P, f1P = (0.0, 0.0, f0A, f1A) if anchor == A else (WB, VB, f0B, f1B)
 
-        self._right = _UnitTable(lambda s: fall(s) * (f2(B + s * ds) - c))
-        self._left = _UnitTable(lambda s: fall(s) * (f2(A - s * ds) - c))
-        self.f0A = float(f0(A))
-        self.f1Aval = float(f1(A))
-        self.WB = float(f1(B)) - self.f1Aval - c * (B - A)
-        self.VB = float(f0(B)) - self.f0A - self.f1Aval * (B - A) - 0.5 * c * (B - A) ** 2
-        self.W_end_R = self.WB + ds * float(self._right.I[-1])
-        self.W_end_L = -ds * float(self._left.I[-1])
-        self.V_Bd = self.VB + self.WB * ds + ds**2 * float(self._right.J[-1])
-        self.V_Ad = ds**2 * float(self._left.J[-1])
-        if anchor == A:
-            self.WP, self.VP = 0.0, 0.0
-        else:
-            self.WP, self.VP = self.WB, self.VB
-        self.f0P = float(f0(anchor))
-        self.f1P = float(f1(anchor))
+    def core(t: np.ndarray) -> Jet:
+        f0, f1, f2 = piece.eval(t)
+        # the band formula cutoff*(f''-c)+c at cutoff 1, left unsimplified so
+        # h'' keeps its last-bit values
+        return (f0 - f0A - f1A * (t - A) - 0.5 * c * (t - A) ** 2,
+                f1 - f1A - c * (t - A), (f2 - c) + c)
 
-    def cutoff(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        A, B, ds = self.A, self.B, self.ds
-        out = np.zeros_like(t)
-        core = (t >= A) & (t <= B)
-        out[core] = 1.0
-        left = (t < A) & (t > A - ds)
-        out[left] = smoothstep((t[left] - (A - ds)) / ds)
-        right = (t > B) & (t < B + ds)
-        out[right] = smoothstep(((B + ds) - t[right]) / ds)
-        return out
+    def right_band(t: np.ndarray) -> Jet:
+        x = (t - B) / ds
+        return (VB + WB * (t - B) + ds**2 * right.J_at(x), WB + ds * right.I_at(x),
+                smoothstep(((B + ds) - t) / ds) * (piece.d2(t) - c) + c)
 
-    def _w(self, t: np.ndarray) -> np.ndarray:
-        """Integral of cutoff*(f''-c) from A to t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        A, B, ds, c = self.A, self.B, self.ds, self.c
-        f1 = self.piece.d1
-        out = np.empty_like(t)
-        m = (t >= A) & (t <= B)
-        out[m] = f1(t[m]) - self.f1Aval - c * (t[m] - A)
-        m = (t > B) & (t < B + ds)
-        out[m] = self.WB + ds * self._right.I_at((t[m] - B) / ds)
-        m = t >= B + ds
-        out[m] = self.W_end_R
-        m = (t < A) & (t > A - ds)
-        out[m] = -ds * self._left.I_at((A - t[m]) / ds)
-        m = t <= A - ds
-        out[m] = self.W_end_L
-        return out
+    def left_band(t: np.ndarray) -> Jet:
+        x = (A - t) / ds
+        return (ds**2 * left.J_at(x), -ds * left.I_at(x),
+                smoothstep((t - (A - ds)) / ds) * (piece.d2(t) - c) + c)
 
-    def _v(self, t: np.ndarray) -> np.ndarray:
-        """Integral of _w from A to t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        A, B, ds, c = self.A, self.B, self.ds, self.c
-        f0 = self.piece.d0
-        out = np.empty_like(t)
-        m = (t >= A) & (t <= B)
-        tm = t[m]
-        out[m] = f0(tm) - self.f0A - self.f1Aval * (tm - A) - 0.5 * c * (tm - A) ** 2
-        m = (t > B) & (t < B + ds)
-        tm = t[m]
-        out[m] = self.VB + self.WB * (tm - B) + ds**2 * self._right.J_at((tm - B) / ds)
-        m = t >= B + ds
-        out[m] = self.V_Bd + self.W_end_R * (t[m] - (B + ds))
-        m = (t < A) & (t > A - ds)
-        out[m] = ds**2 * self._left.J_at((A - t[m]) / ds)
-        m = t <= A - ds
-        out[m] = self.V_Ad + self.W_end_L * (t[m] - (A - ds))
-        return out
+    def right_tail(t: np.ndarray) -> Jet:
+        return V_Bd + W_end_R * (t - (B + ds)), W_end_R, c
 
-    def d0(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        dt = t - self.P
-        return (
-            self._v(t) - self.VP - self.WP * dt
-            + self.f0P + self.f1P * dt + 0.5 * self.c * dt**2
-        )
+    def left_tail(t: np.ndarray) -> Jet:
+        return V_Ad + W_end_L * (t - (A - ds)), W_end_L, c
 
-    def d1(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self._w(t) - self.WP + self.f1P + self.c * (t - self.P)
+    def jet(t: np.ndarray) -> Jet:
+        v, w, d2 = piecewise(t, [
+            ((t >= A) & (t <= B), core),
+            ((t > B) & (t < B + ds), right_band),
+            (t >= B + ds, right_tail),
+            ((t < A) & (t > A - ds), left_band),
+            (t <= A - ds, left_tail),
+        ])
+        dt = t - anchor
+        return (v - VP - WP * dt + f0P + f1P * dt + 0.5 * c * dt**2,
+                w - WP + f1P + c * dt, d2)
 
-    def d2(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.cutoff(t) * (self.piece.d2(t) - self.c) + self.c
+    return jet
 
 
 def _piece_curvature_check(problem: GlueProblem) -> tuple[float, float, float, float]:
@@ -485,11 +434,11 @@ def glue(problem: GlueProblem) -> GlueResult:
     else:
         c = 0.0
     delta = delta_search(problem, c)
-    ft = _Regularized(problem.left.fn, anchor=b1, c=c, delta=delta)
-    gt = _Regularized(problem.right.fn, anchor=a2, c=c, delta=delta)
-    pb1, pa2 = np.array([b1]), np.array([a2])
-    gap_b1 = float(ft.d0(pb1)[0] - gt.d0(pb1)[0])
-    gap_a2 = float(gt.d0(pa2)[0] - ft.d0(pa2)[0])
+    F_jet = _regularized(problem.left.fn, anchor=b1, c=c, delta=delta)
+    G_jet = _regularized(problem.right.fn, anchor=a2, c=c, delta=delta)
+    seams = np.array([b1, a2], dtype=float)
+    (F_b1, F_a2), (G_b1, G_a2) = F_jet(seams)[0], G_jet(seams)[0]
+    gap_b1, gap_a2 = float(F_b1 - G_b1), float(G_a2 - F_a2)
     eps = 0.5 * min(gap_b1, gap_a2)
     if not eps > 0:
         raise VerificationFailed(
@@ -497,30 +446,20 @@ def glue(problem: GlueProblem) -> GlueResult:
         )
     rho = rho_eps(eps)
 
-    def h0(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        F, G = ft.d0(t), gt.d0(t)
-        mid = 0.5 * (F + G + rho.d0(F - G))
-        return np.where(t <= b1, F, np.where(t >= a2, G, mid))
+    def bridge(t: np.ndarray) -> Jet:
+        """Regularized max (F + G + rho(F - G)) / 2 by the chain rule."""
+        F, F1, F2 = F_jet(t)
+        G, G1, G2 = G_jet(t)
+        r0, r1, r2 = rho.jet(F - G)
+        return (0.5 * (F + G + r0), 0.5 * (F1 + G1 + r1 * (F1 - G1)),
+                0.5 * (F2 + G2 + r2 * (F1 - G1) ** 2 + r1 * (F2 - G2)))
 
-    def h1(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        F, G = ft.d0(t), gt.d0(t)
-        F1, G1 = ft.d1(t), gt.d1(t)
-        mid = 0.5 * (F1 + G1 + rho.d1(F - G) * (F1 - G1))
-        return np.where(t <= b1, F1, np.where(t >= a2, G1, mid))
-
-    def h2(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        F, G = ft.d0(t), gt.d0(t)
-        F1, G1 = ft.d1(t), gt.d1(t)
-        F2, G2 = ft.d2(t), gt.d2(t)
-        d = F - G
-        mid = 0.5 * (F2 + G2 + rho.d2(d) * (F1 - G1) ** 2 + rho.d1(d) * (F2 - G2))
-        return np.where(t <= b1, F2, np.where(t >= a2, G2, mid))
+    def h_jet(t: np.ndarray) -> Jet:
+        return piecewise(t, [(t <= b1, F_jet), (t >= a2, G_jet),
+                             ((t > b1) & (t < a2), bridge)])
 
     working = Interval(a1 - 1.0, b2 + 1.0)
-    h = SmoothFn(working, h0, h1, h2, name=f"glue[{problem.mode}]")
+    h = SmoothFn(working, h_jet, name=f"glue[{problem.mode}]")
     grid = np.linspace(working.lo, working.hi, _WORK_N)
     h2_vals = h.d2(grid)
     inf_h2, sup_h2 = float(np.min(h2_vals)), float(np.max(h2_vals))
@@ -548,18 +487,12 @@ def _log_piece(piece: GluePiece) -> GluePiece:
     fn = piece.fn
     lo, hi = piece.interval.lo, piece.interval.hi
 
-    def F0(tau: np.ndarray) -> np.ndarray:
-        return fn.d0(np.exp(np.asarray(tau, dtype=float)))
+    def jet(tau: np.ndarray) -> Jet:
+        t = np.exp(tau)
+        f0, f1, f2 = fn.eval(t)
+        return f0, t * f1, t * f1 + t * t * f2
 
-    def F1(tau: np.ndarray) -> np.ndarray:
-        t = np.exp(np.asarray(tau, dtype=float))
-        return t * fn.d1(t)
-
-    def F2(tau: np.ndarray) -> np.ndarray:
-        t = np.exp(np.asarray(tau, dtype=float))
-        return t * fn.d1(t) + t * t * fn.d2(t)
-
-    return GluePiece(SmoothFn(Interval(np.log(lo), np.log(hi)), F0, F1, F2,
+    return GluePiece(SmoothFn(Interval(np.log(lo), np.log(hi)), jet,
                               name=f"log[{fn.name}]"))
 
 
@@ -570,8 +503,8 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     n = problem.n
     for fn, lo, hi, label in ((f, a1, b1, "left"), (g, a2, b2, "right")):
         t = np.linspace(lo, hi, _PROBE_N)
-        lam1 = fn.d1(t)
-        lam2 = lam1 + t * fn.d2(t)
+        _, lam1, f2 = fn.eval(t)
+        lam2 = lam1 + t * f2
         if np.min(lam1) <= 0 or np.min(lam2) <= 0:
             raise NotStrictlyConvexPiece(
                 f"{label} piece is not strictly plurisubharmonic in t = |z|^2"
@@ -586,25 +519,18 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     log_res = glue(log_problem)
     H = log_res.h
 
-    def h0(t: np.ndarray) -> np.ndarray:
-        return H.d0(np.log(np.asarray(t, dtype=float)))
-
-    def h1(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return H.d1(np.log(t)) / t
-
-    def h2(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        tau = np.log(t)
-        return (H.d2(tau) - H.d1(tau)) / (t * t)
+    def jet(t: np.ndarray) -> Jet:
+        H0, H1, H2 = H.jet(np.log(t))
+        return H0, H1 / t, (H2 - H1) / (t * t)
 
     working = Interval(a1, float(np.exp(np.log(b2) + 1.0)))
-    h = SmoothFn(working, h0, h1, h2, name="glue[radial_psh]")
+    h = SmoothFn(working, jet, name="glue[radial_psh]")
 
     # determinant of the complex Hessian of h(|z|^2) on the bridge band,
     # measured and certified
     tau_band = np.linspace(np.log(b1), np.log(a2), _WORK_N)
-    det_band = np.exp(-n * tau_band) * H.d1(tau_band) ** (n - 1) * H.d2(tau_band)
+    _, H1, H2 = H.eval(tau_band)
+    det_band = np.exp(-n * tau_band) * H1 ** (n - 1) * H2
     det_sup = float(np.max(det_band))
     supF = _min_max_on(log_problem.left.fn, np.log(a1), np.log(b1))[1]
     supG = _min_max_on(log_problem.right.fn, np.log(a2), np.log(b2))[1]

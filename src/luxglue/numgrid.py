@@ -1,9 +1,12 @@
-"""Quadrature grids, weighted measures, monotone bisection and C^2 function carriers.
+"""Quadrature grids, weighted measures, monotone bisection and the C^2 jet carrier.
 
 Everything downstream works over two discrete stand-ins: a ``WeightedMeasure``
 (nodes + positive weights, the discrete measure space) and a ``SmoothFn``
-(value / first / second derivative of a C^2 function on an interval).
-All reductions use a fixed pairwise tree so results are bit-stable.
+(a C^2 function on an interval, given by one jet map t -> (f, f', f'') so a
+single evaluation yields all three derivatives, as in Taylor-mode forward
+differentiation).  ``piecewise`` assembles a jet branch by branch, evaluating
+each branch only on its own points.  All reductions use a fixed pairwise tree
+so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class Interval:
     def contains(self, t: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= t <= self.hi + slack
 
-    def grid(self, n: int) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, n)
-
 
 @dataclass(frozen=True)
 class WeightedMeasure:
@@ -83,10 +83,6 @@ class WeightedMeasure:
     @property
     def mass(self) -> float:
         return pairwise_sum(self.weights)
-
-    def rescaled(self, factor: ArrayLike) -> "WeightedMeasure":
-        """Same nodes, weights multiplied pointwise by `factor` (must stay > 0)."""
-        return WeightedMeasure(self.nodes, self.weights * np.asarray(factor, float))
 
 
 def merge_measures(*measures: WeightedMeasure) -> WeightedMeasure:
@@ -212,35 +208,53 @@ def sup_on_grid(f: Callable, m: WeightedMeasure) -> tuple[float, float]:
     return float(vals[i]), float(m.nodes[i])
 
 
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class SmoothFn:
-    """C^2 function carrier: value, first and second derivative maps.
+    """C^2 function carrier: one jet map t -> (f(t), f'(t), f''(t)).
 
     The interval marks the nominal domain (the piece an operation acts on);
-    the callables themselves are expected to evaluate on a neighbourhood of it
-    so that one-sided constructions can probe slightly outside.  Callables
-    must be vectorized over numpy arrays.
+    the jet itself is expected to evaluate on a neighbourhood of it so that
+    one-sided constructions can probe slightly outside.  The jet receives a
+    1-D float array and returns three arrays of its shape.
     """
 
     domain: Interval
-    eval0: Callable = field(repr=False)
-    eval1: Callable = field(repr=False)
-    eval2: Callable = field(repr=False)
+    jet: Callable[[np.ndarray], Jet] = field(repr=False)
     name: str = ""
 
-    def _call(self, fn: Callable, t: ArrayLike) -> np.ndarray:
+    def eval(self, t: ArrayLike) -> Jet:
+        """(f, f', f'') at t, each shaped like t."""
         arr = np.asarray(t, dtype=float)
-        out = np.asarray(fn(np.atleast_1d(arr)), dtype=float)
-        return out.reshape(arr.shape)
+        return tuple(np.asarray(v, dtype=float).reshape(arr.shape)
+                     for v in self.jet(np.atleast_1d(arr)))
 
     def d0(self, t: ArrayLike) -> np.ndarray:
-        return self._call(self.eval0, t)
+        return self.eval(t)[0]
 
     def d1(self, t: ArrayLike) -> np.ndarray:
-        return self._call(self.eval1, t)
+        return self.eval(t)[1]
 
     def d2(self, t: ArrayLike) -> np.ndarray:
-        return self._call(self.eval2, t)
+        return self.eval(t)[2]
+
+
+def piecewise(t: np.ndarray,
+              branches: Sequence[tuple[np.ndarray, Callable[[np.ndarray], Jet]]]) -> Jet:
+    """Jet of a function given branch by branch as (mask, jet) pairs.
+
+    Each branch jet sees only t[mask] and may return scalars; masks are
+    disjoint, and points no mask covers come out NaN.
+    """
+    t = np.asarray(t, dtype=float)
+    out = tuple(np.full_like(t, np.nan) for _ in range(3))
+    for mask, jet in branches:
+        if np.any(mask):
+            for o, v in zip(out, jet(t[mask])):
+                o[mask] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,7 +268,7 @@ class ConsistencyReport:
 def check_derivative_consistency(
     fn: SmoothFn, n_probes: int = 64, rtol: float = 1e-5
 ) -> ConsistencyReport:
-    """Central finite differences of eval0 vs eval1 and eval1 vs eval2.
+    """Central finite differences of f vs f' and f' vs f''.
 
     Step is 1e-5 * scale (scale from the domain endpoints, capped by the
     domain length); the error is measured relative to the sup of the exact
@@ -269,17 +283,12 @@ def check_derivative_consistency(
         denom = max(float(np.max(np.abs(approx))), float(np.max(np.abs(exact))), 1e-12)
         return float(np.max(np.abs(approx - exact)) / denom)
 
-    d1_fd = (fn.d0(t + h) - fn.d0(t - h)) / (2 * h)
-    e1 = sup_rel_err(d1_fd, fn.d1(t))
-
-    d2_fd = (fn.d1(t + h) - fn.d1(t - h)) / (2 * h)
-    e2 = sup_rel_err(d2_fd, fn.d2(t))
+    f0_hi, f1_hi, _ = fn.eval(t + h)
+    f0_lo, f1_lo, _ = fn.eval(t - h)
+    _, f1, f2 = fn.eval(t)
+    e1 = sup_rel_err((f0_hi - f0_lo) / (2 * h), f1)
+    e2 = sup_rel_err((f1_hi - f1_lo) / (2 * h), f2)
 
     return ConsistencyReport(ok=(e1 <= rtol and e2 <= rtol), worst_d1_err=e1,
                              worst_d2_err=e2, n_probes=n_probes)
 
-
-def smooth_fn_from_formulas(
-    domain: Interval, f0: Callable, f1: Callable, f2: Callable, name: str = ""
-) -> SmoothFn:
-    return SmoothFn(domain, f0, f1, f2, name)

@@ -77,11 +77,11 @@ def luxemburg_norm(f: GridFn, params: YoungParams) -> LuxemburgResult:
         hi *= 2.0
     else:
         raise NonFinite("objective never dropped below 1; values too large")
-    for _ in range(200):
-        if _objective(vals, w, params, lo) >= 1.0:
-            break
+    while not _objective(vals, w, params, lo) >= 1.0:
         hi = min(hi, lo)
         lo *= 0.5
+        if lo == 0.0:
+            raise NonFinite("objective stayed below 1 down to c = 0")
     while hi - lo > _NORM_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

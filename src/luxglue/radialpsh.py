@@ -8,6 +8,7 @@ with multiplicity n-1 and f'(t) + t f''(t); its determinant is their product.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,12 +19,14 @@ from .gluing import GluePiece, GlueProblem, GlueResult, glue
 from .numgrid import (
     GridFn,
     Interval,
+    Jet,
     SmoothFn,
     WeightedMeasure,
     gauss_measure,
     geometric_gauss_measure,
     merge_measures,
     pairwise_sum,
+    piecewise,
 )
 from .orlicz import EntropyParams, entropy, luxemburg_norm
 from .youngfn import phi
@@ -72,8 +75,9 @@ def hessian_spectrum(p: RadialProfile, t: float) -> HessianSpectrum:
     """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t."""
     if not p.fn.domain.contains(t, slack=1e-12):
         raise OutOfDomain(f"t={t} outside {p.fn.domain}")
-    lam_small = float(p.fn.d1(t))
-    lam_big = lam_small + t * float(p.fn.d2(t))
+    _, f1, f2 = p.fn.eval(t)
+    lam_small = float(f1)
+    lam_big = lam_small + t * float(f2)
     return HessianSpectrum(lam_small, lam_big, lam_small ** (p.n - 1) * lam_big)
 
 
@@ -89,8 +93,8 @@ class PshReport:
 def psh_check(p: RadialProfile, grid: WeightedMeasure) -> PshReport:
     """Minimum eigenvalues over the grid; strictly psh iff both positive."""
     t = grid.nodes
-    small = p.fn.d1(t)
-    big = small + t * p.fn.d2(t)
+    _, small, f2 = p.fn.eval(t)
+    big = small + t * f2
     i, j = int(np.argmin(small)), int(np.argmin(big))
     return PshReport(
         float(small[i]), float(t[i]), float(big[j]), float(t[j]),
@@ -102,9 +106,7 @@ def fs_potential() -> SmoothFn:
     """Reference chart potential log(1 + t) with its derivatives."""
     return SmoothFn(
         Interval(0.0, 1e6),
-        lambda t: np.log1p(t),
-        lambda t: 1.0 / (1.0 + t),
-        lambda t: -1.0 / (1.0 + t) ** 2,
+        lambda t: (np.log1p(t), 1.0 / (1.0 + t), -1.0 / (1.0 + t) ** 2),
         name="log1p",
     )
 
@@ -122,30 +124,15 @@ def fs_background_det(n: int, t: np.ndarray) -> np.ndarray:
 # the quadruple-log family
 
 
-def _feps_levels(t: np.ndarray, eps: float):
+def _feps_jet(t: np.ndarray, eps: float, coeff: float) -> Jet:
     u = 1.0 / (t + eps)
     L1 = np.log1p(u)
     L2 = np.log1p(L1)
     L3 = np.log1p(L2)
-    return u, L1, L2, L3
-
-
-def _feps_d0(t: np.ndarray, eps: float, coeff: float) -> np.ndarray:
-    _, _, _, L3 = _feps_levels(t, eps)
-    return -coeff * np.log1p(L3)
-
-
-def _feps_d1(t: np.ndarray, eps: float, coeff: float) -> np.ndarray:
-    u, L1, L2, L3 = _feps_levels(t, eps)
-    D = (1 + u) * (1 + L1) * (1 + L2) * (1 + L3)
-    return coeff * u * u / D
-
-
-def _feps_d2(t: np.ndarray, eps: float, coeff: float) -> np.ndarray:
-    u, L1, L2, L3 = _feps_levels(t, eps)
     D = (1 + u) * (1 + L1) * (1 + L2) * (1 + L3)
     S = (1 + L1) * (1 + L2) * (1 + L3) + (1 + L2) * (1 + L3) + (1 + L3) + 1.0
-    return coeff * u**3 * (u * S - 2.0 * D) / D**2
+    return (-coeff * np.log1p(L3), coeff * u * u / D,
+            coeff * u**3 * (u * S - 2.0 * D) / D**2)
 
 
 def _check_feps_domain(t: np.ndarray) -> np.ndarray:
@@ -156,35 +143,36 @@ def _check_feps_domain(t: np.ndarray) -> np.ndarray:
 
 
 def f_eps(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_d0(_check_feps_domain(t), params.eps, FEPS_COEFF)
+    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[0]
 
 
 def f_eps_d1(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_d1(_check_feps_domain(t), params.eps, FEPS_COEFF)
+    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[1]
 
 
 def f_eps_d2(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_d2(_check_feps_domain(t), params.eps, FEPS_COEFF)
+    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[2]
 
 
 def f_eps_at_zero(params: CounterexampleParams) -> float:
-    return float(_feps_d0(np.asarray(0.0), params.eps, FEPS_COEFF))
+    return float(_feps_jet(np.asarray(0.0), params.eps, FEPS_COEFF)[0])
 
 
 def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25,
                   coeff: float = FEPS_COEFF) -> SmoothFn:
     """Unguarded carrier for constructions that probe slightly past [lo, hi]."""
-    return SmoothFn(
-        Interval(lo, hi),
-        lambda t: _feps_d0(t, eps, coeff),
-        lambda t: _feps_d1(t, eps, coeff),
-        lambda t: _feps_d2(t, eps, coeff),
-        name=f"feps[{eps:g}]",
-    )
+    return SmoothFn(Interval(lo, hi), lambda t: _feps_jet(t, eps, coeff),
+                    name=f"feps[{eps:g}]")
 
 
 def feps_profile(params: CounterexampleParams) -> RadialProfile:
     return RadialProfile(params.n, feps_smoothfn(params.eps))
+
+
+def _eps_panels(eps: float, h: int) -> int:
+    """Panels of a ratio-2 geometric rule on [0, 2^-h] whose finest panel,
+    of width ~ 2^-(h+panels), is at most ~4 eps wide; never fewer than 40."""
+    return max(40, math.ceil(math.log2(1.0 / eps)) - 2 - h)
 
 
 @dataclass(frozen=True)
@@ -203,26 +191,24 @@ def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport
     integral of the determinant F on [0, 1/4], both for the raw
     (coefficient-1) family.
 
-    The integrand varies on the scale t ~ eps, so the geometric rule's finest
-    panel (width ~ 2^-(panels+2)) is kept at most ~4 eps wide: 40 panels
-    down to eps = 2^-44, one more per halving of eps past that.  Raises
-    NonFinite once eps is so small (about 2^-250) that f_eps'' overflows.
+    The integrand varies on the scale t ~ eps, so the geometric rule follows
+    eps (see ``_eps_panels``): 40 panels down to eps = 2^-44, one more per
+    halving of eps past that.  Raises NonFinite once eps is so small (about
+    2^-250) that f_eps'' overflows.
     """
     if not 0 < t0 < 0.25:
         raise ValueError("t0 must lie in (0, 1/4)")
     eps, n = params.eps, params.n
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(_feps_d2(np.asarray(0.0), eps, 1.0)):
+        if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):
             raise NonFinite(f"f_eps'' overflows at t = 0 for eps = {eps:g}")
     t = np.linspace(t0, 0.25, 4097)
-    big = _feps_d1(t, eps, 1.0) + t * _feps_d2(t, eps, 1.0)
-    sup_big = float(np.max(big))
-    panels = max(40, math.ceil(math.log2(1.0 / eps)) - 4)
-    m = geometric_gauss_measure(Interval(0.0, 0.25), panels=panels, order=16)
+    _, f1, f2 = _feps_jet(t, eps, 1.0)
+    sup_big = float(np.max(f1 + t * f2))
+    m = geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
     tt = m.nodes
-    F = _feps_d1(tt, eps, 1.0) ** (n - 1) * (
-        _feps_d1(tt, eps, 1.0) + tt * _feps_d2(tt, eps, 1.0)
-    )
+    _, f1, f2 = _feps_jet(tt, eps, 1.0)
+    F = f1 ** (n - 1) * (f1 + tt * f2)
     integrand = (
         tt ** (n - 1)
         * F
@@ -258,51 +244,34 @@ def build_v_eps(params: CounterexampleParams) -> ChartPotential:
     eps, n = params.eps, params.n
     left = GluePiece(feps_smoothfn(eps, lo=1.0 / 64.0, hi=1.0 / 16.0))
     fs = fs_potential()
-    right = GluePiece(SmoothFn(Interval(1.0, 4.0), fs.eval0, fs.eval1, fs.eval2,
-                               name="log1p"))
+    right = GluePiece(dataclasses.replace(fs, domain=Interval(1.0, 4.0)))
     result = glue(GlueProblem(left, right, "radial_psh", n=n))
     h = result.h
     b1, a2 = 1.0 / 16.0, 1.0
 
-    def d0(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        mid = np.clip(t, b1 / 2, 2.0)
-        return np.where(
-            t <= b1, _feps_d0(t, eps, FEPS_COEFF),
-            np.where(t >= a2, np.log1p(t), h.d0(mid)),
-        )
+    def jet(t: np.ndarray) -> Jet:
+        return piecewise(t, [(t <= b1, left.fn.jet), (t >= a2, fs.jet),
+                             ((t > b1) & (t < a2), h.jet)])
 
-    def d1(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        mid = np.clip(t, b1 / 2, 2.0)
-        return np.where(
-            t <= b1, _feps_d1(t, eps, FEPS_COEFF),
-            np.where(t >= a2, 1.0 / (1.0 + t), h.d1(mid)),
-        )
-
-    def d2(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        mid = np.clip(t, b1 / 2, 2.0)
-        return np.where(
-            t <= b1, _feps_d2(t, eps, FEPS_COEFF),
-            np.where(t >= a2, -1.0 / (1.0 + t) ** 2, h.d2(mid)),
-        )
-
-    profile = RadialProfile(n, SmoothFn(Interval(0.0, 9.0), d0, d1, d2,
-                                        name=f"veps[{eps:g}]"))
+    profile = RadialProfile(n, SmoothFn(Interval(0.0, 9.0), jet, name=f"veps[{eps:g}]"))
     return ChartPotential(params, profile, result)
 
 
-def chart_measure(n: int) -> WeightedMeasure:
-    """Reference chart measure on t = |z|^2 with total mass pi^n / n!.
+def chart_measure(n: int, eps: float = EPS_MAX) -> WeightedMeasure:
+    """Reference chart measure on t = |z|^2 with total mass pi^n / n!, fine
+    enough near t = 0 for the density of the chart potential at eps.
 
     Radial weight K t^(n-1) (1+t)^-(n+1) with K = pi^n / (n-1)!; the region
     t > 1, where the assembled potential coincides with the reference one and
     every density in the sweep equals 1, enters as a single atom carrying the
-    exact remaining mass (1 - 2^-n) K / n.
+    exact remaining mass (1 - 2^-n) K / n.  The density varies on the scale
+    t ~ eps, so the geometric rule on [0, 1/16] follows eps (see
+    ``_eps_panels``): 40 panels down to eps = 2^-46, one more per halving of
+    eps past that.
     """
     K = math.pi**n / math.factorial(n - 1)
-    core1 = geometric_gauss_measure(Interval(0.0, 1.0 / 16.0), panels=40, order=16)
+    core1 = geometric_gauss_measure(Interval(0.0, 1.0 / 16.0),
+                                    panels=_eps_panels(eps, 4), order=16)
     core2 = gauss_measure(Interval(1.0 / 16.0, 1.0), panels=24, order=16)
     core = merge_measures(core1, core2)
     w = K * core.nodes ** (n - 1) * (1.0 + core.nodes) ** (-(n + 1))
@@ -320,9 +289,8 @@ def density_ratio(chart: ChartPotential, measure: WeightedMeasure) -> GridFn:
     determinant; identically 1 past t = 1."""
     n = chart.params.n
     t = measure.nodes
-    fn = chart.profile.fn
-    lam1 = fn.d1(t)
-    lam2 = lam1 + t * fn.d2(t)
+    _, lam1, f2 = chart.profile.fn.eval(t)
+    lam2 = lam1 + t * f2
     dens = lam1 ** (n - 1) * lam2 * (1.0 + t) ** (n + 1)
     dens = np.where(t >= 1.0, 1.0, dens)
     return GridFn(measure, dens)
@@ -338,13 +306,13 @@ class SweepRow:
 
 def entropy_sweep(n: int, r: float, eps_list) -> list[SweepRow]:
     """For each eps: assemble the chart potential, compute the entropy of its
-    density ratio at weight (1, n, r), and record the oscillation proxy
-    |f_eps(0)|."""
-    measure = chart_measure(n)
+    density ratio on the chart measure for that eps at weight (1, n, r), and
+    record the oscillation proxy |f_eps(0)|."""
     ep = EntropyParams(n, r)
     rows: list[SweepRow] = []
     for eps in eps_list:
         params = CounterexampleParams(float(eps), n)
+        measure = chart_measure(n, params.eps)
         chart = build_v_eps(params)
         dens = density_ratio(chart, measure)
         raw = pairwise_sum(measure.weights * phi(ep.young, dens.values))

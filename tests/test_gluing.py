@@ -28,9 +28,7 @@ def quad_piece(dom, a=0.0, b=0.0, c=1.0):
     """a + b t + c t^2 with exact derivatives."""
     return GluePiece(SmoothFn(
         Interval(*dom),
-        lambda t: a + b * t + c * t * t,
-        lambda t: b + 2 * c * t,
-        lambda t: 2 * c + 0 * t,
+        lambda t: (a + b * t + c * t * t, b + 2 * c * t, 2 * c + 0 * t),
         name="quad",
     ))
 
@@ -39,9 +37,8 @@ def exp_quad_piece(dom, c=1.0, mu=0.3):
     """c t^2 + exp(mu t): strictly convex with non-constant curvature."""
     return GluePiece(SmoothFn(
         Interval(*dom),
-        lambda t: c * t * t + np.exp(mu * t),
-        lambda t: 2 * c * t + mu * np.exp(mu * t),
-        lambda t: 2 * c + mu * mu * np.exp(mu * t),
+        lambda t: (c * t * t + np.exp(mu * t), 2 * c * t + mu * np.exp(mu * t),
+                   2 * c + mu * mu * np.exp(mu * t)),
         name="expquad",
     ))
 
@@ -89,8 +86,8 @@ def test_compatibility_quadratics():
 
 def test_compatibility_degenerate_affine():
     # one affine function restricted to both intervals: the chain collapses
-    mk = lambda dom: GluePiece(SmoothFn(Interval(*dom), lambda t: t,
-                                        lambda t: 1.0 + 0 * t, lambda t: 0 * t))
+    mk = lambda dom: GluePiece(SmoothFn(Interval(*dom),
+                                        lambda t: (t, 1.0 + 0 * t, 0 * t)))
     rep = compatibility(GlueProblem(mk((0, 1)), mk((3, 4)), "convex"))
     assert rep.lhs == rep.mid == rep.rhs == 1.0
     assert not rep.ok
@@ -102,7 +99,7 @@ def test_compatibility_radial_feps_reference_chain():
         eps = 2.0**-k
         prob = GlueProblem(
             GluePiece(feps_smoothfn(eps, lo=1 / 64, hi=1 / 16)),
-            GluePiece(SmoothFn(Interval(1.0, 4.0), *_fs_evals(), name="log1p")),
+            GluePiece(SmoothFn(Interval(1.0, 4.0), fs_potential().jet, name="log1p")),
             "radial_psh",
         )
         rep = compatibility(prob)
@@ -110,11 +107,6 @@ def test_compatibility_radial_feps_reference_chain():
         assert rep.lhs <= 1.0 / 12.0
         assert 0.25 <= rep.mid < 3.0 / 8.0 < 0.5
         assert abs(rep.rhs - 0.5) < 1e-15
-
-
-def _fs_evals():
-    fs = fs_potential()
-    return fs.eval0, fs.eval1, fs.eval2
 
 
 def test_delta_search_generous():
@@ -139,8 +131,8 @@ def test_delta_search_near_degenerate():
 
 
 def test_delta_search_incompatible():
-    mk = lambda dom, a: GluePiece(SmoothFn(Interval(*dom), lambda t: a + t,
-                                           lambda t: 1.0 + 0 * t, lambda t: 0 * t))
+    mk = lambda dom, a: GluePiece(SmoothFn(Interval(*dom),
+                                           lambda t: (a + t, 1.0 + 0 * t, 0 * t)))
     prob = GlueProblem(mk((0, 1), 0.0), mk((3, 4), 2.0), "convex")
     with pytest.raises(DeltaSearchFailed):
         delta_search(prob, 0.0)
@@ -191,8 +183,7 @@ def test_glue_rejects_incompatible():
 
 
 def test_glue_rejects_nonconvex_piece():
-    bad = GluePiece(SmoothFn(Interval(0, 1), lambda t: -(t**2), lambda t: -2 * t,
-                             lambda t: -2.0 + 0 * t))
+    bad = GluePiece(SmoothFn(Interval(0, 1), lambda t: (-(t**2), -2 * t, -2.0 + 0 * t)))
     with pytest.raises(NotStrictlyConvexPiece):
         glue(GlueProblem(bad, quad_piece((3, 4)), "strictly_convex"))
 
@@ -248,8 +239,7 @@ def test_glue_convex_mode():
 
 def test_glue_convex_mode_with_flat_piece():
     # one affine piece (curvature 0) is legal in convex mode
-    left = GluePiece(SmoothFn(Interval(0, 1), lambda t: 0.5 * t,
-                              lambda t: 0.5 + 0 * t, lambda t: 0 * t))
+    left = GluePiece(SmoothFn(Interval(0, 1), lambda t: (0.5 * t, 0.5 + 0 * t, 0 * t)))
     right = quad_piece((3, 4), a=2.0 - 2 * 3 + 0.3 * 9, b=2 - 1.8, c=0.3)
     rep = compatibility(GlueProblem(left, right, "convex"))
     assert rep.ok
@@ -262,8 +252,8 @@ def test_glue_convex_mode_with_flat_piece():
 
 
 def radial_problem():
-    mk = lambda dom: GluePiece(SmoothFn(Interval(*dom), lambda t: t**2,
-                                        lambda t: 2 * t, lambda t: 2 + 0 * t))
+    mk = lambda dom: GluePiece(SmoothFn(Interval(*dom),
+                                        lambda t: (t**2, 2 * t, 2 + 0 * t)))
     return GlueProblem(mk((0.5, 1.0)), mk((3.0, 4.0)), "radial_psh", n=2)
 
 
@@ -294,7 +284,7 @@ def test_radial_example_pieces():
     eps = 2.0**-10
     prob = GlueProblem(
         GluePiece(feps_smoothfn(eps, lo=1 / 64, hi=1 / 16)),
-        GluePiece(SmoothFn(Interval(1.0, 4.0), *_fs_evals(), name="log1p")),
+        GluePiece(SmoothFn(Interval(1.0, 4.0), fs_potential().jet, name="log1p")),
         "radial_psh",
         n=2,
     )
@@ -307,10 +297,9 @@ def test_radial_example_pieces():
 
 
 def test_radial_rejects_non_psh_piece():
-    mk_bad = GluePiece(SmoothFn(Interval(0.5, 1.0), lambda t: -t,
-                                lambda t: -1.0 + 0 * t, lambda t: 0 * t))
-    mk = GluePiece(SmoothFn(Interval(3.0, 4.0), lambda t: t**2, lambda t: 2 * t,
-                            lambda t: 2 + 0 * t))
+    mk_bad = GluePiece(SmoothFn(Interval(0.5, 1.0),
+                                lambda t: (-t, -1.0 + 0 * t, 0 * t)))
+    mk = GluePiece(SmoothFn(Interval(3.0, 4.0), lambda t: (t**2, 2 * t, 2 + 0 * t)))
     with pytest.raises(NotStrictlyConvexPiece):
         glue(GlueProblem(mk_bad, mk, "radial_psh"))
 
@@ -319,10 +308,8 @@ def test_glue_idempotent_on_restriction():
     # glue, restrict to the pieces, glue again: identical outputs at probes
     left, right = exp_quad_piece((0, 1)), exp_quad_piece((3, 4), c=1.5)
     res1 = glue(GlueProblem(left, right, "strictly_convex"))
-    left2 = GluePiece(SmoothFn(Interval(0, 1), res1.h.eval0, res1.h.eval1,
-                               res1.h.eval2))
-    right2 = GluePiece(SmoothFn(Interval(3, 4), res1.h.eval0, res1.h.eval1,
-                                res1.h.eval2))
+    left2 = GluePiece(SmoothFn(Interval(0, 1), res1.h.jet))
+    right2 = GluePiece(SmoothFn(Interval(3, 4), res1.h.jet))
     res2 = glue(GlueProblem(left2, right2, "strictly_convex"))
     t = np.linspace(0, 1, 101)
     assert np.max(np.abs(res2.h.d0(t) - res1.h.d0(t))) <= 1e-9

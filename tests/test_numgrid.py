@@ -16,6 +16,7 @@ from luxglue.numgrid import (
     integrate,
     merge_measures,
     pairwise_sum,
+    piecewise,
     sup_on_grid,
 )
 
@@ -170,16 +171,43 @@ def test_pairwise_sum_matches_fsum():
 
 
 def test_smooth_fn_contract_pass_and_fail():
-    good = SmoothFn(Interval(0.1, 3.0), lambda t: t**3, lambda t: 3 * t**2,
-                    lambda t: 6 * t)
+    good = SmoothFn(Interval(0.1, 3.0), lambda t: (t**3, 3 * t**2, 6 * t))
     assert check_derivative_consistency(good).ok
-    bad = SmoothFn(Interval(0.1, 3.0), lambda t: t**3, lambda t: 2 * t**2,
-                   lambda t: 6 * t)
+    bad = SmoothFn(Interval(0.1, 3.0), lambda t: (t**3, 2 * t**2, 6 * t))
     assert not check_derivative_consistency(bad).ok
 
 
 def test_smooth_fn_scalar_shape():
-    fn = SmoothFn(Interval(0.0, 1.0), lambda t: t**2, lambda t: 2 * t,
-                  lambda t: 2.0 + 0 * t)
+    fn = SmoothFn(Interval(0.0, 1.0), lambda t: (t**2, 2 * t, 2.0 + 0 * t))
     assert np.ndim(fn.d0(0.5)) == 0
     assert fn.d1(np.array([0.25, 0.5])).shape == (2,)
+
+
+def test_smooth_fn_eval_scalar_jet():
+    fn = SmoothFn(Interval(0.0, 1.0), lambda t: (t**2, 2 * t, 2.0 + 0 * t))
+    jet = fn.eval(0.5)
+    assert [np.ndim(v) for v in jet] == [0, 0, 0]
+    assert [float(v) for v in jet] == [0.25, 1.0, 2.0]
+
+
+def test_piecewise_evaluates_each_branch_on_its_own_points():
+    t = np.array([-2, -1, 0, 1, 2])  # integer input must not truncate values
+
+    def only(mask, jet):
+        def guarded(s):
+            if not np.array_equal(s, t[mask]):
+                raise AssertionError(f"branch handed {s}, expected {t[mask]}")
+            return jet(s)
+        return guarded
+
+    neg, pos, far = t < 0, t >= 0, t > 5
+    v, v1, v2 = piecewise(t, [
+        (neg, only(neg, lambda s: (-s - 0.5, -1.0, 0.0))),
+        (pos, only(pos, lambda s: (s + 0.5, 1.0 + 0 * s, 0 * s))),
+        (far, only(far, lambda s: (s, s, s))),
+    ])
+    assert v.tolist() == [1.5, 0.5, 0.5, 1.5, 2.5]
+    assert v1.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0]
+    assert v2.tolist() == [0.0] * 5
+    # points no branch covers come out NaN
+    assert np.isnan(piecewise(t, [(neg, lambda s: (s, s, s))])[0][~neg]).all()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue.errors import DegenerateParams, NegativeDensity, ZeroMass
+from luxglue.errors import DegenerateParams, NegativeDensity, NonFinite, ZeroMass
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import (
     EntropyParams,
@@ -234,3 +234,20 @@ def test_pointwise_weight_ordering_above_unit_logs():
     lo = phi(YoungParams(1, 2, 0.5), t_r)
     hi = phi(YoungParams(1, 2, 1.5), t_r)
     assert np.all(hi >= lo * (1 - 1e-12))
+
+
+def test_lower_bracket_search_runs_past_200_halvings():
+    # the search starts at 1e-12 max|f| = 1e78, about 260 halvings above the
+    # norm; at weight (1, 0, 0) the norm is the L1 mass
+    f = GridFn(WeightedMeasure(np.array([0.0, 1.0]), np.array([1e-95, 1.0])),
+               np.array([1e90, 1.0]))
+    res = luxemburg_norm(f, YoungParams(1, 0, 0))
+    assert abs(res.norm - 1.00001) <= 1e-9 * 1.00001
+
+
+def test_lower_bracket_search_stops_at_zero(monkeypatch):
+    import luxglue.orlicz as orlicz
+
+    monkeypatch.setattr(orlicz, "_objective", lambda *args: 0.5)  # never reaches 1
+    with pytest.raises(NonFinite):
+        luxemburg_norm(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))

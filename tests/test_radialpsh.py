@@ -35,7 +35,7 @@ from luxglue.sampling import rng_from_seed
 
 def test_flat_potential_spectrum():
     flat = RadialProfile(3, fs_profile(3).fn.__class__(
-        Interval(0.0, 10.0), lambda t: t, lambda t: 1.0 + 0 * t, lambda t: 0 * t))
+        Interval(0.0, 10.0), lambda t: (t, 1.0 + 0 * t, 0 * t)))
     s = hessian_spectrum(flat, 2.0)
     assert s.lam_small == 1.0 and s.lam_big == 1.0 and s.det == 1.0
 
@@ -72,8 +72,8 @@ def test_psh_check_reference_and_failure():
     assert psh_check(fs_profile(2), grid).strict
     from luxglue.numgrid import SmoothFn
 
-    bad = RadialProfile(2, SmoothFn(Interval(0.0, 5.0), lambda t: -t,
-                                    lambda t: -1.0 + 0 * t, lambda t: 0 * t))
+    bad = RadialProfile(2, SmoothFn(Interval(0.0, 5.0),
+                                    lambda t: (-t, -1.0 + 0 * t, 0 * t)))
     rep = psh_check(bad, grid)
     assert not rep.strict and rep.min_small == -1.0
 
@@ -218,3 +218,11 @@ def test_entropy_sweep_small():
     assert max(ents) / min(ents) < 2.0
     assert oscs[0] < oscs[1] < oscs[2]
     assert all(np.isfinite(r.raw_integral) for r in rows)
+
+
+def test_chart_measure_resolves_small_eps():
+    # the density varies on the scale t ~ eps (docs/DECISIONS.md section 4)
+    assert np.array_equal(chart_measure(2, 2.0**-44).nodes, chart_measure(2).nodes)
+    ents = [row.ent for row in entropy_sweep(2, 3, [2.0**-k for k in (44, 50, 55, 60)])]
+    assert all(a < b for a, b in zip(ents, ents[1:]))
+    assert np.isfinite(entropy_sweep(2, 3, [2.0**-150])[0].ent)
