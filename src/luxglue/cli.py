@@ -303,6 +303,7 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
         f = power_superlevel_fn(args.k, n_nodes=args.nodes)
         C = fit_constant(f, args.alpha, args.beta)
         hyp = IterationHypothesis(C, args.alpha, args.beta, f.t0, f.f_t0)
+        extensions = 0
         for _ in range(8):  # extend the grid until it covers the threshold
             T = t_gamma(hyp, args.gamma).value
             if f.grid[-1] >= f.t0 + T:
@@ -311,16 +312,21 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
                                     t_end=(f.t0 + T) * 1.05)
             C = fit_constant(f, args.alpha, args.beta)
             hyp = IterationHypothesis(C, args.alpha, args.beta, f.t0, f.f_t0)
+            extensions += 1
         rep = simulate_vanishing(f, hyp, args.gamma)
         results = {"fitted_C": C, "status": rep.status, "threshold": rep.threshold,
                    "vanish_node": rep.node, "value_at_node": rep.value_at_node,
-                   "chain_depth": rep.chain_depth}
+                   "chain_depth": rep.chain_depth, "pairs_checked": rep.pairs_checked,
+                   "grid_extensions": extensions}
         verdicts.append(_verdict("vanishing_verified",
                                  rep.status == "verified" and rep.value_at_node == 0.0,
                                  rep.value_at_node if rep.value_at_node is not None
                                  else np.nan, 0.0, 0))
         verdicts.append(_verdict("decay_chain", rep.chain_ok, rep.chain_depth, 0, 0))
     elif args.mode == "sharpness":
+        if args.nodes < 16:
+            raise BadConfig(f"sharpness needs --nodes >= 16 (one 16-point panel), "
+                            f"got {args.nodes}")
         grid = gauss_measure(Interval(0.0, args.t_max), panels=args.nodes // 16, order=16)
         sup = sharpness_sup(args.alpha, grid)
         bound = (2 * args.alpha / np.e) ** args.alpha

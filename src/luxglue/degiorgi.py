@@ -5,7 +5,7 @@ sharpness example showing the threshold needs beta > alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -15,6 +15,7 @@ from .errors import (
     GammaOutOfRange,
     GridTooShort,
     HypothesisFails,
+    InvalidInput,
     VerificationFailed,
 )
 from .numgrid import WeightedMeasure
@@ -25,6 +26,9 @@ ZERO_FLOOR = 1e-300
 
 _FORM_AGREEMENT_RTOL = 1e-12
 _PAIR_CAP = 4096
+_BLOCK = 256
+# Strictly-below-diagonal cells of a block's leading square: pairs s <= t.
+_BELOW = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)
 _CHAIN_SLACK = 1e-9
 
 
@@ -41,9 +45,9 @@ class IterationHypothesis:
 
     def __post_init__(self) -> None:
         if not (self.C > 0 and self.alpha > 0 and self.beta > 0):
-            raise ValueError("C, alpha, beta must all be positive")
+            raise InvalidInput("C, alpha, beta must all be positive")
         if self.f_t0 < 0:
-            raise ValueError("f_t0 must be >= 0")
+            raise InvalidInput("f_t0 must be >= 0")
 
 
 class TGamma(NamedTuple):
@@ -87,7 +91,7 @@ def l_gamma(C: float, alpha: float, beta: float, gamma: float, T: float) -> floa
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
     f(t0) > 1 / (e^L - 1) with L the value returned here."""
     if not (C > 0 and alpha > 0 and beta > 0 and T > 0):
-        raise ValueError("C, alpha, beta, T must all be positive")
+        raise InvalidInput("C, alpha, beta, T must all be positive")
     if not (1.0 < gamma < beta / alpha):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {beta / alpha})")
     ce = (C * np.e) ** (1.0 / alpha)
@@ -100,25 +104,32 @@ def l_gamma(C: float, alpha: float, beta: float, gamma: float, T: float) -> floa
 
 @dataclass(frozen=True)
 class LevelSetFn:
-    """Sampled non-negative, non-increasing function on [t0, +inf)."""
+    """Sampled non-negative, non-increasing function on [t0, +inf).
+
+    ``grid`` and ``values`` are private read-only copies, so the pair scan
+    cached per (alpha, beta) can never go stale.
+    """
 
     grid: np.ndarray
     values: np.ndarray
+    _scans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
+        grid = np.array(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         values = np.where(values < ZERO_FLOOR, 0.0, values)
+        grid.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise ValueError("grid/values must be matching 1-D arrays, >= 2 points")
+            raise InvalidInput("grid/values must be matching 1-D arrays, >= 2 points")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise InvalidInput("grid must be strictly increasing")
         if np.any(values < 0):
-            raise ValueError("values must be >= 0")
+            raise InvalidInput("values must be >= 0")
         if np.any(np.diff(values) > 0):
-            raise ValueError("values must be non-increasing")
+            raise InvalidInput("values must be non-increasing")
 
     @property
     def t0(self) -> float:
@@ -151,45 +162,63 @@ class HypothesisReport:
     vacuous: bool  # every pair skipped because f(t) = 0
 
 
-def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
-    """Scan grid pairs s > t for the worst value of
-    f(s) (s-t)^alpha log^beta(1 + 1/f(t)) / (C f(t)); satisfied iff <= 1.
+def _pair_max(f: LevelSetFn, alpha: float, beta: float
+              ) -> tuple[float, tuple[float, float], int]:
+    """(worst, worst_pair, pairs_checked) of the C = 1 ratio
+    f(s) (s-t)^alpha log^beta(1 + 1/f(t)) / f(t) over grid pairs s > t
+    with f(t) > 0.
 
-    Pairs with f(t) = 0 are skipped (the hypothesis is vacuous there since f
-    is non-increasing).  Grids beyond 4096 nodes are subsampled evenly.
+    f is non-increasing, so its positive values are a prefix of length p and
+    only the upper triangle of that p x p block can beat the ratio 0 of the
+    pairs whose f(s) = 0.  Ties go to the first pair in row-major order.
     """
     idx = _select_indices(f.grid.size)
     t = f.grid[idx]
     v = f.values[idx]
+    n = t.size
+    p = int(np.count_nonzero(v > 0))
+    checked = p * (n - 1) - p * (p - 1) // 2
+    if p == 0:
+        return -np.inf, (f.t0, f.t0), 0
+    if p == 1:  # the one positive row sees only f(s) = 0
+        return 0.0, (float(t[0]), float(t[1])), checked
+    weight = np.log1p(1.0 / v[:p]) ** beta
     worst = -np.inf
     worst_pair = (f.t0, f.t0)
-    checked = 0
-    block = 256
-    for start in range(0, idx.size - 1, block):
-        stop = min(start + block, idx.size - 1)
-        ti = t[start:stop, None]
-        vi = v[start:stop, None]
-        mask_col = vi > 0
-        gap = t[None, :] - ti
-        upper = gap > 0
-        use = upper & mask_col
-        if not np.any(use):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                use,
-                v[None, :] * gap**h.alpha * np.log1p(1.0 / np.where(vi > 0, vi, 1.0))
-                ** h.beta / (h.C * np.where(vi > 0, vi, 1.0)),
-                -np.inf,
-            )
-        checked += int(np.count_nonzero(use))
+    for start in range(0, p - 1, _BLOCK):
+        stop = min(start + _BLOCK, p - 1)
+        rows = stop - start
+        gap = t[None, start + 1:p] - t[start:stop, None]
+        # Same operation order as the definition, so fitted C stays bit-stable.
+        with np.errstate(invalid="ignore"):
+            ratio = (v[None, start + 1:p] * gap**alpha * weight[start:stop, None]
+                     / v[start:stop, None])
+        ratio[:, :rows][_BELOW[:rows, :rows]] = -np.inf
         j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         if ratio[j] > worst:
             worst = float(ratio[j])
-            worst_pair = (float(ti[j[0], 0]), float(t[j[1]]))
+            worst_pair = (float(t[start + j[0]]), float(t[start + 1 + j[1]]))
+    return worst, worst_pair, checked
+
+
+def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
+    """Worst value over grid pairs s > t of
+    f(s) (s-t)^alpha log^beta(1 + 1/f(t)) / (C f(t)); satisfied iff <= 1.
+
+    The ratio scales exactly as 1/C, so one C-free maximum is computed per
+    (alpha, beta) and cached on f; it scans only the upper triangle of the
+    positive prefix of f.  Pairs with f(t) = 0 are skipped (the hypothesis is
+    vacuous there since f is non-increasing).  Grids beyond 4096 nodes are
+    subsampled evenly.
+    """
+    key = (h.alpha, h.beta)
+    if key not in f._scans:
+        f._scans[key] = _pair_max(f, h.alpha, h.beta)
+    worst, worst_pair, checked = f._scans[key]
     if checked == 0:
         return HypothesisReport(True, 0.0, worst_pair, 0, True)
-    return HypothesisReport(worst <= 1.0 + 1e-12, worst, worst_pair, checked, False)
+    ratio = worst / h.C
+    return HypothesisReport(ratio <= 1.0 + 1e-12, ratio, worst_pair, checked, False)
 
 
 def fit_constant(f: LevelSetFn, alpha: float, beta: float) -> float:
@@ -209,6 +238,7 @@ class VanishingReport:
     value_at_node: float | None
     chain_depth: int
     chain_ok: bool
+    pairs_checked: int  # grid pairs the hypothesis scan covered
 
 
 def simulate_vanishing(
@@ -229,7 +259,8 @@ def simulate_vanishing(
             f"worst ratio {report.worst_ratio} at pair {report.worst_pair}"
         )
     if not h.beta > h.alpha:
-        return VanishingReport("not_applicable", np.nan, None, None, 0, False)
+        return VanishingReport("not_applicable", np.nan, None, None, 0, False,
+                               report.pairs_checked)
     hyp = IterationHypothesis(h.C, h.alpha, h.beta, f.t0, f.f_t0)
     T = t_gamma(hyp, gamma).value
     node, val = f.value_at_first_node_geq(f.t0 + T)
@@ -253,7 +284,8 @@ def simulate_vanishing(
             if v > bound * (1.0 + _CHAIN_SLACK):
                 chain_ok = False
                 break
-    return VanishingReport("verified", T, node, val, depth, chain_ok)
+    return VanishingReport("verified", T, node, val, depth, chain_ok,
+                           report.pairs_checked)
 
 
 def _log_log1p_exp_exp(t: np.ndarray) -> np.ndarray:
@@ -273,23 +305,22 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> float:
     (2 alpha / e)^alpha.
     """
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise InvalidInput("alpha must be positive")
     t = grid.nodes
     log_logfac = _log_log1p_exp_exp(t)
     et = np.exp(t)
     best = -np.inf
-    block = 256
-    for start in range(0, t.size - 1, block):
-        stop = min(start + block, t.size - 1)
+    for start in range(0, t.size - 1, _BLOCK):
+        stop = min(start + _BLOCK, t.size - 1)
         ti = t[start:stop, None]
-        gap = t[None, :] - ti
+        gap = t[None, start + 1:] - ti  # nodes increase: columns <= start have s <= t
         upper = gap > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             logr = np.where(
                 upper,
                 alpha * np.log(np.where(upper, gap, 1.0))
                 + alpha * log_logfac[start:stop, None]
-                - (et[None, :] - et[start:stop, None]),
+                - (et[None, start + 1:] - et[start:stop, None]),
                 -np.inf,
             )
         m = float(np.max(logr))
@@ -323,9 +354,9 @@ def power_superlevel_fn(
     Reaches exact 0 at t = amplitude, the shape driving the vanishing demo.
     """
     if k <= 0 or amplitude <= 0 or length <= 0:
-        raise ValueError("k, amplitude, length must be positive")
+        raise InvalidInput("k, amplitude, length must be positive")
     if not 0 <= t0 < amplitude:
-        raise ValueError("t0 must lie in [0, amplitude)")
+        raise InvalidInput("t0 must lie in [0, amplitude)")
     end = t_end if t_end is not None else 1.5 * amplitude
     grid = np.linspace(t0, end, n_nodes)
     vals = length * np.maximum(0.0, 1.0 - (np.maximum(grid, 0.0) / amplitude) ** (1.0 / k))
@@ -336,5 +367,5 @@ def induction_inequality_gap(a: float, b: float, mu: float) -> float:
     """a^(1-mu) - b^(1-mu) - (mu-1)(b-a) b^-mu for b >= a > 0, mu >= 1;
     non-negative by convexity of x -> x^(1-mu)."""
     if not (b >= a > 0 and mu >= 1):
-        raise ValueError("need b >= a > 0 and mu >= 1")
+        raise InvalidInput("need b >= a > 0 and mu >= 1")
     return a ** (1.0 - mu) - b ** (1.0 - mu) - (mu - 1.0) * (b - a) * b ** (-mu)

@@ -69,6 +69,10 @@ class VerificationFailed(LuxglueError):
     """A checked identity or certified bound failed at runtime."""
 
 
+class InvalidInput(LuxglueError, ValueError):
+    """Argument outside the domain a function documents (a ValueError too)."""
+
+
 class BadConfig(LuxglueError):
     """CLI configuration is malformed or inconsistent."""
 

@@ -128,6 +128,35 @@ def test_degiorgi_simulate(tmp_path):
     assert report["results"]["value_at_node"] == 0.0
 
 
+def test_degiorgi_simulate_reports_scan_counters(tmp_path):
+    out = tmp_path / "r.json"
+    code = run_cli(["degiorgi", "--mode", "simulate", "--k", "2", "--alpha", "1",
+                    "--beta", "2", "--gamma", "1.5", "--nodes", "600", "--out", str(out)])
+    assert code == 0
+    results = load_without_meta(out)["results"]
+    # the default grid ends at 1.5, short of the ~8.8 threshold: one refit
+    assert results["grid_extensions"] == 1
+    assert results["pairs_checked"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "sharpness", "--nodes", "8"],
+    ["--mode", "simulate", "--nodes", "1"],
+    ["--mode", "simulate", "--k", "-1"],
+    ["--mode", "simulate", "--alpha", "0"],
+    ["--mode", "formula", "--f0", "-1"],
+    ["--mode", "sharpness", "--alpha", "0"],
+])
+def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
+    code = run_cli(["degiorgi", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["command"] == "degiorgi"
+    assert payload["error"] in ("InvalidInput", "BadConfig")
+
+
 def test_glue_quadratics_with_csv(tmp_path):
     out = tmp_path / "r.json"
     hcsv = tmp_path / "h.csv"

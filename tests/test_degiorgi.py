@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from luxglue import degiorgi
 from luxglue.degiorgi import (
     IterationHypothesis,
     LevelSetFn,
@@ -221,3 +222,106 @@ def test_induction_inequality(a, b, mu):
 def test_level_set_underflow_floor():
     f = LevelSetFn(np.array([0.0, 1.0]), np.array([1e-310, 0.0]))
     assert f.values[0] == 0.0
+
+
+def test_level_set_arrays_are_private_and_read_only():
+    grid = np.linspace(0.0, 1.0, 8)
+    values = np.linspace(1.0, 0.0, 8)
+    f = LevelSetFn(grid, values)
+    with pytest.raises(ValueError):
+        f.values[0] = 2.0
+    with pytest.raises(ValueError):
+        f.grid[0] = -1.0
+    grid[0] = -1.0  # the caller's arrays stay writable and detached from f
+    values[-1] = 0.5
+    assert f.grid[0] == 0.0 and f.values[-1] == 0.0
+
+
+def _reference_scan(f, h):
+    """Every pair i < j of the evenly subsampled grid, with the ratio written
+    as its definition (C included) and ties going to the first pair in
+    row-major order.  Each row is one numpy array because numpy's vectorised
+    pow can differ in the last bit from its scalar pow."""
+    n = f.grid.size
+    idx = np.arange(n) if n <= 4096 else np.unique(np.linspace(0, n - 1, 4096).astype(int))
+    t, v = f.grid[idx], f.values[idx]
+    worst, pair, checked = -np.inf, (f.t0, f.t0), 0
+    for i in range(t.size - 1):
+        if v[i] == 0:
+            continue
+        weight = np.log1p(1.0 / v[i:i + 1]) ** h.beta
+        row = v[i + 1:] * (t[i + 1:] - t[i]) ** h.alpha * weight / (h.C * v[i])
+        j = int(np.argmax(row))
+        if row[j] > worst:
+            worst, pair = float(row[j]), (float(t[i]), float(t[i + 1 + j]))
+        checked += t.size - 1 - i
+    return worst, pair, checked
+
+
+def _assert_matches_reference(f, alpha, beta, C):
+    h = IterationHypothesis(C, alpha, beta)
+    rep = check_hypothesis(f, h)
+    worst, pair, checked = _reference_scan(f, h)
+    assert rep.pairs_checked == checked
+    assert rep.vacuous == (checked == 0)
+    assert rep.worst_pair == pair
+    if rep.vacuous:
+        return
+    if C == 1.0:
+        assert rep.worst_ratio == worst
+    else:
+        assert abs(rep.worst_ratio - worst) <= 1e-15 * worst
+    assert rep.satisfied == (rep.worst_ratio <= 1.0 + 1e-12)
+
+
+@st.composite
+def level_set_fns(draw):
+    n = draw(st.integers(2, 40))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    grid = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    levels = draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n))
+    values = np.sort(levels)[::-1]
+    shape = draw(st.sampled_from(["zero_tail", "single", "constant", "zeros"]))
+    positive = {"zero_tail": draw(st.integers(1, n)), "single": 1,
+                "constant": n, "zeros": 0}[shape]
+    if shape == "constant":
+        values[:] = values[0]
+    values[positive:] = 0.0
+    return LevelSetFn(grid, values)
+
+
+exponents = st.floats(0.2, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_set_fns(), exponents, exponents, st.floats(1e-3, 1e3))
+def test_check_hypothesis_matches_brute_force(f, alpha, beta, C):
+    for c in (1.0, C):
+        _assert_matches_reference(f, alpha, beta, c)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(4097, 5000), st.floats(0.5, 4.0), st.floats(1.1, 5.0),
+       exponents, exponents, st.floats(1e-3, 1e3))
+def test_check_hypothesis_matches_brute_force_subsampled(n, k, t_end, alpha, beta, C):
+    f = power_superlevel_fn(k, n_nodes=n, t_end=t_end)
+    for c in (1.0, C):
+        _assert_matches_reference(f, alpha, beta, c)
+
+
+def test_fit_then_simulate_scans_once(monkeypatch):
+    calls = []
+    scan = degiorgi._pair_max
+
+    def counted(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(degiorgi, "_pair_max", counted)
+    f = power_superlevel_fn(2.0, n_nodes=600, t_end=20.0)
+    C = fit_constant(f, 1.0, 2.0)
+    hyp = IterationHypothesis(C, 1.0, 2.0, f.t0, f.f_t0)
+    rep = simulate_vanishing(f, hyp, 1.5)
+    assert rep.status == "verified"
+    assert calls == [(1.0, 2.0)]
+    assert rep.pairs_checked == check_hypothesis(f, hyp).pairs_checked > 0
