@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from typing import Any
@@ -44,10 +45,8 @@ from .orlicz import (
 )
 from .radialpsh import (
     appendix_c_bounds,
-    build_v_eps,
-    chart_measure,
+    chart_density,
     CounterexampleParams,
-    density_ratio,
     entropy_sweep,
     feps_smoothfn,
     fs_potential,
@@ -122,10 +121,23 @@ def _report(command: str, inputs: dict, results: dict, verdicts: list[dict],
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to a unique temp file beside path, fsync it, then rename it
+    over path; the temp file is removed if any step fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
@@ -405,17 +417,24 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
 
 def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
     n = args.n
+    if args.kmax <= args.kmin:
+        raise BadConfig(f"the verdicts compare rows: need --kmax > --kmin, "
+                        f"got {args.kmin}..{args.kmax}")
     ks = list(range(args.kmin, args.kmax + 1))
     eps_list = [2.0**-k for k in ks]
     r_low = n - 1 if args.r is None else args.r
-    rows_low = entropy_sweep(n, r_low, eps_list)
-    rows_high = entropy_sweep(n, n + 1, eps_list)
-    apx = [appendix_c_bounds(CounterexampleParams(e, n), t0=1.0 / 8.0)
-           for e in eps_list]
-    ent_low = np.array([row.ent for row in rows_low])
-    ent_high = np.array([row.ent for row in rows_high])
-    osc = np.array([row.osc for row in rows_low])
-    apx_int = np.array([a.integral for a in apx])
+    rows = entropy_sweep(n, (r_low, n + 1), eps_list)
+    table = [
+        {"k": k, "eps": row.eps, "ent_low": row.ent[0], "ent_high": row.ent[1],
+         "osc": row.osc,
+         "apx_integral": appendix_c_bounds(CounterexampleParams(row.eps, n),
+                                           t0=1.0 / 8.0).integral}
+        for k, row in zip(ks, rows)
+    ]
+    ent_low = np.array([row["ent_low"] for row in table])
+    ent_high = np.array([row["ent_high"] for row in table])
+    osc = np.array([row["osc"] for row in table])
+    apx_int = np.array([row["apx_integral"] for row in table])
     verdicts = [
         _verdict(f"ent_plateau_r_{r_low:g}", float(ent_low.max() / ent_low.min()) <= 10.0,
                  float(ent_low.max() / ent_low.min()), 10.0, 0),
@@ -434,29 +453,21 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
         "ent_high_growth": float(ent_high[-1] / ent_high[0]),
         "osc_growth": float(osc[-1] / osc[0]),
         "apx_integral_ratio": float(apx_int.max() / apx_int.min()),
-        "table": [
-            {"k": k, "eps": row.eps, "ent_low": row.ent, "ent_high": hi.ent,
-             "osc": row.osc, "apx_integral": a.integral}
-            for k, row, hi, a in zip(ks, rows_low, rows_high, apx)
-        ],
+        "table": table,
     }
     if args.table:
         _write_csv_table(
             args.table,
             ["k", "eps", f"ent_r{r_low:g}", f"ent_r{n + 1}", "osc", "apx_integral"],
-            [[k, row.eps, row.ent, hi.ent, row.osc, a.integral]
-             for k, row, hi, a in zip(ks, rows_low, rows_high, apx)],
+            [list(row.values()) for row in table],
         )
         results["table_file"] = args.table
     if args.detail_k is not None:
-        eps = 2.0**-args.detail_k
-        chart = build_v_eps(CounterexampleParams(eps, n))
-        m = chart_measure(n, eps)
-        dens = density_ratio(chart, m)
+        dens = chart_density(n, 2.0**-args.detail_k)
         path = args.detail_out or f"density_k{args.detail_k}.csv"
         _write_csv_table(path, ["t", "weight", "value"],
                          [[float(a), float(b), float(c_)] for a, b, c_ in
-                          zip(m.nodes, m.weights, dens.values)])
+                          zip(dens.measure.nodes, dens.measure.weights, dens.values)])
         results["detail_file"] = path
     inputs = {"n": n, "kmin": args.kmin, "kmax": args.kmax, "r": args.r,
               "seed": args.seed}

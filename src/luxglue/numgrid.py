@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoBracket, NonFinite
+from .errors import InvalidInput, NoBracket, NonFinite
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -45,9 +45,9 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
+            raise InvalidInput("interval endpoints must be finite")
         if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+            raise InvalidInput(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def length(self) -> float:
@@ -70,13 +70,13 @@ class WeightedMeasure:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
+            raise InvalidInput("nodes and weights must be 1-D arrays of equal length")
         if nodes.size == 0:
-            raise ValueError("measure needs at least one node")
+            raise InvalidInput("measure needs at least one node")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise InvalidInput("nodes must be strictly increasing")
         if not np.all(weights > 0):
-            raise ValueError("weights must all be positive")
+            raise InvalidInput("weights must all be positive")
         if not np.isfinite(self.mass) or self.mass <= 0:
             raise NonFinite("total mass must be finite and positive")
 
@@ -119,41 +119,37 @@ def integrate(f: GridFn) -> float:
     return pairwise_sum(prod)
 
 
+def _gauss_panels(edges: np.ndarray, order: int) -> WeightedMeasure:
+    """Gauss-Legendre rule of the given order on each panel between edges."""
+    if not 2 <= order <= 64:
+        raise InvalidInput("order must lie in {2..64}")
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return WeightedMeasure(nodes, weights)
+
+
 def gauss_measure(interval: Interval, panels: int, order: int) -> WeightedMeasure:
     """Composite Gauss-Legendre rule: `panels` equal panels of the given order."""
     if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if not 2 <= order <= 64:
-        raise ValueError("order must lie in {2..64}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(interval.lo, interval.hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return WeightedMeasure(nodes, weights)
+        raise InvalidInput("panels must be >= 1")
+    return _gauss_panels(np.linspace(interval.lo, interval.hi, panels + 1), order)
 
 
-def geometric_gauss_measure(
-    interval: Interval, panels: int = 40, order: int = 16, ratio: float = 2.0
-) -> WeightedMeasure:
-    """Composite Gauss-Legendre with panel widths shrinking geometrically toward lo.
+def geometric_gauss_measure(interval: Interval, panels: int = 40,
+                            order: int = 16) -> WeightedMeasure:
+    """Composite Gauss-Legendre with panel widths halving toward lo.
 
     Suited to integrands that vary on a logarithmic scale near the left
-    endpoint; the panel adjacent to lo has width ~ length / ratio**panels.
+    endpoint; the panel adjacent to lo has width ~ length / 2**panels.
     """
-    if panels < 1 or ratio <= 1:
-        raise ValueError("need panels >= 1 and ratio > 1")
-    if not 2 <= order <= 64:
-        raise ValueError("order must lie in {2..64}")
+    if panels < 1:
+        raise InvalidInput("panels must be >= 1")
     k = np.arange(panels + 1, dtype=float)
-    edges = interval.lo + interval.length * (ratio**k - 1.0) / (ratio**panels - 1.0)
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return WeightedMeasure(nodes, weights)
+    return _gauss_panels(
+        interval.lo + interval.length * (2.0**k - 1.0) / (2.0**panels - 1.0), order)
 
 
 def bisect_monotone(

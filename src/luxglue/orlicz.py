@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParams, NegativeDensity, NonFinite, VerificationFailed, ZeroMass
+from .errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
+                     VerificationFailed, ZeroMass)
 from .numgrid import GridFn, bisect_monotone, integrate, pairwise_sum
 from .youngfn import YoungParams, phi
 
@@ -40,9 +41,9 @@ class EntropyParams:
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be an integer >= 1")
+            raise InvalidInput("n must be an integer >= 1")
         if self.r < 0:
-            raise ValueError("r must be >= 0")
+            raise InvalidInput("r must be >= 0")
 
     @property
     def young(self) -> YoungParams:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, OutOfDomain
+from .errors import InvalidInput, NonFinite, OutOfDomain
 from .gluing import GluePiece, GlueProblem, GlueResult, glue
 from .numgrid import (
     GridFn,
@@ -47,9 +47,9 @@ class RadialProfile:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("complex dimension must be >= 2")
+            raise InvalidInput("complex dimension must be >= 2")
         if self.fn.domain.lo < 0:
-            raise ValueError("radial domain must sit inside [0, infinity)")
+            raise InvalidInput("radial domain must sit inside [0, infinity)")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class CounterexampleParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < EPS_MAX:
-            raise ValueError(f"eps must lie in (0, {EPS_MAX})")
+            raise InvalidInput(f"eps must lie in (0, {EPS_MAX})")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise InvalidInput("n must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -296,29 +296,33 @@ def density_ratio(chart: ChartPotential, measure: WeightedMeasure) -> GridFn:
     return GridFn(measure, dens)
 
 
+def chart_density(n: int, eps: float) -> GridFn:
+    """Density ratio of the chart potential at eps on the chart measure for
+    eps; the only builder of a sweep density."""
+    chart = build_v_eps(CounterexampleParams(eps, n))
+    return density_ratio(chart, chart_measure(n, eps))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     eps: float
-    ent: float
+    ent: tuple[float, ...]  # one entry per r of the sweep
+    raw_integral: tuple[float, ...]
     osc: float
-    raw_integral: float
 
 
-def entropy_sweep(n: int, r: float, eps_list) -> list[SweepRow]:
-    """For each eps: assemble the chart potential, compute the entropy of its
-    density ratio on the chart measure for that eps at weight (1, n, r), and
-    record the oscillation proxy |f_eps(0)|."""
-    ep = EntropyParams(n, r)
+def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
+    """For each eps: one chart density, its entropy at weight (1, n, r) and
+    raw modular integral for every r in rs, and the oscillation proxy
+    |f_eps(0)|."""
+    scales = [EntropyParams(n, r) for r in rs]
     rows: list[SweepRow] = []
-    for eps in eps_list:
-        params = CounterexampleParams(float(eps), n)
-        measure = chart_measure(n, params.eps)
-        chart = build_v_eps(params)
-        dens = density_ratio(chart, measure)
-        raw = pairwise_sum(measure.weights * phi(ep.young, dens.values))
-        rows.append(
-            SweepRow(float(eps), entropy(dens, ep), abs(f_eps_at_zero(params)), raw)
-        )
+    for eps in map(float, eps_list):
+        dens = chart_density(n, eps)
+        w, v = dens.measure.weights, dens.values
+        rows.append(SweepRow(eps, tuple(entropy(dens, ep) for ep in scales),
+                             tuple(pairwise_sum(w * phi(ep.young, v)) for ep in scales),
+                             abs(f_eps_at_zero(CounterexampleParams(eps, n)))))
     return rows
 
 

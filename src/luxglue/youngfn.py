@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParams, NegativeArgument
+from .errors import DegenerateParams, InvalidInput, NegativeArgument
 from .numgrid import WeightedMeasure
 
 ArrayLike = float | np.ndarray
@@ -27,11 +27,11 @@ class YoungParams:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.p) and self.p >= 1):
-            raise ValueError("p must be finite and >= 1")
+            raise InvalidInput("p must be finite and >= 1")
         if not (np.isfinite(self.q) and self.q >= 0):
-            raise ValueError("q must be finite and >= 0")
+            raise InvalidInput("q must be finite and >= 0")
         if not (np.isfinite(self.r) and self.r >= 0):
-            raise ValueError("r must be finite and >= 0")
+            raise InvalidInput("r must be finite and >= 0")
 
     @property
     def degenerate(self) -> bool:

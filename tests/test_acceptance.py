@@ -265,11 +265,10 @@ def test_criterion_09_bounded_entropy_unbounded_oscillation():
     ])
     all_ok = True
     for n in (2, 3):
-        low = entropy_sweep(n, float(n - 1), eps_list)
-        high = entropy_sweep(n, float(n + 1), eps_list)
-        ent_low = np.array([r.ent for r in low])
-        ent_high = np.array([r.ent for r in high])
-        osc = np.array([r.osc for r in low])
+        rows = entropy_sweep(n, (float(n - 1), float(n + 1)), eps_list)
+        ent_low = np.array([r.ent[0] for r in rows])
+        ent_high = np.array([r.ent[1] for r in rows])
+        osc = np.array([r.osc for r in rows])
         ratio_low = float(ent_low.max() / ent_low.min())
         all_ok &= _clause(
             f"criterion 9 (n={n}) entropy plateau at r={n - 1}",

@@ -140,20 +140,31 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--mode", "sharpness", "--nodes", "8"],
-    ["--mode", "simulate", "--nodes", "1"],
-    ["--mode", "simulate", "--k", "-1"],
-    ["--mode", "simulate", "--alpha", "0"],
-    ["--mode", "formula", "--f0", "-1"],
-    ["--mode", "sharpness", "--alpha", "0"],
+    ["degiorgi", "--mode", "sharpness", "--nodes", "8"],
+    ["degiorgi", "--mode", "simulate", "--nodes", "1"],
+    ["degiorgi", "--mode", "simulate", "--k", "-1"],
+    ["degiorgi", "--mode", "simulate", "--alpha", "0"],
+    ["degiorgi", "--mode", "formula", "--f0", "-1"],
+    ["degiorgi", "--mode", "sharpness", "--alpha", "0"],
+    ["counterexample", "--n", "1"],
+    ["counterexample", "--kmin", "3", "--kmax", "5"],
+    ["counterexample", "--kmin", "10", "--kmax", "5"],
+    ["counterexample", "--kmin", "5", "--kmax", "5"],
+    ["counterexample", "--r", "-1"],
+    ["counterexample", "--kmin", "5", "--kmax", "6", "--detail-k", "2"],
+    ["holder-young", "--young", "0.5,0,0"],
+    ["orlicz-norm", "--interval", "1,0"],
+    ["orlicz-norm", "--panels", "0"],
+    ["orlicz-norm", "--order", "1"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
-    code = run_cli(["degiorgi", *argv])
+    # Named for its first inputs; it covers every subcommand's domain errors.
+    code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     payload = json.loads(err)
-    assert payload["command"] == "degiorgi"
+    assert payload["command"] == argv[0]
     assert payload["error"] in ("InvalidInput", "BadConfig")
 
 
@@ -222,6 +233,46 @@ def test_counterexample_detail_mode(tmp_path):
     lines = detail.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "t,weight,value"
     assert len(lines) > 100
+
+
+def test_counterexample_builds_each_chart_once(tmp_path, monkeypatch):
+    from luxglue import radialpsh
+
+    calls = {"build_v_eps": 0, "chart_measure": 0}
+    for name in calls:
+        original = getattr(radialpsh, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(radialpsh, name, counted)
+    code = run_cli(["counterexample", "--n", "2", "--kmin", "5", "--kmax", "9",
+                    "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1)
+    assert calls == {"build_v_eps": 5, "chart_measure": 5}  # one per row
+
+
+def test_out_write_is_atomic_beside_a_stale_tmp_dir(tmp_path):
+    # a fixed "<out>.tmp" name would collide with this directory
+    (tmp_path / "report.json.tmp").mkdir()
+    out = tmp_path / "report.json"
+    code = run_cli(["degiorgi", "--mode", "formula", "--beta", "2", "--gamma", "1.5",
+                    "--out", str(out)])
+    assert code == 0
+    assert load_without_meta(out)["command"] == "degiorgi"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
+
+
+def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
+    from luxglue.cli import _write_atomic
+
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        _write_atomic(str(target), "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not any(target.iterdir())
 
 
 def test_report_determinism_byte_identical(tmp_path):

@@ -100,7 +100,7 @@ def test_gauss_order_out_of_range():
 
 
 def test_geometric_measure_refines_toward_lo():
-    m = geometric_gauss_measure(Interval(0.0, 1.0), panels=10, order=2, ratio=2.0)
+    m = geometric_gauss_measure(Interval(0.0, 1.0), panels=10, order=2)
     assert m.nodes[0] < 1e-3  # the first panel is ~2^-10 wide
     assert m.nodes[-1] > 0.5
 

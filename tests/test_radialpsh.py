@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from luxglue.errors import NonFinite, OutOfDomain
-from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
-from luxglue.orlicz import EntropyParams, luxemburg_norm
+from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure, pairwise_sum
+from luxglue.orlicz import EntropyParams, entropy, luxemburg_norm
 from luxglue.radialpsh import (
     AppendixReport,
     ChartPotential,
@@ -15,6 +15,7 @@ from luxglue.radialpsh import (
     RadialProfile,
     appendix_c_bounds,
     build_v_eps,
+    chart_density,
     chart_measure,
     chart_total_mass,
     density_ratio,
@@ -31,6 +32,7 @@ from luxglue.radialpsh import (
     psh_check,
 )
 from luxglue.sampling import rng_from_seed
+from luxglue.youngfn import phi
 
 
 def test_flat_potential_spectrum():
@@ -212,17 +214,40 @@ def test_constant_density_norm_matches_scalar_equation():
 
 
 def test_entropy_sweep_small():
-    rows = entropy_sweep(2, 1.0, [2.0**-5, 2.0**-10, 2.0**-20])
-    ents = [r.ent for r in rows]
+    rows = entropy_sweep(2, (1.0,), [2.0**-5, 2.0**-10, 2.0**-20])
+    ents = [r.ent[0] for r in rows]
     oscs = [r.osc for r in rows]
     assert max(ents) / min(ents) < 2.0
     assert oscs[0] < oscs[1] < oscs[2]
-    assert all(np.isfinite(r.raw_integral) for r in rows)
+    assert all(np.isfinite(r.raw_integral[0]) for r in rows)
+
+
+def test_entropy_sweep_shares_one_density_across_r():
+    n, eps_list = 3, [2.0**-5, 2.0**-17, 2.0**-33]
+    both = entropy_sweep(n, (2.0, 4.0), eps_list)
+    single = [entropy_sweep(n, (r,), eps_list) for r in (2.0, 4.0)]
+    for i, (row, eps) in enumerate(zip(both, eps_list)):
+        assert row.eps == eps
+        assert row.ent == (single[0][i].ent[0], single[1][i].ent[0])
+        assert row.raw_integral == (single[0][i].raw_integral[0],
+                                    single[1][i].raw_integral[0])
+        assert row.osc == single[0][i].osc == single[1][i].osc
+        # the same bits as the density assembled step by step
+        dens = density_ratio(build_v_eps(CounterexampleParams(eps, n)), chart_measure(n, eps))
+        shared = chart_density(n, eps)
+        assert np.array_equal(shared.measure.nodes, dens.measure.nodes)
+        assert np.array_equal(shared.measure.weights, dens.measure.weights)
+        assert np.array_equal(shared.values, dens.values)
+        for j, r in enumerate((2.0, 4.0)):
+            ep = EntropyParams(n, r)
+            assert row.ent[j] == entropy(dens, ep)
+            assert row.raw_integral[j] == pairwise_sum(
+                dens.measure.weights * phi(ep.young, dens.values))
 
 
 def test_chart_measure_resolves_small_eps():
     # the density varies on the scale t ~ eps (docs/DECISIONS.md section 4)
     assert np.array_equal(chart_measure(2, 2.0**-44).nodes, chart_measure(2).nodes)
-    ents = [row.ent for row in entropy_sweep(2, 3, [2.0**-k for k in (44, 50, 55, 60)])]
+    ents = [row.ent[0] for row in entropy_sweep(2, (3,), [2.0**-k for k in (44, 50, 55, 60)])]
     assert all(a < b for a, b in zip(ents, ents[1:]))
-    assert np.isfinite(entropy_sweep(2, 3, [2.0**-150])[0].ent)
+    assert np.isfinite(entropy_sweep(2, (3,), [2.0**-150])[0].ent[0])
