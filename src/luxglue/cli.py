@@ -35,7 +35,7 @@ from .degiorgi import (
     t_gamma,
 )
 from .errors import BadConfig, FileFormat, LuxglueError, ZeroMass
-from .gluing import GluePiece, GlueProblem, glue
+from .gluing import GluePiece, GlueProblem, glue, verify_glue
 from .numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure, integrate
 from .orlicz import (
     INEQ_SLACK,
@@ -335,7 +335,7 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
                                  rep.value_at_node if rep.value_at_node is not None
                                  else np.nan, 0.0, 0))
         verdicts.append(_verdict("decay_chain", rep.chain_ok, rep.chain_depth, 0, 0))
-    elif args.mode == "sharpness":
+    else:  # sharpness; parsing and _apply_config admit only the three choices
         if args.nodes < 16:
             raise BadConfig(f"sharpness needs --nodes >= 16 (one 16-point panel), "
                             f"got {args.nodes}")
@@ -345,8 +345,6 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
         results = {"sup": sup, "bound": bound, "ratio": sup / bound}
         verdicts.append(_verdict("sup_le_bound", sup <= bound * (1 + INEQ_SLACK),
                                  sup, bound, INEQ_SLACK))
-    else:
-        raise BadConfig(f"unknown degiorgi mode {args.mode!r}")
     inputs = {k: getattr(args, k) for k in
               ("mode", "C", "alpha", "beta", "gamma", "f0", "T", "k", "nodes",
                "t_max", "seed")}
@@ -357,9 +355,7 @@ _MODE_MAP = {"strict": "strictly_convex", "convex": "convex", "radial": "radial_
 
 
 def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
-    mode = _MODE_MAP.get(args.mode)
-    if mode is None:
-        raise BadConfig(f"mode must be one of {sorted(_MODE_MAP)}")
+    mode = _MODE_MAP[args.mode]  # a choice, checked by parsing and _apply_config
     li = Interval(*_parse_pair(args.left_interval))
     ri = Interval(*_parse_pair(args.right_interval))
     largs: dict[str, Any] = {}
@@ -375,6 +371,7 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     right = GluePiece(build_family(args.right_fn, ri, rargs))
     problem = GlueProblem(left, right, mode, n=args.n)
     result = glue(problem)
+    check = verify_glue(result)
     probe_l = np.linspace(li.lo, li.hi, 257)
     probe_r = np.linspace(ri.lo, ri.hi, 257)
     match_l = float(np.max(np.abs(result.h.d0(probe_l) - left.fn.d0(probe_l))))
@@ -385,23 +382,23 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     ]
     if mode == "strictly_convex":
         verdicts.append(_verdict("inf_h2_ge_certified",
-                                 result.inf_h2 >= result.cert_inf_h2 * (1 - 1e-9) - 1e-12,
-                                 result.inf_h2, result.cert_inf_h2, 1e-9))
+                                 check.inf_h2 >= result.cert_inf_h2 * (1 - 1e-9) - 1e-12,
+                                 check.inf_h2, result.cert_inf_h2, 1e-9))
     if mode in ("strictly_convex", "convex"):
         verdicts.append(_verdict("sup_h2_le_certified",
-                                 result.sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
-                                 result.sup_h2, result.cert_sup_h2, 1e-9))
+                                 check.sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
+                                 check.sup_h2, result.cert_sup_h2, 1e-9))
     if mode == "radial_psh":
         verdicts.append(_verdict("det_le_certified",
-                                 result.det_sup <= result.det_cert * (1 + 1e-9),
-                                 result.det_sup, result.det_cert, 1e-9))
+                                 check.det_sup <= result.det_cert * (1 + 1e-9),
+                                 check.det_sup, result.det_cert, 1e-9))
     results = {
         "c": result.c, "delta": result.delta, "eps": result.eps,
-        "inf_h2": result.inf_h2, "sup_h2": result.sup_h2,
+        "inf_h2": check.inf_h2, "sup_h2": check.sup_h2,
         "cert_inf_h2": result.cert_inf_h2, "cert_sup_h2": result.cert_sup_h2,
         "compat": {"lhs": result.compat.lhs, "mid": result.compat.mid,
                    "rhs": result.compat.rhs},
-        "det_sup": result.det_sup, "det_cert": result.det_cert,
+        "det_sup": check.det_sup, "det_cert": result.det_cert,
     }
     if args.h_csv:
         ts = np.linspace(result.working.lo, result.working.hi, args.h_points)
@@ -560,9 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> None:
     """Fill options from the JSON config file; flags given on the command
-    line keep priority."""
+    line keep priority.  Every value must pass its option's type and choices,
+    as the same text given as a flag would."""
     if not args.config:
         return
     try:
@@ -574,14 +573,24 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         raise BadConfig(f"{args.config}: invalid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise BadConfig(f"{args.config}: expected a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
     given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise BadConfig(f"{args.config}: unknown option {key!r}")
+        try:
+            if not isinstance(value, (str, int, float)):
+                raise ValueError(f"needs a string or a number, got {value!r}")
+            value = (action.type or str)(str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"must be one of {sorted(action.choices)}, got {value!r}")
+        except ValueError as exc:
+            raise BadConfig(f"{args.config}: option {key!r}: {exc}") from exc
         if f"--{key.replace('_', '-')}" in given:
             continue  # explicit flag wins
-        setattr(args, dest, value)
+        setattr(args, action.dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -591,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        _apply_config(args, list(argv))
+        _apply_config(parser, args, list(argv))
         report = args.handler(args, t0)
     except LuxglueError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),

@@ -9,6 +9,10 @@ Three modes:
   logarithmic coordinates and returns to t-space, preserving strict
   plurisubharmonicity, with a certified determinant bound on the bridge band.
 
+``glue()`` builds h with closed-form certificates and never samples h;
+``verify_glue()`` samples h'' (and a radial glue's bridge determinant) on
+16,385 points on request, so its extremes are not enclosures.
+
 The construction: modify each piece outside its interval by damping the
 second derivative down to a floor c through a smooth cutoff (the modified
 function is exact on the piece interval by an integral identity), then bridge
@@ -26,6 +30,7 @@ import numpy as np
 from .errors import (
     DeltaSearchFailed,
     IncompatiblePieces,
+    InvalidInput,
     NonPositiveEps,
     NotStrictlyConvexPiece,
     VerificationFailed,
@@ -195,15 +200,16 @@ class GlueProblem:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InvalidInput(f"mode must be one of {MODES}")
         a1, b1 = self.left.interval.lo, self.left.interval.hi
         a2, b2 = self.right.interval.lo, self.right.interval.hi
         if not a1 < b1 < a2 < b2:
-            raise ValueError("need a1 < b1 < a2 < b2")
+            raise InvalidInput(f"need a1 < b1 < a2 < b2, got intervals "
+                               f"[{a1:g}, {b1:g}] and [{a2:g}, {b2:g}]")
         if self.mode == "radial_psh" and not a1 > 0:
-            raise ValueError("radial mode needs a1 > 0")
+            raise InvalidInput("radial mode needs a1 > 0")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidInput("n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -216,21 +222,24 @@ class CompatReport:
 
 @dataclass(frozen=True)
 class GlueResult:
-    mode: str
+    problem: GlueProblem
     h: SmoothFn
     c: float
     delta: float
     eps: float
-    inf_h2: float
-    sup_h2: float
     cert_inf_h2: float
     cert_sup_h2: float
     working: Interval
     compat: CompatReport
     log_result: "GlueResult | None" = None
-    det_sup: float | None = None
     det_cert: float | None = None
-    n: int | None = None
+
+
+@dataclass(frozen=True)
+class GlueCheck:
+    inf_h2: float
+    sup_h2: float
+    det_sup: float | None = None  # radial glues only
 
 
 def compatibility(problem: GlueProblem) -> CompatReport:
@@ -407,7 +416,7 @@ def _validate_piece(fn: SmoothFn, label: str) -> None:
 
 
 def glue(problem: GlueProblem) -> GlueResult:
-    """Build the glued function with certified curvature bounds.
+    """Build the glued function and its closed-form curvature certificates.
 
     Raises IncompatiblePieces when the slope chain fails (no glue exists),
     NotStrictlyConvexPiece when a piece misses its mode's curvature demand,
@@ -460,21 +469,16 @@ def glue(problem: GlueProblem) -> GlueResult:
 
     working = Interval(a1 - 1.0, b2 + 1.0)
     h = SmoothFn(working, h_jet, name=f"glue[{problem.mode}]")
-    grid = np.linspace(working.lo, working.hi, _WORK_N)
-    h2_vals = h.d2(grid)
-    inf_h2, sup_h2 = float(np.min(h2_vals)), float(np.max(h2_vals))
     denom = gap * min(compat.mid - compat.lhs, compat.rhs - compat.mid)
     slope_span = (compat.rhs - compat.lhs) ** 2
     lead = 16.0 if problem.mode == "strictly_convex" else 4.0
     cert_sup = lead * MOLLIFIER_M * slope_span / denom + 1.0 + max(sup_f, sup_g)
     return GlueResult(
-        mode=problem.mode,
+        problem=problem,
         h=h,
         c=c,
         delta=delta,
         eps=eps,
-        inf_h2=inf_h2,
-        sup_h2=sup_h2,
         cert_inf_h2=c,
         cert_sup_h2=cert_sup,
         working=working,
@@ -514,9 +518,8 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
         raise IncompatiblePieces(
             f"radial slope chain fails: {compat.lhs} < {compat.mid} < {compat.rhs}"
         )
-    log_problem = GlueProblem(_log_piece(problem.left), _log_piece(problem.right),
-                              "strictly_convex", n=n)
-    log_res = glue(log_problem)
+    log_res = glue(GlueProblem(_log_piece(problem.left), _log_piece(problem.right),
+                               "strictly_convex", n=n))
     H = log_res.h
 
     def jet(t: np.ndarray) -> Jet:
@@ -526,37 +529,35 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     working = Interval(a1, float(np.exp(np.log(b2) + 1.0)))
     h = SmoothFn(working, jet, name="glue[radial_psh]")
 
-    # determinant of the complex Hessian of h(|z|^2) on the bridge band,
-    # measured and certified
-    tau_band = np.linspace(np.log(b1), np.log(a2), _WORK_N)
-    _, H1, H2 = H.eval(tau_band)
-    det_band = np.exp(-n * tau_band) * H1 ** (n - 1) * H2
-    det_sup = float(np.max(det_band))
-    supF = _min_max_on(log_problem.left.fn, np.log(a1), np.log(b1))[1]
-    supG = _min_max_on(log_problem.right.fn, np.log(a2), np.log(b2))[1]
-    log_gap = np.log(a2) - np.log(b1)
-    denom = log_gap * min(compat.mid - compat.lhs, compat.rhs - compat.mid)
-    det_cert = (
-        a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** (2 * n)
-        * (16.0 * MOLLIFIER_M * (compat.rhs - compat.lhs) ** 2 / denom
-           + 1.0 + max(supF, supG))
-    )
-    grid = np.linspace(working.lo, working.hi, _WORK_N)
-    h2_vals = h.d2(grid)
+    # bound on the bridge band's determinant e^(-n tau) H'^(n-1) H'', with H''
+    # at most the log glue's curvature ceiling
+    det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** (2 * n)
+                * log_res.cert_sup_h2)
     return GlueResult(
-        mode="radial_psh",
+        problem=problem,
         h=h,
         c=log_res.c,
         delta=log_res.delta,
         eps=log_res.eps,
-        inf_h2=float(np.min(h2_vals)),
-        sup_h2=float(np.max(h2_vals)),
         cert_inf_h2=log_res.cert_inf_h2,
         cert_sup_h2=log_res.cert_sup_h2,
         working=working,
         compat=compat,
         log_result=log_res,
-        det_sup=det_sup,
         det_cert=det_cert,
-        n=n,
     )
+
+
+def verify_glue(result: GlueResult) -> GlueCheck:
+    """Sample h'' on _WORK_N points of the working interval and, for a radial
+    glue, the complex-Hessian determinant of h(|z|^2) on _WORK_N points of
+    the bridge band, from the log glue H: e^(-n tau) H'^(n-1) H''."""
+    working = result.working
+    h2_vals = result.h.d2(np.linspace(working.lo, working.hi, _WORK_N))
+    det_sup = None
+    if result.log_result is not None:
+        p = result.problem
+        tau = np.linspace(np.log(p.left.interval.hi), np.log(p.right.interval.lo), _WORK_N)
+        _, H1, H2 = result.log_result.h.eval(tau)
+        det_sup = float(np.max(np.exp(-p.n * tau) * H1 ** (p.n - 1) * H2))
+    return GlueCheck(float(np.min(h2_vals)), float(np.max(h2_vals)), det_sup)

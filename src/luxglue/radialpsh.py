@@ -29,7 +29,6 @@ from .numgrid import (
     piecewise,
 )
 from .orlicz import EntropyParams, entropy, luxemburg_norm
-from .youngfn import phi
 
 # Example normalization of the quadruple-log potential; the raw family used
 # in the closed-form bounds drops it.
@@ -307,21 +306,17 @@ def chart_density(n: int, eps: float) -> GridFn:
 class SweepRow:
     eps: float
     ent: tuple[float, ...]  # one entry per r of the sweep
-    raw_integral: tuple[float, ...]
     osc: float
 
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
-    """For each eps: one chart density, its entropy at weight (1, n, r) and
-    raw modular integral for every r in rs, and the oscillation proxy
-    |f_eps(0)|."""
+    """For each eps: one chart density, its entropy at weight (1, n, r) for
+    every r in rs, and the oscillation proxy |f_eps(0)|."""
     scales = [EntropyParams(n, r) for r in rs]
     rows: list[SweepRow] = []
     for eps in map(float, eps_list):
         dens = chart_density(n, eps)
-        w, v = dens.measure.weights, dens.values
         rows.append(SweepRow(eps, tuple(entropy(dens, ep) for ep in scales),
-                             tuple(pairwise_sum(w * phi(ep.young, v)) for ep in scales),
                              abs(f_eps_at_zero(CounterexampleParams(eps, n)))))
     return rows
 

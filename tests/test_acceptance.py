@@ -21,7 +21,7 @@ from luxglue.degiorgi import (
     t_gamma,
 )
 from luxglue.errors import IncompatiblePieces
-from luxglue.gluing import GlueProblem, compatibility, glue, rho_eps
+from luxglue.gluing import GlueProblem, compatibility, glue, rho_eps, verify_glue
 from luxglue.numgrid import GridFn, Interval, WeightedMeasure, integrate
 from luxglue.orlicz import holder_young_bound, luxemburg_norm
 from luxglue.radialpsh import (
@@ -213,10 +213,11 @@ def test_criterion_07_glue_certified_bounds():
     for _ in range(20):
         prob = random_compatible_strict_pair(rng)
         res = glue(prob)
-        assert res.inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
-        assert res.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
-        worst_inf_margin = min(worst_inf_margin, res.inf_h2 - res.cert_inf_h2)
-        worst_sup_margin = min(worst_sup_margin, res.cert_sup_h2 - res.sup_h2)
+        check = verify_glue(res)
+        assert check.inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
+        assert check.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
+        worst_inf_margin = min(worst_inf_margin, check.inf_h2 - res.cert_inf_h2)
+        worst_sup_margin = min(worst_sup_margin, res.cert_sup_h2 - check.sup_h2)
         for piece in (prob.left, prob.right):
             t = np.linspace(piece.interval.lo, piece.interval.hi, 257)
             assert np.max(np.abs(res.h.d0(t) - piece.fn.d0(t))) <= 1e-9

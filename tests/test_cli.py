@@ -156,6 +156,9 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["orlicz-norm", "--interval", "1,0"],
     ["orlicz-norm", "--panels", "0"],
     ["orlicz-norm", "--order", "1"],
+    ["glue", "--mode", "strict", "--left-fn", "poly", "--left-coeffs", "0,0,1",
+     "--left-interval", "0,2", "--right-fn", "poly", "--right-coeffs", "0,0,1",
+     "--right-interval", "1,3"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors.
@@ -276,13 +279,23 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
 
 
 def test_report_determinism_byte_identical(tmp_path):
-    paths = [tmp_path / f"r{i}.json" for i in range(2)]
-    for p in paths:
-        run_cli(["degiorgi", "--mode", "sharpness", "--alpha", "2",
-                 "--nodes", "256", "--seed", "7", "--out", str(p)])
-    docs = [load_without_meta(p) for p in paths]
-    blobs = [json.dumps(d, indent=2, sort_keys=True).encode() for d in docs]
-    assert blobs[0] == blobs[1]
+    radial = ["glue", "--mode", "radial", "--eps", str(2.0**-10),
+              "--left-fn", "feps", "--left-interval", f"{1 / 64},{1 / 16}",
+              "--right-fn", "log1p", "--right-interval", "1,4", "--n", "2"]
+    sharpness = ["degiorgi", "--mode", "sharpness", "--alpha", "2",
+                 "--nodes", "256", "--seed", "7"]
+    for name, argv in (("sharpness", sharpness), ("radial", radial)):
+        blobs, side = [], []
+        for i in range(2):
+            out, hcsv = tmp_path / f"{name}{i}.json", tmp_path / f"{name}{i}.csv"
+            extra = ["--h-csv", str(hcsv)] if name == "radial" else []
+            assert run_cli(argv + extra + ["--out", str(out)]) == 0
+            report = load_without_meta(out)
+            report["results"].pop("h_csv", None)  # names the per-run path
+            blobs.append(json.dumps(report, indent=2, sort_keys=True).encode())
+            side.append(hcsv.read_bytes() if extra else b"")
+        assert blobs[0] == blobs[1]
+        assert side[0] == side[1]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -302,6 +315,21 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == 0
     report2 = load_without_meta(out2)
     assert report2["results"]["norm"] == pytest.approx(0.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["counterexample"], {"n": "abc"}),
+    (["glue", "--mode", "strict", "--left-interval", "0,1", "--right-interval", "3,4"],
+     {"mode": "bogus"}),
+])
+def test_config_value_must_pass_its_option_type(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli(argv + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "BadConfig"
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

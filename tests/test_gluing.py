@@ -15,6 +15,7 @@ from luxglue.gluing import (
     delta_search,
     glue,
     rho_eps,
+    verify_glue,
 )
 from luxglue.numgrid import Interval, SmoothFn, check_derivative_consistency
 from luxglue.radialpsh import feps_smoothfn, fs_potential
@@ -127,7 +128,7 @@ def test_delta_search_near_degenerate():
     delta = delta_search(prob, c)
     assert 0 < delta < (3 - 1) / 4
     res = glue(prob)
-    assert res.inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
+    assert verify_glue(res).inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
 
 
 def test_delta_search_incompatible():
@@ -147,8 +148,9 @@ def test_glue_quadratics_end_to_end():
     res = glue(GlueProblem(left, right, "strictly_convex"))
     # certified floor equals the four-term minimum, here 1
     assert res.c == pytest.approx(1.0)
-    assert res.inf_h2 >= res.c * (1 - 1e-9) - 1e-12
-    assert res.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
+    check = verify_glue(res)
+    assert check.inf_h2 >= res.c * (1 - 1e-9) - 1e-12
+    assert check.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
     # chord bounds at the midpoint: h convex with h(1)=1, h(3)=9
     h2 = float(res.h.d0(2.0))
     assert 1.0 < h2 < 9.0
@@ -213,8 +215,9 @@ def test_glue_randomized_certified_bounds():
     for _ in range(8):
         prob = random_compatible_strict_pair(rng)
         res = glue(prob)
-        assert res.inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
-        assert res.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
+        check = verify_glue(res)
+        assert check.inf_h2 >= res.cert_inf_h2 * (1 - 1e-9) - 1e-12
+        assert check.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
         for piece in (prob.left, prob.right):
             t = np.linspace(piece.interval.lo, piece.interval.hi, 257)
             assert np.max(np.abs(res.h.d0(t) - piece.fn.d0(t))) <= 1e-9
@@ -231,8 +234,9 @@ def test_glue_convex_mode():
     right = quad_piece((3, 4), a=9 - 5 * 3 + 0.5 * 9, b=5 - 3.0, c=0.5)
     res = glue(GlueProblem(left, right, "convex"))
     assert res.c == 0.0
-    assert res.inf_h2 >= -1e-12
-    assert res.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
+    check = verify_glue(res)
+    assert check.inf_h2 >= -1e-12
+    assert check.sup_h2 <= res.cert_sup_h2 * (1 + 1e-9)
     t = np.linspace(0, 1, 401)
     assert np.max(np.abs(res.h.d0(t) - left.fn.d0(t))) <= 1e-9
 
@@ -244,7 +248,7 @@ def test_glue_convex_mode_with_flat_piece():
     rep = compatibility(GlueProblem(left, right, "convex"))
     assert rep.ok
     res = glue(GlueProblem(left, right, "convex"))
-    assert res.inf_h2 >= -1e-12
+    assert verify_glue(res).inf_h2 >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +280,9 @@ def test_radial_strict_psh_everywhere():
 
 def test_radial_det_certificate():
     res = glue(radial_problem())
-    assert res.det_sup is not None and res.det_cert is not None
-    assert res.det_sup <= res.det_cert * (1 + 1e-9)
+    det_sup = verify_glue(res).det_sup
+    assert det_sup is not None and res.det_cert is not None
+    assert det_sup <= res.det_cert * (1 + 1e-9)
 
 
 def test_radial_example_pieces():
@@ -289,7 +294,7 @@ def test_radial_example_pieces():
         n=2,
     )
     res = glue(prob)
-    assert res.det_sup <= res.det_cert * (1 + 1e-9)
+    assert verify_glue(res).det_sup <= res.det_cert * (1 + 1e-9)
     t = np.linspace(1 / 64, 1 / 16, 301)
     assert np.max(np.abs(res.h.d0(t) - prob.left.fn.d0(t))) <= 1e-9
     t = np.linspace(1.0, 4.0, 301)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from luxglue.errors import NonFinite, OutOfDomain
-from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure, pairwise_sum
+from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
 from luxglue.orlicz import EntropyParams, entropy, luxemburg_norm
 from luxglue.radialpsh import (
     AppendixReport,
@@ -32,7 +32,6 @@ from luxglue.radialpsh import (
     psh_check,
 )
 from luxglue.sampling import rng_from_seed
-from luxglue.youngfn import phi
 
 
 def test_flat_potential_spectrum():
@@ -219,7 +218,6 @@ def test_entropy_sweep_small():
     oscs = [r.osc for r in rows]
     assert max(ents) / min(ents) < 2.0
     assert oscs[0] < oscs[1] < oscs[2]
-    assert all(np.isfinite(r.raw_integral[0]) for r in rows)
 
 
 def test_entropy_sweep_shares_one_density_across_r():
@@ -229,8 +227,6 @@ def test_entropy_sweep_shares_one_density_across_r():
     for i, (row, eps) in enumerate(zip(both, eps_list)):
         assert row.eps == eps
         assert row.ent == (single[0][i].ent[0], single[1][i].ent[0])
-        assert row.raw_integral == (single[0][i].raw_integral[0],
-                                    single[1][i].raw_integral[0])
         assert row.osc == single[0][i].osc == single[1][i].osc
         # the same bits as the density assembled step by step
         dens = density_ratio(build_v_eps(CounterexampleParams(eps, n)), chart_measure(n, eps))
@@ -241,8 +237,19 @@ def test_entropy_sweep_shares_one_density_across_r():
         for j, r in enumerate((2.0, 4.0)):
             ep = EntropyParams(n, r)
             assert row.ent[j] == entropy(dens, ep)
-            assert row.raw_integral[j] == pairwise_sum(
-                dens.measure.weights * phi(ep.young, dens.values))
+
+
+def test_chart_sweep_builds_without_verifying(monkeypatch):
+    from luxglue import gluing, radialpsh
+
+    def refuse(_result):
+        raise AssertionError("the chart sweep must not sample its glue")
+
+    monkeypatch.setattr(gluing, "verify_glue", refuse)
+    monkeypatch.setattr(radialpsh, "verify_glue", refuse, raising=False)
+    rows = entropy_sweep(2, (1, 3), [2.0**-5, 2.0**-20])
+    assert all(np.isfinite(row.ent).all() for row in rows)
+    assert build_v_eps(CounterexampleParams(2.0**-10, 2)).glue_result.det_cert > 0
 
 
 def test_chart_measure_resolves_small_eps():
