@@ -4,11 +4,11 @@ potentials with a bounded-entropy / unbounded-oscillation family."""
 
 __version__ = "0.1.0"
 
-from . import cli, degiorgi, gluing, numgrid, orlicz, radialpsh, youngfn
+# Submodules load where they are imported (`from luxglue import gluing`).
+# Importing cli here would make `python -m luxglue.cli` warn on stderr.
 from .errors import LuxglueError
 
 __all__ = [
-    "cli",
     "degiorgi",
     "gluing",
     "numgrid",

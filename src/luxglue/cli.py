@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -123,8 +123,11 @@ def _report(command: str, inputs: dict, results: dict, verdicts: list[dict],
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a unique temp file beside path, fsync it, then rename it
     over path; the temp file is removed if any step fails."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+    except OSError as exc:  # e.g. the directory does not exist
+        raise BadConfig(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
@@ -151,30 +154,31 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, repr(obj) if isinstance(obj, float) else str(obj)))
 
 
+def _csv_text(header: list[str], rows: Any) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emit_report(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _csv_text(["key", "value"], rows)
     if out:
         _write_atomic(out, text)
     else:
         sys.stdout.write(text)
 
 
-def _write_csv_table(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    _write_atomic(path, buf.getvalue())
+def _write_csv_table(path: str, header: list[str], columns: list) -> None:
+    """One numpy or list column per header name; csv writes each .tolist()
+    value as its str, which for a float is its repr."""
+    _write_atomic(path, _csv_text(header, zip(*(np.asarray(c).tolist() for c in columns))))
 
 
 def read_data_csv(path: str) -> GridFn:
@@ -198,18 +202,15 @@ def read_data_csv(path: str) -> GridFn:
     return GridFn(WeightedMeasure(arr[:, 0], arr[:, 1]), arr[:, 2])
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise BadConfig(f"expected 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_young(text: str) -> YoungParams:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise BadConfig(f"expected 'p,q,r', got {text!r}")
-    return YoungParams(*parts)
+def _floats(text: str, count: int | None = None) -> list[float]:
+    """Comma-separated numbers, `count` of them when given."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise BadConfig(f"expected comma-separated numbers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise BadConfig(f"expected {count} comma-separated numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +218,16 @@ def _parse_young(text: str) -> YoungParams:
 
 
 def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
-    params = _parse_young(args.young)
+    params = YoungParams(*_floats(args.young, 3))
     if args.data:
         f = read_data_csv(args.data)
         source = {"data": args.data}
     else:
-        interval = Interval(*_parse_pair(args.interval))
+        interval = Interval(*_floats(args.interval, 2))
         m = gauss_measure(interval, args.panels, args.order)
         fam_args: dict[str, Any] = {}
         if args.coeffs:
-            fam_args["coeffs"] = [float(x) for x in args.coeffs.split(",")]
+            fam_args["coeffs"] = _floats(args.coeffs)
         if args.eps is not None:
             fam_args["eps"] = args.eps
         fn = build_family(args.builtin, interval, fam_args)
@@ -251,8 +252,7 @@ def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
     }
     if args.emit_data:
         _write_csv_table(args.emit_data, ["t", "weight", "value"],
-                         [[float(t), float(w), float(v)] for t, w, v in
-                          zip(f.measure.nodes, f.measure.weights, f.values)])
+                         [f.measure.nodes, f.measure.weights, f.values])
         results["data_file"] = args.emit_data
     inputs = {"young": args.young, "seed": args.seed, **source}
     return _report("orlicz-norm", inputs, results, verdicts, t0)
@@ -280,7 +280,7 @@ def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
     else:
         if args.space_mass <= 0:
             raise ZeroMass("the ambient measure must have positive mass")
-        params = _parse_young(args.young)
+        params = YoungParams(*_floats(args.young, 3))
         frac = args.indicator_mass / args.space_mass
         if not 0 < frac < 1:
             raise BadConfig("indicator mass must lie strictly inside the space mass")
@@ -335,7 +335,7 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
                                  rep.value_at_node if rep.value_at_node is not None
                                  else np.nan, 0.0, 0))
         verdicts.append(_verdict("decay_chain", rep.chain_ok, rep.chain_depth, 0, 0))
-    else:  # sharpness; parsing and _apply_config admit only the three choices
+    else:  # sharpness; parsing admits only the three choices
         if args.nodes < 16:
             raise BadConfig(f"sharpness needs --nodes >= 16 (one 16-point panel), "
                             f"got {args.nodes}")
@@ -355,15 +355,17 @@ _MODE_MAP = {"strict": "strictly_convex", "convex": "convex", "radial": "radial_
 
 
 def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
-    mode = _MODE_MAP[args.mode]  # a choice, checked by parsing and _apply_config
-    li = Interval(*_parse_pair(args.left_interval))
-    ri = Interval(*_parse_pair(args.right_interval))
+    mode = _MODE_MAP[args.mode]  # a choice, checked by parsing
+    if args.h_csv and args.h_points < 0:
+        raise BadConfig(f"--h-points must be >= 0, got {args.h_points}")
+    li = Interval(*_floats(args.left_interval, 2))
+    ri = Interval(*_floats(args.right_interval, 2))
     largs: dict[str, Any] = {}
     rargs: dict[str, Any] = {}
     if args.left_coeffs:
-        largs["coeffs"] = [float(x) for x in args.left_coeffs.split(",")]
+        largs["coeffs"] = _floats(args.left_coeffs)
     if args.right_coeffs:
-        rargs["coeffs"] = [float(x) for x in args.right_coeffs.split(",")]
+        rargs["coeffs"] = _floats(args.right_coeffs)
     if args.eps is not None:
         largs["eps"] = args.eps
         rargs["eps"] = args.eps
@@ -402,9 +404,7 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     }
     if args.h_csv:
         ts = np.linspace(result.working.lo, result.working.hi, args.h_points)
-        _write_csv_table(args.h_csv, ["t", "h", "h1", "h2"],
-                         [[float(a), float(b), float(c_), float(d)] for a, b, c_, d in
-                          zip(ts, *result.h.eval(ts))])
+        _write_csv_table(args.h_csv, ["t", "h", "h1", "h2"], [ts, *result.h.eval(ts)])
         results["h_csv"] = args.h_csv
     inputs = {k: getattr(args, k) for k in
               ("mode", "left_fn", "left_interval", "left_coeffs", "right_fn",
@@ -456,15 +456,14 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
         _write_csv_table(
             args.table,
             ["k", "eps", f"ent_r{r_low:g}", f"ent_r{n + 1}", "osc", "apx_integral"],
-            [list(row.values()) for row in table],
+            [ks, eps_list, ent_low, ent_high, osc, apx_int],
         )
         results["table_file"] = args.table
     if args.detail_k is not None:
         dens = chart_density(n, 2.0**-args.detail_k)
         path = args.detail_out or f"density_k{args.detail_k}.csv"
         _write_csv_table(path, ["t", "weight", "value"],
-                         [[float(a), float(b), float(c_)] for a, b, c_ in
-                          zip(dens.measure.nodes, dens.measure.weights, dens.values)])
+                         [dens.measure.nodes, dens.measure.weights, dens.values])
         results["detail_file"] = path
     inputs = {"n": n, "kmin": args.kmin, "kmax": args.kmax, "r": args.r,
               "seed": args.seed}
@@ -475,12 +474,23 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line by raising BadConfig, so that main reports it
+    as JSON with exit 2; option names must be spelled in full.  Subparsers
+    are of this class too."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        raise BadConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="luxglue",
         description="Verification suites for gauge-norm inequalities, "
                     "iteration thresholds, smooth gluing and the chart sweep.",
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -557,57 +567,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> None:
-    """Fill options from the JSON config file; flags given on the command
-    line keep priority.  Every value must pass its option's type and choices,
-    as the same text given as a flag would."""
-    if not args.config:
-        return
+def _config_argv(path: str) -> list[str]:
+    """The JSON object in path as '--key=value' tokens; '_' and '-' in a key
+    both spell the option's '-'."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except OSError as exc:
-        raise BadConfig(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"{args.config}: invalid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
+        raise BadConfig(f"cannot read config {path}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise BadConfig(f"{args.config}: expected a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+        raise BadConfig(f"{path}: expected a JSON object")
     for key, value in loaded.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise BadConfig(f"{args.config}: unknown option {key!r}")
-        try:
-            if not isinstance(value, (str, int, float)):
-                raise ValueError(f"needs a string or a number, got {value!r}")
-            value = (action.type or str)(str(value))
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"must be one of {sorted(action.choices)}, got {value!r}")
-        except ValueError as exc:
-            raise BadConfig(f"{args.config}: option {key!r}: {exc}") from exc
-        if f"--{key.replace('_', '-')}" in given:
-            continue  # explicit flag wins
-        setattr(args, action.dest, value)
+        if not isinstance(value, (str, int, float)):
+            raise BadConfig(f"{path}: option {key!r} needs a string or a number, "
+                            f"got {value!r}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in loaded.items()]
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(argv)
-    t0 = time.monotonic()
     try:
-        _apply_config(parser, args, list(argv))
-        report = args.handler(args, t0)
+        args = parser.parse_args(argv)
+        if args.config:  # its options go first: argparse checks them, a flag wins
+            args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+        report = args.handler(args, time.monotonic())
+        emit_report(report, args.format, args.out)
     except LuxglueError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),
-                   "command": args.command}
+                   "command": argv[0] if argv else None}
         sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 2
-    emit_report(report, args.format, args.out)
     return 0 if all(v["passed"] for v in report["verdicts"]) else 1
 
 

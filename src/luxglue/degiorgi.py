@@ -357,6 +357,8 @@ def power_superlevel_fn(
         raise InvalidInput("k, amplitude, length must be positive")
     if not 0 <= t0 < amplitude:
         raise InvalidInput("t0 must lie in [0, amplitude)")
+    if n_nodes < 2:
+        raise InvalidInput(f"n_nodes must be >= 2, got {n_nodes}")
     end = t_end if t_end is not None else 1.5 * amplitude
     grid = np.linspace(t0, end, n_nodes)
     vals = length * np.maximum(0.0, 1.0 - (np.maximum(grid, 0.0) / amplitude) ** (1.0 / k))

@@ -268,7 +268,7 @@ def delta_search(problem: GlueProblem, c: float) -> float:
     """Largest dyadic margin delta = (a2-b1)/2^j, j = 2..60, satisfying the
     side conditions of the construction at probe-grid resolution."""
     if problem.mode == "radial_psh":
-        raise ValueError("delta search runs on the log-coordinate problem")
+        raise InvalidInput("delta search runs on the log-coordinate problem")
     f, g = problem.left.fn, problem.right.fn
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
@@ -330,7 +330,7 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
     """
     A, B = piece.domain.lo, piece.domain.hi
     if anchor not in (A, B):
-        raise ValueError("anchor must be a piece endpoint")
+        raise InvalidInput("anchor must be a piece endpoint")
     ds = 0.9 * delta
 
     def fall(s: np.ndarray) -> np.ndarray:
@@ -529,9 +529,10 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     working = Interval(a1, float(np.exp(np.log(b2) + 1.0)))
     h = SmoothFn(working, jet, name="glue[radial_psh]")
 
-    # bound on the bridge band's determinant e^(-n tau) H'^(n-1) H'', with H''
-    # at most the log glue's curvature ceiling
-    det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** (2 * n)
+    # bound on the bridge band's determinant e^(-n tau) H'^(n-1) H'': on
+    # tau in [log b1, log a2], e^(-n tau) <= b1^-n, H' <= a2 g'(a2), and H''
+    # is at most the log glue's curvature ceiling
+    det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** n
                 * log_res.cert_sup_h2)
     return GlueResult(
         problem=problem,

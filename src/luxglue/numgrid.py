@@ -104,7 +104,7 @@ class GridFn:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.shape != self.measure.nodes.shape:
-            raise ValueError("one value per node required")
+            raise InvalidInput("one value per node required")
 
     @classmethod
     def from_callable(cls, measure: WeightedMeasure, fn: Callable) -> "GridFn":
@@ -168,9 +168,9 @@ def bisect_monotone(
     g produces NaN inside the bracket.
     """
     if direction not in ("increasing", "decreasing"):
-        raise ValueError("direction must be 'increasing' or 'decreasing'")
+        raise InvalidInput("direction must be 'increasing' or 'decreasing'")
     if not (lo < hi):
-        raise ValueError("need lo < hi")
+        raise InvalidInput("need lo < hi")
     sign = 1.0 if direction == "increasing" else -1.0
 
     def shifted(c: float) -> float:

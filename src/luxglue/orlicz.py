@@ -116,7 +116,7 @@ def norm_bound_from_integral(c: float, M: float, params: YoungParams) -> float:
     """Norm bound c * max(1, M^(1/p)) given that the scaled weighted integral
     at scale c is at most M."""
     if c <= 0 or M <= 0:
-        raise ValueError("need c > 0 and M > 0")
+        raise InvalidInput("need c > 0 and M > 0")
     return c * max(1.0, M ** (1.0 / params.p))
 
 
@@ -177,7 +177,7 @@ def young_pair_check(a: float, b: float, params: YoungParams) -> bool:
     is computed by bisection with a geometrically expanded bracket.
     """
     if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
+        raise InvalidInput("need a, b >= 0")
     if params.degenerate:
         raise DegenerateParams("Psi is constant for (1, 0, 0); nothing to invert")
     lhs = a * b

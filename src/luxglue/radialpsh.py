@@ -196,7 +196,7 @@ def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport
     2^-250) that f_eps'' overflows.
     """
     if not 0 < t0 < 0.25:
-        raise ValueError("t0 must lie in (0, 1/4)")
+        raise InvalidInput("t0 must lie in (0, 1/4)")
     eps, n = params.eps, params.n
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
 from .numgrid import GridFn, WeightedMeasure
 from .youngfn import YoungParams
 
@@ -11,6 +12,8 @@ RNG_NAME = "PCG64"
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxglue.cli import main, read_data_csv
 from luxglue.errors import FileFormat
@@ -159,15 +164,36 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["glue", "--mode", "strict", "--left-fn", "poly", "--left-coeffs", "0,0,1",
      "--left-interval", "0,2", "--right-fn", "poly", "--right-coeffs", "0,0,1",
      "--right-interval", "1,3"],
+    # rejected command lines
+    [],
+    ["bogus"],
+    ["glue", "--mode", "strict", "--left-interval", "a,1", "--right-interval", "3,4"],
+    ["glue", "--mode", "strict", "--left-interval", "0,1,2", "--right-interval", "3,4"],
+    ["glue", "--mode", "strict", "--left-coeffs", "1,", "--left-interval", "0,1",
+     "--right-interval", "3,4"],
+    ["glue", "--mode", "strict"],
+    ["glue", "--mode", "bogus", "--left-interval", "0,1", "--right-interval", "3,4"],
+    ["glue", "--mode", "strict", "--left-coeffs", "0,0,1", "--right-coeffs", "0,0,1",
+     "--left-interval", "0,1", "--right-interval", "3,4", "--h-csv", "h.csv",
+     "--h-points=-1"],
+    ["orlicz-norm", "--young", "1,x,0"],
+    ["orlicz-norm", "--coeffs", "1,zz"],
+    ["orlicz-norm", "--no-such-option", "1"],
+    ["counterexample", "--n", "abc"],
+    ["counterexample", "--n"],
+    ["holder-young", "--seed=-1"],
+    ["degiorgi", "--mode", "simulate", "--nodes=-1"],
+    ["degiorgi", "--mode", "formula", "--bet", "2"],  # options are spelled in full
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
-    # Named for its first inputs; it covers every subcommand's domain errors.
+    # Named for its first inputs; it covers every subcommand's domain errors
+    # and every kind of rejected command line.
     code = run_cli(argv)
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert "Traceback" not in err
     payload = json.loads(err)
-    assert payload["command"] == argv[0]
+    assert payload["command"] == (argv[0] if argv else None)
     assert payload["error"] in ("InvalidInput", "BadConfig")
 
 
@@ -321,6 +347,11 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     (["counterexample"], {"n": "abc"}),
     (["glue", "--mode", "strict", "--left-interval", "0,1", "--right-interval", "3,4"],
      {"mode": "bogus"}),
+    (["counterexample"], {"n": [2]}),
+    (["counterexample"], {"n": None}),
+    (["counterexample"], [2]),
+    # a required option must be on the command line itself
+    (["glue", "--mode", "strict", "--left-interval", "0,1"], {"right_interval": "3,4"}),
 ])
 def test_config_value_must_pass_its_option_type(tmp_path, capsys, argv, config):
     cfg = tmp_path / "cfg.json"
@@ -359,3 +390,127 @@ def test_console_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "degiorgi"
+
+
+@pytest.mark.parametrize("left,right,n", [("5,10", "20,30", 3), ("50,100", "200,300", 2)])
+def test_radial_det_certificate_holds_when_b1_exceeds_1(tmp_path, left, right, n):
+    # e^(-n tau) <= b1^-n on the bridge band; a b1^-2n bound is too small here
+    out = tmp_path / "r.json"
+    code = run_cli(["glue", "--mode", "radial", "--left-fn", "poly", "--left-coeffs", "0,0,1",
+                    "--left-interval", left, "--right-fn", "poly", "--right-coeffs", "0,0,1",
+                    "--right-interval", right, "--n", str(n), "--out", str(out)])
+    assert code == 0
+    det = {v["name"]: v for v in load_without_meta(out)["verdicts"]}["det_le_certified"]
+    assert det["passed"] and det["lhs"] <= det["rhs"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--table", "--detail-out"])
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys, flag):
+    argv = ["counterexample", "--kmin", "5", "--kmax", "6", "--detail-k", "5",
+            "--detail-out", str(tmp_path / "d.csv"), flag, str(tmp_path / "missing" / "f.csv")]
+    assert run_cli(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}"])
+def test_config_file_that_is_not_json_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run_cli(["counterexample", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
+
+
+def test_module_entry_rejects_bad_input_with_json_only():
+    # no runpy warning ahead of the payload: the package does not import cli
+    proc = subprocess.run([sys.executable, "-m", "luxglue.cli", "counterexample", "--n", "abc"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    payload, end = json.JSONDecoder().raw_decode(proc.stderr)
+    assert proc.stderr[end:].strip() == ""
+    assert payload["command"] == "counterexample"
+
+
+# Fuzz alphabet: every option draws from its own small set of good values,
+# bounded so that a run stays cheap; at most one value per draw is junk.
+_JUNK = ["", "abc", "1,", ",", "1,x,0", "0,1,2,3", "-1", "0", "bogus"]
+_PATH = ["{tmp}/f.out", "{tmp}/missing/f.out"]
+_COMMON = {"--format": ["json", "csv"], "--out": _PATH, "--seed": ["0", "3"]}
+_YOUNG = ["1,1,0", "2,0,0", "1,2,1", "0.5,0,0"]
+_FNS = ["poly", "log1p", "feps", "exp-exp"]
+_COEFFS = ["0,0,1", "1", "-1.5,2,0.5", "0,1"]
+_OPTIONS = {
+    "orlicz-norm": {"--young": _YOUNG, "--data": ["{tmp}/f.out", "{tmp}/none.csv"],
+                    "--builtin": _FNS, "--coeffs": _COEFFS, "--eps": ["0.01", "0.5"],
+                    "--interval": ["0,1", "0.001,0.25", "1,2"], "--panels": ["1", "4"],
+                    "--order": ["2", "8"], "--emit-data": _PATH},
+    "holder-young": {"--sweep": ["0", "1", "3"], "--young": _YOUNG,
+                     "--indicator-mass": ["0.01", "0.5", "2"], "--space-mass": ["1", "0.5"]},
+    "degiorgi": {"--mode": ["formula", "simulate", "sharpness"], "--C": ["1", "2"],
+                 "--alpha": ["1", "0.5"], "--beta": ["2", "3", "1"],
+                 "--gamma": ["1.5", "2", "3"], "--f0": ["1", "2"], "--T": ["2", "10"],
+                 "--k": ["2", "0.5"], "--nodes": ["16", "32", "64"], "--t-max": ["1", "10"]},
+    "glue": {"--mode": ["strict", "convex", "radial"], "--left-fn": _FNS,
+             "--left-coeffs": _COEFFS, "--left-interval": ["0,1", "0.015625,0.0625"],
+             "--right-fn": _FNS, "--right-coeffs": _COEFFS,
+             "--right-interval": ["3,4", "1,4", "0.5,2"], "--eps": ["0.001", "0.5"],
+             "--n": ["2", "3"], "--h-csv": _PATH, "--h-points": ["8", "16"]},
+    "counterexample": {"--n": ["2", "3"], "--kmin": ["5", "6"], "--kmax": ["6", "7"],
+                       "--r": ["1", "1.5"], "--table": _PATH, "--detail-k": ["5", "9"],
+                       "--detail-out": _PATH},
+}
+# required options, and those whose defaults would make a run slow
+_ALWAYS = {"holder-young": ["--sweep"], "degiorgi": ["--mode", "--nodes"],
+           "counterexample": ["--kmin", "--kmax"], "orlicz-norm": ["--panels"],
+           "glue": ["--mode", "--left-interval", "--right-interval", "--h-points"]}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_COMMON, **_OPTIONS[command]}
+    always = _ALWAYS.get(command, [])
+    names = always + draw(st.lists(st.sampled_from(sorted(set(options) - set(always))),
+                                   unique=True, max_size=5))
+    pairs = [[name, draw(st.sampled_from(options[name]))] for name in names]
+    junk_at = draw(st.none() | st.integers(0, len(pairs) - 1))
+    if junk_at is not None:
+        pairs[junk_at][1] = draw(st.sampled_from(_JUNK))
+    n_config = draw(st.integers(0, len(pairs)))
+    return command, pairs[:n_config], pairs[n_config:]
+
+
+def _json_value(text, as_number):
+    """text, or the JSON number it spells when as_number is set."""
+    if as_number:
+        for kind in (int, float):
+            with contextlib.suppress(ValueError):
+                return kind(text)
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=_command_lines(), key_style=st.sampled_from(["-", "_"]),
+       as_number=st.booleans())
+def test_fuzzed_command_lines_exit_0_1_or_2_with_json(tmp_path_factory, drawn, key_style,
+                                                      as_number):
+    command, config, flags = drawn
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [command] + [f"{name}={value.format(tmp=tmp)}" for name, value in flags]
+    if config:
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps({name[2:].replace("-", key_style):
+                                    _json_value(value.format(tmp=tmp), as_number)
+                                    for name, value in config}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(tmp)  # --detail-k alone writes beside the working directory
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        payload = json.loads(stderr.getvalue())
+        assert payload["command"] == command and payload["error"]

@@ -4,6 +4,7 @@ import pytest
 from luxglue.errors import (
     DeltaSearchFailed,
     IncompatiblePieces,
+    InvalidInput,
     NonPositiveEps,
     NotStrictlyConvexPiece,
 )
@@ -11,6 +12,7 @@ from luxglue.gluing import (
     GluePiece,
     GlueProblem,
     MOLLIFIER_M,
+    _regularized,
     compatibility,
     delta_search,
     glue,
@@ -320,3 +322,11 @@ def test_glue_idempotent_on_restriction():
     assert np.max(np.abs(res2.h.d0(t) - res1.h.d0(t))) <= 1e-9
     t = np.linspace(3, 4, 101)
     assert np.max(np.abs(res2.h.d2(t) - res1.h.d2(t))) <= 1e-6
+
+
+def test_internal_guards_raise_invalid_input():
+    problem = radial_problem()
+    with pytest.raises(InvalidInput):
+        delta_search(problem, 1.0)
+    with pytest.raises(InvalidInput):
+        _regularized(problem.left.fn, 0.75, 1.0, 0.1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue.errors import NoBracket, NonFinite
+from luxglue.errors import InvalidInput, NoBracket, NonFinite
 from luxglue.numgrid import (
     GridFn,
     Interval,
@@ -211,3 +211,13 @@ def test_piecewise_evaluates_each_branch_on_its_own_points():
     assert v2.tolist() == [0.0] * 5
     # points no branch covers come out NaN
     assert np.isnan(piecewise(t, [(neg, lambda s: (s, s, s))])[0][~neg]).all()
+
+
+def test_gridfn_and_bisect_raise_invalid_input():
+    m = WeightedMeasure(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidInput):
+        GridFn(m, np.array([1.0]))
+    with pytest.raises(InvalidInput):
+        bisect_monotone(lambda x: x, 0.0, 1.0, direction="sideways")
+    with pytest.raises(InvalidInput):
+        bisect_monotone(lambda x: x, 1.0, 1.0)

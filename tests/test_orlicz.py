@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue.errors import DegenerateParams, NegativeDensity, NonFinite, ZeroMass
+from luxglue.errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
+                            ZeroMass)
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import (
     EntropyParams,
@@ -251,3 +252,11 @@ def test_lower_bracket_search_stops_at_zero(monkeypatch):
     monkeypatch.setattr(orlicz, "_objective", lambda *args: 0.5)  # never reaches 1
     with pytest.raises(NonFinite):
         luxemburg_norm(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))
+
+
+def test_bound_helpers_raise_invalid_input():
+    params = YoungParams(1.0, 1.0, 0.0)
+    with pytest.raises(InvalidInput):
+        norm_bound_from_integral(0.0, 1.0, params)
+    with pytest.raises(InvalidInput):
+        young_pair_check(-1.0, 1.0, params)

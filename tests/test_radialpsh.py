@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from luxglue.errors import NonFinite, OutOfDomain
+from luxglue.errors import InvalidInput, NonFinite, OutOfDomain
 from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
 from luxglue.orlicz import EntropyParams, entropy, luxemburg_norm
 from luxglue.radialpsh import (
@@ -258,3 +258,8 @@ def test_chart_measure_resolves_small_eps():
     ents = [row.ent[0] for row in entropy_sweep(2, (3,), [2.0**-k for k in (44, 50, 55, 60)])]
     assert all(a < b for a, b in zip(ents, ents[1:]))
     assert np.isfinite(entropy_sweep(2, (3,), [2.0**-150])[0].ent[0])
+
+
+def test_appendix_t0_outside_the_quarter_raises_invalid_input():
+    with pytest.raises(InvalidInput):
+        appendix_c_bounds(CounterexampleParams(2.0**-10, 2), t0=0.3)
