@@ -38,8 +38,10 @@ from .errors import BadConfig, FileFormat, LuxglueError, ZeroMass
 from .gluing import GluePiece, GlueProblem, glue, verify_glue
 from .numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure, integrate
 from .orlicz import (
+    BLOCK_SIZE,
     INEQ_SLACK,
     holder_young_bound,
+    holder_young_bounds,
     integral_bound_from_norm,
     luxemburg_norm,
 )
@@ -123,12 +125,10 @@ def _report(command: str, inputs: dict, results: dict, verdicts: list[dict],
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a unique temp file beside path, fsync it, then rename it
     over path; the temp file is removed if any step fails."""
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
-    except OSError as exc:  # e.g. the directory does not exist
-        raise BadConfig(f"cannot write {path}: {exc}") from exc
-    try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             umask = os.umask(0)
@@ -138,8 +138,11 @@ def _write_atomic(path: str, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):  # e.g. a missing directory, or path names one
+            raise BadConfig(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -239,7 +242,7 @@ def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
         _verdict("normalization_objective_le_1", res.objective_at_norm <= 1 + INEQ_SLACK,
                  res.objective_at_norm, 1.0, INEQ_SLACK),
     ]
-    lhs, rhs = integral_bound_from_norm(f, params)
+    lhs, rhs = integral_bound_from_norm(f, params, res.norm)
     verdicts.append(_verdict("integral_le_norm_powers", lhs <= rhs * (1 + INEQ_SLACK),
                              lhs, rhs, INEQ_SLACK))
     results = {
@@ -265,14 +268,14 @@ def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
     if args.sweep > 0:
         violations = 0
         max_ratio = 0.0
-        for _ in range(args.sweep):
-            f = random_step_fn(rng)
-            params = random_young_params(rng)
-            lhs, rhs, _ = holder_young_bound(f, params)
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            max_ratio = max(max_ratio, ratio)
-            if lhs > rhs * (1 + INEQ_SLACK):
-                violations += 1
+        for start in range(0, args.sweep, BLOCK_SIZE):
+            block = [(random_step_fn(rng), random_young_params(rng))
+                     for _ in range(min(BLOCK_SIZE, args.sweep - start))]
+            for lhs, rhs, _ in holder_young_bounds(*zip(*block)):
+                ratio = lhs / rhs if rhs > 0 else 0.0
+                max_ratio = max(max_ratio, ratio)
+                if lhs > rhs * (1 + INEQ_SLACK):
+                    violations += 1
         results = {"sweep": args.sweep, "violations": violations,
                    "max_ratio": max_ratio, "min_slack": 1.0 - max_ratio}
         verdicts.append(_verdict("sweep_zero_violations", violations == 0,

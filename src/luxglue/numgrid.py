@@ -23,17 +23,28 @@ ArrayLike = Sequence[float] | np.ndarray
 _MAX_BISECT_ITERS = 500
 
 
-def pairwise_sum(a: np.ndarray) -> float:
-    """Sum with a deterministic pairwise reduction tree."""
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
+def pairwise_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along the first axis with a deterministic pairwise reduction tree:
+    one sum per column of a 2-D array.
+
+    An odd last element is carried up a level unchanged, which is the same
+    as pairing it with 0.0; so a column padded with zeros sums to the same
+    bits.
+    """
+    if a.ndim == 2 and a.shape[1] == 1:  # one column: a 1-D view sums faster
+        return pairwise_sums(a[:, 0])[None]
+    while len(a) > 1:
+        if len(a) % 2:
             a = np.concatenate([a[:-1:2] + a[1::2], a[-1:]])
         else:
             a = a[::2] + a[1::2]
-    return float(a[0])
+    return a[0]
+
+
+def pairwise_sum(a: np.ndarray) -> float:
+    """Sum with a deterministic pairwise reduction tree."""
+    a = np.asarray(a, dtype=float).ravel()
+    return float(pairwise_sums(a)) if a.size else 0.0
 
 
 @dataclass(frozen=True)

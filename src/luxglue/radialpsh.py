@@ -28,7 +28,7 @@ from .numgrid import (
     pairwise_sum,
     piecewise,
 )
-from .orlicz import EntropyParams, entropy, luxemburg_norm
+from .orlicz import EntropyParams, entropies, luxemburg_norm
 
 # Example normalization of the quadruple-log potential; the raw family used
 # in the closed-form bounds drops it.
@@ -311,14 +311,15 @@ class SweepRow:
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     """For each eps: one chart density, its entropy at weight (1, n, r) for
-    every r in rs, and the oscillation proxy |f_eps(0)|."""
+    every r in rs, and the oscillation proxy |f_eps(0)|.  Every (eps, r)
+    entropy is solved in one ``entropies`` call."""
     scales = [EntropyParams(n, r) for r in rs]
-    rows: list[SweepRow] = []
-    for eps in map(float, eps_list):
-        dens = chart_density(n, eps)
-        rows.append(SweepRow(eps, tuple(entropy(dens, ep) for ep in scales),
-                             abs(f_eps_at_zero(CounterexampleParams(eps, n)))))
-    return rows
+    eps_list = [float(eps) for eps in eps_list]
+    dens = [chart_density(n, eps) for eps in eps_list]
+    ents = entropies([d for d in dens for _ in scales], scales * len(dens))
+    return [SweepRow(eps, tuple(ents[i * len(scales):(i + 1) * len(scales)]),
+                     abs(f_eps_at_zero(CounterexampleParams(eps, n))))
+            for i, eps in enumerate(eps_list)]
 
 
 def fs_constant_density_norm(n: int, r: float) -> float:

@@ -53,16 +53,45 @@ def _as_pos(t: ArrayLike) -> np.ndarray:
     return t
 
 
+# numpy raises an array to the scalar exponents 2 and 0.5 by square and sqrt,
+# which pow misses by an ulp on a few percent of arguments; a vector of
+# exponents takes the same route on the columns that hold one.
+_SHORTCUTS = {2.0: np.square, 0.5: np.sqrt}
+
+
+def _power(t: np.ndarray, e) -> np.ndarray:
+    out = t**e
+    if isinstance(e, np.ndarray):
+        for value, fn in _SHORTCUTS.items():
+            cols = e == value
+            if cols.any():
+                out[:, cols] = fn(t[:, cols])
+    return out
+
+
+def _weight(t: np.ndarray, p, q, r) -> np.ndarray:
+    """t^p log^q(1+t) log^r(1+log(1+t)) with scalar exponents, or with
+    vectors of exponents, one per column of a 2-D t.
+
+    Each column has the bits that its own scalar exponents give.  A log
+    factor is skipped only when its exponent is 0 in every column: elsewhere
+    log^0.0 == 1.0 and x * 1.0 == x, so the skip moves no bit.
+    """
+    out = _power(t, p)
+    q_on = q.any() if isinstance(q, np.ndarray) else q
+    r_on = r.any() if isinstance(r, np.ndarray) else r
+    if q_on or r_on:
+        L1 = np.log1p(t)
+        if q_on:
+            out = out * _power(L1, q)
+        if r_on:
+            out = out * _power(np.log1p(L1), r)
+    return out
+
+
 def phi(params: YoungParams, t: ArrayLike) -> np.ndarray:
     """Weight value t^p log^q(1+t) log^r(1+log(1+t)); zero at t = 0."""
-    t = _as_nonneg(t)
-    p, q, r = params.p, params.q, params.r
-    out = t**p
-    if q:
-        out = out * np.log1p(t) ** q
-    if r:
-        out = out * np.log1p(np.log1p(t)) ** r
-    return out
+    return _weight(_as_nonneg(t), params.p, params.q, params.r)
 
 
 def phi_d1(params: YoungParams, t: ArrayLike) -> np.ndarray:

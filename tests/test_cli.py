@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luxglue.cli import main, read_data_csv
-from luxglue.errors import FileFormat
+from luxglue.errors import BadConfig, FileFormat
 
 
 def run_cli(args):
@@ -89,6 +89,33 @@ def test_holder_young_sweep_deterministic(tmp_path):
     r1, r2 = load_without_meta(out1), load_without_meta(out2)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     assert r1["results"]["violations"] == 0
+
+
+def test_holder_young_sweep_counts_violations(tmp_path, monkeypatch):
+    from luxglue import orlicz
+
+    monkeypatch.setattr(orlicz, "holder_young_constant", lambda params: 1e-12)
+    out = tmp_path / "r.json"
+    code = run_cli(["holder-young", "--sweep", "300", "--seed", "0", "--out", str(out)])
+    assert code == 1  # a failed verdict with its report, not a domain error
+    report = load_without_meta(out)
+    assert report["results"]["violations"] == report["results"]["sweep"] == 300
+    assert report["verdicts"][0]["name"] == "sweep_zero_violations"
+    assert not report["verdicts"][0]["passed"]
+
+
+# Frozen from the one-instance-at-a-time solver that the batched one replaced.
+def test_batched_reports_keep_the_scalar_solver_bits(tmp_path):
+    out = tmp_path / "hy.json"
+    assert run_cli(["holder-young", "--sweep", "1000", "--seed", "0", "--out", str(out)]) == 0
+    assert repr(load_without_meta(out)["results"]["max_ratio"]) == "0.4004818954835567"
+    out = tmp_path / "on.json"
+    assert run_cli(["orlicz-norm", "--builtin", "feps", "--eps", "0.01", "--interval",
+                    "0.001,0.25", "--panels", "64", "--order", "16", "--out", str(out)]) == 0
+    res = load_without_meta(out)["results"]
+    assert repr(res["norm"]) == "0.06798720009595094"
+    assert [repr(b) for b in res["bracket"]] == ["0.06798720009159646", "0.06798720009595094"]
+    assert repr(res["objective_at_norm"]) == "0.9999999999922773"
 
 
 def test_holder_young_zero_mass_exit_code(tmp_path, capsys):
@@ -197,6 +224,16 @@ def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     assert payload["error"] in ("InvalidInput", "BadConfig")
 
 
+@pytest.mark.parametrize("argv", [
+    ["holder-young", "--young=1,1e308,0"],  # the constant C overflows
+    ["orlicz-norm", "--young=1e308,1,0", "--panels", "4"],  # N^p overflows
+])
+def test_overflowing_bounds_exit_2_with_json(argv, capsys):
+    assert run_cli(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["command"] == argv[0] and payload["error"] == "NonFinite"
+
+
 def test_glue_quadratics_with_csv(tmp_path):
     out = tmp_path / "r.json"
     hcsv = tmp_path / "h.csv"
@@ -298,7 +335,7 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
 
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
-    with pytest.raises(OSError):
+    with pytest.raises(BadConfig, match="Is a directory"):
         _write_atomic(str(target), "text")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert not any(target.iterdir())
@@ -413,6 +450,18 @@ def test_output_in_a_missing_directory_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--table", "--detail-out"])
+def test_output_naming_a_directory_exits_2(tmp_path, capsys, flag):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv = ["counterexample", "--kmin", "5", "--kmax", "6", "--detail-k", "5",
+            "--detail-out", str(tmp_path / "d.csv"), flag, str(taken)]
+    assert run_cli(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BadConfig"
+    assert not any(taken.iterdir())
+    assert not any(p.suffix == ".tmp" for p in tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}"])
 def test_config_file_that_is_not_json_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -433,31 +482,37 @@ def test_module_entry_rejects_bad_input_with_json_only():
 
 # Fuzz alphabet: every option draws from its own small set of good values,
 # bounded so that a run stays cheap; at most one value per draw is junk.
+# Float-valued options and number lists also draw non-finite, huge and
+# negative-zero numbers; integer options stay bounded.
 _JUNK = ["", "abc", "1,", ",", "1,x,0", "0,1,2,3", "-1", "0", "bogus"]
+_EXTREME = ["nan", "inf", "-inf", "1e308", "-0.0"]
 _PATH = ["{tmp}/f.out", "{tmp}/missing/f.out"]
 _COMMON = {"--format": ["json", "csv"], "--out": _PATH, "--seed": ["0", "3"]}
-_YOUNG = ["1,1,0", "2,0,0", "1,2,1", "0.5,0,0"]
+_YOUNG = ["1,1,0", "2,0,0", "1,2,1", "0.5,0,0", "1,inf,0", "nan,1,0", "1e308,1,0", "1,1e308,0"]
 _FNS = ["poly", "log1p", "feps", "exp-exp"]
-_COEFFS = ["0,0,1", "1", "-1.5,2,0.5", "0,1"]
+_COEFFS = ["0,0,1", "1", "-1.5,2,0.5", "0,1", "0,nan,1", "1e308,0,1"]
 _OPTIONS = {
     "orlicz-norm": {"--young": _YOUNG, "--data": ["{tmp}/f.out", "{tmp}/none.csv"],
-                    "--builtin": _FNS, "--coeffs": _COEFFS, "--eps": ["0.01", "0.5"],
-                    "--interval": ["0,1", "0.001,0.25", "1,2"], "--panels": ["1", "4"],
-                    "--order": ["2", "8"], "--emit-data": _PATH},
+                    "--builtin": _FNS, "--coeffs": _COEFFS, "--eps": ["0.01", "0.5", *_EXTREME],
+                    "--interval": ["0,1", "0.001,0.25", "1,2", "0,inf", "-0.0,1e308"],
+                    "--panels": ["1", "4"], "--order": ["2", "8"], "--emit-data": _PATH},
     "holder-young": {"--sweep": ["0", "1", "3"], "--young": _YOUNG,
-                     "--indicator-mass": ["0.01", "0.5", "2"], "--space-mass": ["1", "0.5"]},
-    "degiorgi": {"--mode": ["formula", "simulate", "sharpness"], "--C": ["1", "2"],
-                 "--alpha": ["1", "0.5"], "--beta": ["2", "3", "1"],
-                 "--gamma": ["1.5", "2", "3"], "--f0": ["1", "2"], "--T": ["2", "10"],
-                 "--k": ["2", "0.5"], "--nodes": ["16", "32", "64"], "--t-max": ["1", "10"]},
+                     "--indicator-mass": ["0.01", "0.5", "2", *_EXTREME],
+                     "--space-mass": ["1", "0.5", *_EXTREME]},
+    "degiorgi": {"--mode": ["formula", "simulate", "sharpness"], "--C": ["1", "2", *_EXTREME],
+                 "--alpha": ["1", "0.5", *_EXTREME], "--beta": ["2", "3", "1", *_EXTREME],
+                 "--gamma": ["1.5", "2", "3", *_EXTREME], "--f0": ["1", "2", *_EXTREME],
+                 "--T": ["2", "10", *_EXTREME], "--k": ["2", "0.5", *_EXTREME],
+                 "--nodes": ["16", "32", "64"], "--t-max": ["1", "10", *_EXTREME]},
     "glue": {"--mode": ["strict", "convex", "radial"], "--left-fn": _FNS,
-             "--left-coeffs": _COEFFS, "--left-interval": ["0,1", "0.015625,0.0625"],
+             "--left-coeffs": _COEFFS, "--left-interval": ["0,1", "0.015625,0.0625", "nan,1"],
              "--right-fn": _FNS, "--right-coeffs": _COEFFS,
-             "--right-interval": ["3,4", "1,4", "0.5,2"], "--eps": ["0.001", "0.5"],
-             "--n": ["2", "3"], "--h-csv": _PATH, "--h-points": ["8", "16"]},
+             "--right-interval": ["3,4", "1,4", "0.5,2", "3,1e308"],
+             "--eps": ["0.001", "0.5", *_EXTREME], "--n": ["2", "3"], "--h-csv": _PATH,
+             "--h-points": ["8", "16"]},
     "counterexample": {"--n": ["2", "3"], "--kmin": ["5", "6"], "--kmax": ["6", "7"],
-                       "--r": ["1", "1.5"], "--table": _PATH, "--detail-k": ["5", "9"],
-                       "--detail-out": _PATH},
+                       "--r": ["1", "1.5", *_EXTREME], "--table": _PATH,
+                       "--detail-k": ["5", "9"], "--detail-out": _PATH},
 }
 # required options, and those whose defaults would make a run slow
 _ALWAYS = {"holder-young": ["--sweep"], "degiorgi": ["--mode", "--nodes"],

@@ -3,18 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from luxglue import orlicz
 from luxglue.errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
-                            ZeroMass)
+                            VerificationFailed, ZeroMass)
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import (
     EntropyParams,
     INEQ_SLACK,
+    entropies,
     entropy,
     entropy_domination_factor,
     holder_young_bound,
+    holder_young_bounds,
     holder_young_constant,
     integral_bound_from_norm,
     luxemburg_norm,
+    luxemburg_norms,
     norm_bound_from_integral,
     young_pair_check,
 )
@@ -38,10 +42,9 @@ def test_zero_function():
 
 def test_plain_p_norm_equivalence():
     rng = rng_from_seed(7)
-    for _ in range(40):
-        f = random_step_fn(rng)
-        p = float(rng.uniform(1.0, 3.0))
-        res = luxemburg_norm(f, YoungParams(p))
+    drawn = [(random_step_fn(rng), float(rng.uniform(1.0, 3.0))) for _ in range(40)]
+    results = luxemburg_norms([f for f, _ in drawn], [YoungParams(p) for _, p in drawn])
+    for (f, p), res in zip(drawn, results):
         direct = integrate(GridFn(f.measure, np.abs(f.values) ** p)) ** (1 / p)
         if direct == 0:
             assert res.norm == 0
@@ -64,12 +67,13 @@ def test_single_nonzero_node():
 
 def test_normalization_identity():
     rng = rng_from_seed(11)
+    drawn = []
     for _ in range(25):
         f = random_step_fn(rng)
         if np.all(f.values == 0):
             continue
-        params = random_young_params(rng)
-        res = luxemburg_norm(f, params)
+        drawn.append((f, random_young_params(rng)))
+    for res in luxemburg_norms(*zip(*drawn)):
         assert res.objective_at_norm <= 1.0 + 1e-8
 
 
@@ -87,12 +91,15 @@ def test_homogeneity(lam):
 def test_triangle_inequality():
     rng = rng_from_seed(13)
     params = YoungParams(1, 1, 0)
+    fs = []
     for _ in range(25):
         m = random_measure(rng)
         f = random_step_fn(rng, m)
         g = random_step_fn(rng, m)
-        ns = luxemburg_norm(GridFn(m, f.values + g.values), params).norm
-        assert ns <= luxemburg_norm(f, params).norm + luxemburg_norm(g, params).norm + 1e-8
+        fs += [GridFn(m, f.values + g.values), f, g]
+    norms = [res.norm for res in luxemburg_norms(fs, [params] * len(fs))]
+    for ns, nf, ng in zip(norms[::3], norms[1::3], norms[2::3]):
+        assert ns <= nf + ng + 1e-8
 
 
 def test_entropy_zero_and_scalar():
@@ -110,10 +117,10 @@ def test_entropy_rejects_negative():
 def test_entropy_integral_upper_bound():
     rng = rng_from_seed(17)
     ep = EntropyParams(2, 1.0)
-    for _ in range(100):
-        f = random_step_fn(rng)
+    fs = [random_step_fn(rng) for _ in range(100)]
+    for f, ent in zip(fs, entropies(fs, [ep] * len(fs))):
         raw = integrate(GridFn(f.measure, phi(ep.young, f.values)))
-        assert entropy(f, ep) <= max(1.0, raw) * (1 + 1e-8)
+        assert ent <= max(1.0, raw) * (1 + 1e-8)
 
 
 def test_norm_bound_from_integral_values():
@@ -123,6 +130,7 @@ def test_norm_bound_from_integral_values():
 
 def test_norm_bound_wiring():
     rng = rng_from_seed(19)
+    drawn = []
     for _ in range(50):
         f = random_step_fn(rng)
         if np.all(f.values == 0):
@@ -132,25 +140,27 @@ def test_norm_bound_wiring():
         M = integrate(GridFn(f.measure, phi(params, np.abs(f.values) / c)))
         if M <= 0:
             continue
-        bound = norm_bound_from_integral(c, M, params)
-        assert luxemburg_norm(f, params).norm <= bound * (1 + 1e-8)
+        drawn.append((f, params, norm_bound_from_integral(c, M, params)))
+    results = luxemburg_norms([f for f, _, _ in drawn], [p for _, p, _ in drawn])
+    for (_, _, bound), res in zip(drawn, results):
+        assert res.norm <= bound * (1 + 1e-8)
 
 
 def test_integral_bound_zero_and_l1():
     m = unit_mass_measure()
-    lhs, rhs = integral_bound_from_norm(GridFn(m, np.zeros(2)), YoungParams(1))
+    lhs, rhs = integral_bound_from_norm(GridFn(m, np.zeros(2)), YoungParams(1), 0.0)
     assert lhs == 0.0 and rhs == 0.0
     f = GridFn(m, np.array([2.0, 3.0]))
-    lhs, rhs = integral_bound_from_norm(f, YoungParams(1))
+    lhs, rhs = integral_bound_from_norm(f, YoungParams(1), luxemburg_norm(f, YoungParams(1)).norm)
     assert abs(lhs - rhs) <= 1e-8 * rhs  # L^1: both sides are the L^1 norm
 
 
 def test_integral_bound_random_sweep():
     rng = rng_from_seed(23)
     params = YoungParams(1, 2, 1)
-    for _ in range(100):
-        f = random_step_fn(rng)
-        lhs, rhs = integral_bound_from_norm(f, params)
+    fs = [random_step_fn(rng) for _ in range(100)]
+    for f, res in zip(fs, luxemburg_norms(fs, [params] * len(fs))):
+        lhs, rhs = integral_bound_from_norm(f, params, res.norm)
         assert lhs <= rhs * (1 + 1e-8)
 
 
@@ -213,12 +223,10 @@ def test_young_pair_degenerate():
 def test_entropy_domination():
     rng = rng_from_seed(29)
     n, r = 2, 1.5
-    for _ in range(30):
-        f = random_step_fn(rng)
-        if np.all(f.values == 0):
-            continue
-        e0 = entropy(f, EntropyParams(n, 0.0))
-        er = entropy(f, EntropyParams(n, r))
+    fs = [f for f in (random_step_fn(rng) for _ in range(30)) if not np.all(f.values == 0)]
+    ents = entropies([f for f in fs for _ in range(2)],
+                     [EntropyParams(n, 0.0), EntropyParams(n, r)] * len(fs))
+    for f, e0, er in zip(fs, ents[::2], ents[1::2]):
         factor = entropy_domination_factor(f.measure.mass, r)
         assert e0 <= factor * er * (1 + 1e-8)
 
@@ -247,10 +255,9 @@ def test_lower_bracket_search_runs_past_200_halvings():
 
 
 def test_lower_bracket_search_stops_at_zero(monkeypatch):
-    import luxglue.orlicz as orlicz
-
-    monkeypatch.setattr(orlicz, "_objective", lambda *args: 0.5)  # never reaches 1
-    with pytest.raises(NonFinite):
+    # the batched objective, one value per function, never reaches 1
+    monkeypatch.setattr(orlicz, "_objective", lambda x, w, exps, c: np.full(len(c), 0.5))
+    with pytest.raises(NonFinite, match="down to c = 0"):
         luxemburg_norm(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))
 
 
@@ -260,3 +267,98 @@ def test_bound_helpers_raise_invalid_input():
         norm_bound_from_integral(0.0, 1.0, params)
     with pytest.raises(InvalidInput):
         young_pair_check(-1.0, 1.0, params)
+
+
+def _ragged_instances(rng, count):
+    """Grid functions of 1-300 nodes with values across 16 decades, some
+    identically zero, and exponent triples that include 0, 0.5, 1 and 2."""
+    fs, params = [], []
+    for i in range(count):
+        n = int(rng.integers(1, 301))
+        m = WeightedMeasure(np.cumsum(rng.uniform(0.1, 1.0, n)),
+                            np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n)))
+        vals = 10.0 ** rng.uniform(-8.0, 8.0, n) * (rng.random(n) > 0.2)
+        fs.append(GridFn(m, vals * (i % 11 != 0)))
+        if i % 2:  # exponents that numpy computes by a shortcut, or that skip a factor
+            q, r = (float(v) for v in rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], 2))
+            params.append(YoungParams(float(rng.choice([1.0, 1.5, 2.0])), q, r))
+        else:
+            params.append(random_young_params(rng))
+    return fs, params
+
+
+def test_batched_norms_equal_their_one_at_a_time_solves(monkeypatch):
+    rng = rng_from_seed(41)
+    fs, params = _ragged_instances(rng, 120)
+    alone = [luxemburg_norm(f, p) for f, p in zip(fs, params)]
+    monkeypatch.setattr(orlicz, "BLOCK_SIZE", 32)  # four blocks, the last one short
+    for order in (np.arange(len(fs)), rng.permutation(len(fs))):
+        batched = luxemburg_norms([fs[i] for i in order], [params[i] for i in order])
+        assert [alone[i] for i in order] == batched  # every norm, objective and bracket
+
+
+def test_zero_functions_and_blocks_keep_their_places():
+    m = unit_mass_measure()
+    fs = [GridFn(m, np.zeros(2)), GridFn(m, np.ones(2))] * (orlicz.BLOCK_SIZE // 2 + 1)
+    results = luxemburg_norms(fs, [YoungParams(1, 1, 0)] * len(fs))
+    assert len(results) == orlicz.BLOCK_SIZE + 2
+    assert all(r.norm == 0.0 and r.bracket == (0.0, 0.0) for r in results[::2])
+    assert all(r == results[1] for r in results[1::2])
+    assert abs(results[1].norm - UNIT_DENSITY_NORM_110) <= 1e-8
+    assert luxemburg_norms([], []) == []
+
+
+def test_weight_columns_match_scalar_exponents():
+    from luxglue.youngfn import _weight
+
+    rng = rng_from_seed(43)
+    for length in (1, 7, 300):
+        t = 10.0 ** rng.uniform(-8.0, 8.0, (length, 40))
+        p = rng.choice([1.0, 2.0, 3.0, 1.7], 40)
+        q = rng.choice([0.0, 0.5, 1.0, 2.0, 2.6], 40)
+        r = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], 40)
+        columns = _weight(t, p, q, r)
+        for j in range(40):
+            assert np.array_equal(columns[:, j], phi(YoungParams(p[j], q[j], r[j]), t[:, j]))
+
+
+def test_batch_reports_the_first_failing_function(monkeypatch):
+    m = unit_mass_measure()
+    finite, infinite = GridFn(m, np.ones(2)), GridFn(m, np.array([1.0, np.inf]))
+    params = [YoungParams(1, 1, 0)] * 2
+    with pytest.raises(NonFinite, match="finite values"):
+        luxemburg_norms([finite, infinite], params)
+    # an objective that never reaches 1 fails every finite function's lower bracket
+    monkeypatch.setattr(orlicz, "_objective", lambda x, w, exps, c: np.full(len(c), 0.5))
+    with pytest.raises(NonFinite, match="down to c = 0"):
+        luxemburg_norms([finite, infinite], params)
+    with pytest.raises(NonFinite, match="finite values"):
+        luxemburg_norms([infinite, finite], params)
+    with pytest.raises(InvalidInput):
+        luxemburg_norms([finite], params)
+
+
+def test_entropies_check_each_density_against_its_integral(monkeypatch):
+    m = unit_mass_measure()
+    dens = [GridFn(m, np.ones(2)), GridFn(m, np.array([2.0, 3.0]))]
+    scales = [EntropyParams(1), EntropyParams(2, 1.0)]
+    assert entropies(dens, scales) == [entropy(d, ep) for d, ep in zip(dens, scales)]
+    with pytest.raises(NegativeDensity):
+        entropies(dens + [GridFn(m, np.array([1.0, -1.0]))], scales + [EntropyParams(1)])
+    inflated = [orlicz.LuxemburgResult(1e9, 1.0, (1e9, 1e9))] * 2
+    monkeypatch.setattr(orlicz, "luxemburg_norms", lambda fs, params: inflated)
+    with pytest.raises(VerificationFailed):
+        entropies(dens, scales)
+
+
+def test_holder_young_bounds_count_instead_of_raising(monkeypatch):
+    rng = rng_from_seed(47)
+    fs = [random_step_fn(rng) for _ in range(5)]
+    params = [random_young_params(rng) for _ in fs]
+    bounds = holder_young_bounds(fs, params)
+    assert bounds == [holder_young_bound(f, p) for f, p in zip(fs, params)]
+    monkeypatch.setattr(orlicz, "holder_young_constant", lambda params: 1e-12)
+    assert all(lhs > rhs for lhs, rhs, _ in holder_young_bounds(fs, params)
+               if lhs > 0)
+    with pytest.raises(VerificationFailed):
+        holder_young_bound(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))
