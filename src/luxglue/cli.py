@@ -157,21 +157,15 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, repr(obj) if isinstance(obj, float) else str(obj)))
 
 
-def _csv_text(header: list[str], rows: Any) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def emit_report(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        rows: list[tuple[str, str]] = []
+    else:  # csv quotes the input strings that hold commas, such as "0,1"
+        rows: list[tuple[str, str]] = [("key", "value")]
         _flatten("", report, rows)
-        text = _csv_text(["key", "value"], rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
     if out:
         _write_atomic(out, text)
     else:
@@ -179,9 +173,12 @@ def emit_report(report: dict, fmt: str, out: str | None) -> None:
 
 
 def _write_csv_table(path: str, header: list[str], columns: list) -> None:
-    """One numpy or list column per header name; csv writes each .tolist()
-    value as its str, which for a float is its repr."""
-    _write_atomic(path, _csv_text(header, zip(*(np.asarray(c).tolist() for c in columns))))
+    """One numpy or list column of numbers per header name, written as
+    csv.writer would: header row first, CRLF row ends, a float as its repr
+    (the shortest text that reads back to the same bits), an int as its
+    digits; no number and no header name here needs quoting."""
+    rows = zip(*(map(repr, np.asarray(c).tolist()) for c in columns))
+    _write_atomic(path, "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n")
 
 
 def read_data_csv(path: str) -> GridFn:
@@ -594,7 +591,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:  # its options go first: argparse checks them, a flag wins
             args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
-        report = args.handler(args, time.monotonic())
+        with np.errstate(all="ignore"):  # numpy warnings would precede the JSON
+            report = args.handler(args, time.monotonic())
         emit_report(report, args.format, args.out)
     except LuxglueError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),

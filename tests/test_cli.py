@@ -1,16 +1,18 @@
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue.cli import main, read_data_csv
+from luxglue.cli import _write_csv_table, main, read_data_csv
 from luxglue.errors import BadConfig, FileFormat
 
 
@@ -228,10 +230,91 @@ def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     ["holder-young", "--young=1,1e308,0"],  # the constant C overflows
     ["orlicz-norm", "--young=1e308,1,0", "--panels", "4"],  # N^p overflows
 ])
-def test_overflowing_bounds_exit_2_with_json(argv, capsys):
+def test_overflowing_bounds_exit_2_with_json(argv, capsys, recwarn):
     assert run_cli(argv) == 2
     payload = json.loads(capsys.readouterr().err)
     assert payload["command"] == argv[0] and payload["error"] == "NonFinite"
+    # a warning would reach stderr ahead of the JSON outside pytest
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _csv_module_bytes(header, columns):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    return buf.getvalue().encode("utf-8")
+
+
+def _table_bytes(path, header, columns):
+    _write_csv_table(str(path), header, columns)
+    return path.read_bytes()
+
+
+_EDGE_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5, 0.1]
+
+
+@pytest.mark.parametrize("header,columns", [
+    (["k", "eps"], [[5, 6, 7], [0.03125, 0.015625, 0.0078125]]),  # ints, a list column
+    (["x", "y"], [_EDGE_FLOATS, np.array(_EDGE_FLOATS[::-1])]),
+    (["t", "h", "h1", "h2"], [np.array([]), np.array([]), [], []]),  # 0 rows
+    (["t", "weight", "value"], [np.array([0.5]), np.array([1.0]), np.array([-2.0])]),
+])
+def test_table_writer_matches_csv_module(tmp_path, header, columns):
+    assert (_table_bytes(tmp_path / "t.csv", header, columns)
+            == _csv_module_bytes(header, columns))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n_rows=st.integers(0, 12), n_cols=st.integers(1, 4))
+def test_table_writer_matches_csv_module_on_drawn_floats(tmp_path_factory, data, n_rows,
+                                                         n_cols):
+    columns = [np.array(data.draw(st.lists(st.floats(width=64), min_size=n_rows,
+                                           max_size=n_rows)), dtype=np.float64)
+               for _ in range(n_cols)]
+    header = [f"c{i}" for i in range(n_cols)]
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    assert _table_bytes(path, header, columns) == _csv_module_bytes(header, columns)
+
+
+# The bytes of each table as the csv-module writer produced them.
+_PINNED_TABLES = {
+    "glue": (
+        ["glue", "--mode", "strict", "--left-coeffs", "0,0,1", "--left-interval", "0,1",
+         "--right-coeffs", "0,0,1", "--right-interval", "3,4", "--h-points", "5",
+         "--h-csv"],
+        b"t,h,h1,h2\r\n-1.0,0.6956852485820728,-1.225,1.0\r\n0.5,0.25,1.0,2.0\r\n"
+        b"2.0,3.8277372816455872,4.000000000000001,3.520886524992318\r\n"
+        b"3.5,12.25,7.0,2.0\r\n5.0,24.695685248582073,9.225,1.0\r\n",
+    ),
+    "counterexample": (
+        ["counterexample", "--n", "2", "--kmin", "5", "--kmax", "6", "--table"],
+        b"k,eps,ent_r1,ent_r3,osc,apx_integral\r\n"
+        b"5,0.03125,2.84682881930236,2.8194953931981264,0.22564704811797964,"
+        b"0.00011364098619577128\r\n"
+        b"6,0.015625,2.86652840527201,2.8441478491832894,0.23537311997936675,"
+        b"0.00040160510227878877\r\n",
+    ),
+    "orlicz-norm": (
+        ["orlicz-norm", "--panels", "2", "--order", "4", "--emit-data"],
+        b"t,weight,value\r\n0.03471592210148686,0.08696371128436339,1.0\r\n"
+        b"0.16500473910378594,0.1630362887156366,1.0\r\n"
+        b"0.33499526089621406,0.1630362887156366,1.0\r\n"
+        b"0.4652840778985131,0.08696371128436339,1.0\r\n"
+        b"0.5347159221014869,0.08696371128436339,1.0\r\n"
+        b"0.6650047391037859,0.1630362887156366,1.0\r\n"
+        b"0.8349952608962141,0.1630362887156366,1.0\r\n"
+        b"0.9652840778985131,0.08696371128436339,1.0\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TABLES))
+def test_table_files_keep_their_bytes(tmp_path, name):
+    argv, expected = _PINNED_TABLES[name]
+    table = tmp_path / "table.csv"
+    assert run_cli(argv + [str(table), "--out", str(tmp_path / "r.json")]) == 0
+    assert table.read_bytes() == expected
 
 
 def test_glue_quadratics_with_csv(tmp_path):
@@ -418,6 +501,13 @@ def test_csv_format_output(tmp_path):
     assert "results.t_gamma" in text
 
 
+def test_csv_report_quotes_inputs_that_hold_commas(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli(["orlicz-norm", "--interval", "0,1", "--format", "csv",
+                    "--out", str(out)]) == 0
+    assert 'inputs.interval,"0,1"\r\n' in out.read_bytes().decode("utf-8")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "luxglue.cli", "degiorgi", "--mode", "formula",
@@ -561,10 +651,15 @@ def test_fuzzed_command_lines_exit_0_1_or_2_with_json(tmp_path_factory, drawn, k
     stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(tmp)  # --detail-k alone writes beside the working directory
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # recwarn is function-scoped, and Hypothesis reuses one fixture value
+        # for every example, so each example records its own warnings
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     finally:
         os.chdir(cwd)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code in (0, 1, 2)
     if code == 2:
         payload = json.loads(stderr.getvalue())
