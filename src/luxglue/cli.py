@@ -36,7 +36,7 @@ from .degiorgi import (
 )
 from .errors import BadConfig, FileFormat, LuxglueError, ZeroMass
 from .gluing import GluePiece, GlueProblem, glue, verify_glue
-from .numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure, integrate
+from .numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure
 from .orlicz import (
     BLOCK_SIZE,
     INEQ_SLACK,
@@ -182,16 +182,23 @@ def _write_csv_table(path: str, header: list[str], columns: list) -> None:
 
 
 def read_data_csv(path: str) -> GridFn:
-    """Input format: header 't,weight,value', one node per row."""
+    """Input format: header 't,weight,value', one node of three numbers per row."""
+    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["t", "weight", "value"]:
                 raise FileFormat(f"{path}: expected header 't,weight,value'")
-            rows = [[float(x) for x in row] for row in reader if row]
+            for row in filter(None, reader):
+                if len(row) != 3:
+                    raise FileFormat(f"{path}: line {reader.line_num} has {len(row)} "
+                                     "fields, expected 3")
+                rows.append([float(x) for x in row])
     except OSError as exc:
         raise FileFormat(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise FileFormat(f"{path}: line {reader.line_num}: {exc}") from exc
     except ValueError as exc:
         raise FileFormat(f"{path}: non-numeric row: {exc}") from exc
     if not rows:

@@ -6,7 +6,7 @@ sharpness example showing the threshold needs beta > alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 

@@ -208,13 +208,6 @@ def bisect_monotone(
     return 0.5 * (lo + hi)
 
 
-def sup_on_grid(f: Callable, m: WeightedMeasure) -> tuple[float, float]:
-    """Max of f over the nodes and the first node attaining it."""
-    vals = np.asarray(f(m.nodes), dtype=float)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(m.nodes[i])
-
-
 Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 

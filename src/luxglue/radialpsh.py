@@ -134,27 +134,16 @@ def _feps_jet(t: np.ndarray, eps: float, coeff: float) -> Jet:
             coeff * u**3 * (u * S - 2.0 * D) / D**2)
 
 
-def _check_feps_domain(t: np.ndarray) -> np.ndarray:
+def f_eps_jet(params: CounterexampleParams, t) -> Jet:
+    """(f, f', f'') of the normalized quadruple-log family on [0, 1/4]."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > 0.25 + 1e-12):
+    if not np.all((t >= 0) & (t <= 0.25 + 1e-12)):
         raise OutOfDomain("the quadruple-log family lives on [0, 1/4]")
-    return t
-
-
-def f_eps(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[0]
-
-
-def f_eps_d1(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[1]
-
-
-def f_eps_d2(params: CounterexampleParams, t) -> np.ndarray:
-    return _feps_jet(_check_feps_domain(t), params.eps, FEPS_COEFF)[2]
+    return _feps_jet(t, params.eps, FEPS_COEFF)
 
 
 def f_eps_at_zero(params: CounterexampleParams) -> float:
-    return float(_feps_jet(np.asarray(0.0), params.eps, FEPS_COEFF)[0])
+    return float(f_eps_jet(params, 0.0)[0])
 
 
 def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25,
@@ -193,14 +182,14 @@ def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport
     The integrand varies on the scale t ~ eps, so the geometric rule follows
     eps (see ``_eps_panels``): 40 panels down to eps = 2^-44, one more per
     halving of eps past that.  Raises NonFinite once eps is so small (about
-    2^-250) that f_eps'' overflows.
+    2^-250) that the family's second derivative overflows.
     """
     if not 0 < t0 < 0.25:
         raise InvalidInput("t0 must lie in (0, 1/4)")
     eps, n = params.eps, params.n
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):
-            raise NonFinite(f"f_eps'' overflows at t = 0 for eps = {eps:g}")
+            raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
     t = np.linspace(t0, 0.25, 4097)
     _, f1, f2 = _feps_jet(t, eps, 1.0)
     sup_big = float(np.max(f1 + t * f2))
@@ -311,7 +300,7 @@ class SweepRow:
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     """For each eps: one chart density, its entropy at weight (1, n, r) for
-    every r in rs, and the oscillation proxy |f_eps(0)|.  Every (eps, r)
+    every r in rs, and the oscillation proxy |f(0)| of the family.  Every (eps, r)
     entropy is solved in one ``entropies`` call."""
     scales = [EntropyParams(n, r) for r in rs]
     eps_list = [float(eps) for eps in eps_list]

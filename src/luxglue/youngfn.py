@@ -1,8 +1,9 @@
 """The weight family t^p log^q(1+t) log^r(1+log(1+t)) and its curvature certificates.
 
-Derivatives are hand-derived closed forms (three nested logs keep them short);
-a finite-difference contract in the test suite guards them.  log1p is used
-throughout so small arguments do not lose digits.
+Derivatives are hand-derived closed forms (three nested logs keep them short),
+evaluated together by ``phi_jet``; a finite-difference contract in the test
+suite guards them.  log1p is used throughout so small arguments do not lose
+digits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParams, InvalidInput, NegativeArgument
-from .numgrid import WeightedMeasure
+from .numgrid import Jet, WeightedMeasure
 
 ArrayLike = float | np.ndarray
 
@@ -90,49 +91,43 @@ def _weight(t: np.ndarray, p, q, r) -> np.ndarray:
 
 
 def phi(params: YoungParams, t: ArrayLike) -> np.ndarray:
-    """Weight value t^p log^q(1+t) log^r(1+log(1+t)); zero at t = 0."""
+    """Weight value t^p log^q(1+t) log^r(1+log(1+t)); zero at t = 0.  The
+    solver's value-only path: ``phi_jet(params, t)[0]`` has its bits."""
     return _weight(_as_nonneg(t), params.p, params.q, params.r)
 
 
-def phi_d1(params: YoungParams, t: ArrayLike) -> np.ndarray:
-    """First derivative of the weight, t > 0."""
+def phi_jet(params: YoungParams, t: ArrayLike) -> Jet:
+    """Weight value and first two derivatives, t > 0, from one pass over the
+    logs and powers; each derivative adds its closed-form terms in a fixed order."""
     t = _as_pos(t)
     p, q, r = params.p, params.q, params.r
     L1 = np.log1p(t)
     L2 = np.log1p(L1)
-    out = p * t ** (p - 1) * L1**q * L2**r
-    if q:
-        out = out + q * t**p * L1 ** (q - 1) * L2**r / (1 + t)
-    if r:
-        out = out + r * t**p * L1**q * L2 ** (r - 1) / ((1 + t) * (1 + L1))
-    return out
-
-
-def phi_d2(params: YoungParams, t: ArrayLike) -> np.ndarray:
-    """Second derivative of the weight, t > 0."""
-    t = _as_pos(t)
-    p, q, r = params.p, params.q, params.r
-    L1 = np.log1p(t)
-    L2 = np.log1p(L1)
-    u = 1 + t
-    v = 1 + L1
-    out = np.zeros_like(t)
+    u, v = 1 + t, 1 + L1
+    tp, tp1 = t**p, t ** (p - 1)
+    Lq, Lr = L1**q, L2**r
+    d1 = p * tp1 * Lq * Lr
+    d2 = np.zeros_like(t)
     if p != 1:
-        out = out + p * (p - 1) * t ** (p - 2) * L1**q * L2**r
+        d2 = d2 + p * (p - 1) * t ** (p - 2) * Lq * Lr
     if q:
-        out = out + 2 * p * q * t ** (p - 1) * L1 ** (q - 1) * L2**r / u
-        out = out - q * t**p * L1 ** (q - 1) * L2**r / u**2
+        Lq1 = L1 ** (q - 1)
+        d1 = d1 + q * tp * Lq1 * Lr / u
+        d2 = d2 + 2 * p * q * tp1 * Lq1 * Lr / u
+        d2 = d2 - q * tp * Lq1 * Lr / u**2
         if q != 1:
-            out = out + q * (q - 1) * t**p * L1 ** (q - 2) * L2**r / u**2
+            d2 = d2 + q * (q - 1) * tp * L1 ** (q - 2) * Lr / u**2
     if r:
-        out = out + 2 * p * r * t ** (p - 1) * L1**q * L2 ** (r - 1) / (u * v)
-        out = out - r * t**p * L1**q * L2 ** (r - 1) / (u**2 * v)
-        out = out - r * t**p * L1**q * L2 ** (r - 1) / (u**2 * v**2)
+        Lr1 = L2 ** (r - 1)
+        d1 = d1 + r * tp * Lq * Lr1 / (u * v)
+        d2 = d2 + 2 * p * r * tp1 * Lq * Lr1 / (u * v)
+        d2 = d2 - r * tp * Lq * Lr1 / (u**2 * v)
+        d2 = d2 - r * tp * Lq * Lr1 / (u**2 * v**2)
         if r != 1:
-            out = out + r * (r - 1) * t**p * L1**q * L2 ** (r - 2) / (u**2 * v**2)
+            d2 = d2 + r * (r - 1) * tp * Lq * L2 ** (r - 2) / (u**2 * v**2)
     if q and r:
-        out = out + 2 * q * r * t**p * L1 ** (q - 1) * L2 ** (r - 1) / (u**2 * v)
-    return out
+        d2 = d2 + 2 * q * r * tp * Lq1 * Lr1 / (u**2 * v)
+    return tp * Lq * Lr, d1, d2
 
 
 def phi_compose_d2(params: YoungParams, t: ArrayLike) -> np.ndarray:
@@ -141,9 +136,8 @@ def phi_compose_d2(params: YoungParams, t: ArrayLike) -> np.ndarray:
     t = _as_pos(t)
     p = params.p
     s = t ** (1.0 / p)
-    return phi_d2(params, s) * s**2 / (p**2 * t**2) + phi_d1(params, s) * s * (
-        1.0 / p - 1.0
-    ) / (p * t**2)
+    _, d1, d2 = phi_jet(params, s)
+    return d2 * s**2 / (p**2 * t**2) + d1 * s * (1.0 / p - 1.0) / (p * t**2)
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def check_strict_convexity(params: YoungParams, grid: WeightedMeasure) -> Convex
     if params.degenerate:
         raise DegenerateParams("(p, q, r) = (1, 0, 0) is linear")
     t = grid.nodes[grid.nodes > 0]
-    d2 = phi_d2(params, t)
+    d2 = phi_jet(params, t)[2]
     i = int(np.argmin(d2))
     violations = int(np.count_nonzero(d2 <= 0))
     min_c: float | None = None

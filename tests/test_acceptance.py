@@ -22,17 +22,16 @@ from luxglue.degiorgi import (
 )
 from luxglue.errors import IncompatiblePieces
 from luxglue.gluing import GlueProblem, compatibility, glue, rho_eps, verify_glue
-from luxglue.numgrid import GridFn, Interval, WeightedMeasure, integrate
+from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import holder_young_bounds, luxemburg_norms
 from luxglue.radialpsh import (
     CounterexampleParams,
     appendix_c_bounds,
     entropy_sweep,
-    f_eps,
-    f_eps_d1,
+    f_eps_jet,
 )
 from luxglue.sampling import random_step_fn, random_young_params, rng_from_seed
-from luxglue.youngfn import YoungParams, check_strict_convexity, phi_compose_d2, phi_d2
+from luxglue.youngfn import YoungParams, check_strict_convexity
 
 from test_gluing import random_compatible_strict_pair, quad_piece
 
@@ -241,8 +240,9 @@ def test_criterion_08_example_chain_values():
     mids = []
     for k in EPS_KS:
         params = CounterexampleParams(2.0**-k, 2)
-        lhs = (1.0 / 16.0) * float(f_eps_d1(params, 1.0 / 16.0))
-        mid = (np.log(2.0) - float(f_eps(params, 1.0 / 16.0))) / np.log(16.0)
+        f, f1, _ = f_eps_jet(params, 1.0 / 16.0)
+        lhs = (1.0 / 16.0) * float(f1)
+        mid = (np.log(2.0) - float(f)) / np.log(16.0)
         worst_lhs = max(worst_lhs, lhs)
         mids.append(mid)
         assert lhs <= 1.0 / 12.0
@@ -256,7 +256,7 @@ def test_criterion_08_example_chain_values():
 def test_criterion_09_bounded_entropy_unbounded_oscillation():
     t0 = time.monotonic()
     eps_list = [2.0**-k for k in EPS_KS]
-    # |f_eps(0)| = (log 2 / 2) log1p^4(1/eps), with 1/eps = 2^k exactly.
+    # |f(0)| = (log 2 / 2) log1p^4(1/eps), with 1/eps = 2^k exactly.
     osc_closed = np.array([
         math.log(2.0) / 2.0
         * math.log1p(math.log1p(math.log1p(math.log1p(2.0**k))))

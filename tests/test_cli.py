@@ -75,11 +75,32 @@ def test_data_round_trip(tmp_path):
     assert abs(n1 - n2) <= 1e-12 * max(1.0, n1)
 
 
-def test_read_data_csv_rejects_bad_header(tmp_path):
+_BAD_DATA = [
+    pytest.param("x,y,z\n1,2,3\n", "header", id="bad-header"),
+    pytest.param("t,weight,value\r\n0.1,1\r\n", "line 2 has 2 fields", id="short-row"),
+    pytest.param("t,weight,value\r\n0.1,1,2\r\n0.2,1\r\n", "line 3 has 2 fields", id="ragged"),
+    pytest.param("t,weight,value\r\n0.1,1,2,9\r\n", "line 2 has 4 fields", id="four-fields"),
+    pytest.param("t,weight,value\r\n" + "1" * 200_000 + ",1,1\r\n", "line 2: field larger",
+                 id="oversized-field"),
+]
+
+
+@pytest.mark.parametrize("text,match", _BAD_DATA)
+def test_read_data_csv_rejects_bad_header(tmp_path, text, match):
     bad = tmp_path / "bad.csv"
-    bad.write_text("x,y,z\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(FileFormat):
+    bad.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FileFormat, match=match):
         read_data_csv(str(bad))
+
+
+def test_malformed_data_file_exits_2_with_one_json_object(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_bytes(b"t,weight,value\r\n0.1,1\r\n")
+    assert run_cli(["orlicz-norm", "--data", str(bad)]) == 2
+    err = capsys.readouterr().err
+    payload, end = json.JSONDecoder().raw_decode(err)
+    assert err[end:].strip() == ""
+    assert payload["command"] == "orlicz-norm" and payload["error"] == "FileFormat"
 
 
 def test_holder_young_sweep_deterministic(tmp_path):

@@ -23,7 +23,7 @@ from luxglue.errors import (
     GridTooShort,
     HypothesisFails,
 )
-from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
+from luxglue.numgrid import WeightedMeasure
 
 # 50-digit evaluations of the threshold formulas, frozen.
 T_1_1_2_2_F1 = 22.630989917543453427205206889       # C=1 a=1 b=2 g=2 f0=1

@@ -17,7 +17,6 @@ from luxglue.numgrid import (
     merge_measures,
     pairwise_sum,
     piecewise,
-    sup_on_grid,
 )
 
 
@@ -141,17 +140,6 @@ def test_bisect_no_bracket():
 def test_bisect_nan_detected():
     with pytest.raises(NonFinite):
         bisect_monotone(lambda c: np.nan, 0.0, 1.0, target=0.5, tol=1e-8)
-
-
-def test_sup_on_grid():
-    m = gauss_measure(Interval(-1.0, 1.0), 32, 4)
-    val, arg = sup_on_grid(lambda t: -(t**2), m)
-    assert val <= 0 and abs(arg) < 0.05
-    val, arg = sup_on_grid(lambda t: np.full_like(t, 5.0), m)
-    assert val == 5.0 and arg == m.nodes[0]
-    m2 = gauss_measure(Interval(0.0, np.pi), 64, 8)
-    val, arg = sup_on_grid(np.sin, m2)
-    assert abs(val - 1.0) < 1e-3 and abs(arg - np.pi / 2) < 0.05
 
 
 def test_merge_measures():

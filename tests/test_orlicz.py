@@ -9,7 +9,6 @@ from luxglue.errors import (DegenerateParams, InvalidInput, NegativeDensity, Non
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import (
     EntropyParams,
-    INEQ_SLACK,
     entropies,
     entropy,
     entropy_domination_factor,

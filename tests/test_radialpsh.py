@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from luxglue.errors import InvalidInput, NonFinite, OutOfDomain
-from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
-from luxglue.orlicz import EntropyParams, entropy, luxemburg_norm
+from luxglue.numgrid import Interval, gauss_measure
+from luxglue.orlicz import EntropyParams, entropy
 from luxglue.radialpsh import (
     AppendixReport,
-    ChartPotential,
     CounterexampleParams,
     FEPS_COEFF,
     HessianSpectrum,
@@ -20,11 +19,10 @@ from luxglue.radialpsh import (
     chart_total_mass,
     density_ratio,
     entropy_sweep,
-    f_eps,
     f_eps_at_zero,
-    f_eps_d1,
-    f_eps_d2,
+    f_eps_jet,
     feps_profile,
+    feps_smoothfn,
     fs_background_det,
     fs_constant_density_norm,
     fs_profile,
@@ -102,22 +100,37 @@ def test_feps_monotone_blowup():
 def test_feps_derivatives_match_finite_differences(t):
     params = CounterexampleParams(2.0**-12, 2)
     h = 1e-6 * max(t, 1e-3)
-    fd1 = (f_eps(params, t + h) - f_eps(params, t - h)) / (2 * h)
-    assert abs(fd1 - f_eps_d1(params, t)) <= 1e-5 * abs(fd1)
-    fd2 = (f_eps_d1(params, t + h) - f_eps_d1(params, t - h)) / (2 * h)
-    assert abs(fd2 - f_eps_d2(params, t)) <= 1e-5 * abs(fd2)
+    (f_lo, d1_lo, _), (f_hi, d1_hi, _) = (f_eps_jet(params, t - h), f_eps_jet(params, t + h))
+    _, d1, d2 = f_eps_jet(params, t)
+    fd1 = (f_hi - f_lo) / (2 * h)
+    assert abs(fd1 - d1) <= 1e-5 * abs(fd1)
+    fd2 = (d1_hi - d1_lo) / (2 * h)
+    assert abs(fd2 - d2) <= 1e-5 * abs(fd2)
 
 
 def test_feps_out_of_domain():
     params = CounterexampleParams(2.0**-8, 2)
     with pytest.raises(OutOfDomain):
-        f_eps(params, 0.3)
+        f_eps_jet(params, 0.3)
+
+
+@pytest.mark.parametrize("t", [-1e-9, np.nan, [0.1, np.nan]])
+def test_feps_jet_rejects_negative_and_nan(t):
+    with pytest.raises(OutOfDomain):
+        f_eps_jet(CounterexampleParams(2.0**-8, 2), t)
+
+
+def test_feps_jet_is_the_unguarded_jet_on_the_quarter():
+    params = CounterexampleParams(2.0**-12, 2)
+    t = np.linspace(0.0, 0.25, 1001)
+    for got, want in zip(f_eps_jet(params, t), feps_smoothfn(params.eps).jet(t)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_feps_slope_bound_at_sixteenth():
     for k in range(5, 41):
         params = CounterexampleParams(2.0**-k, 2)
-        assert (1.0 / 16.0) * f_eps_d1(params, 1.0 / 16.0) <= 1.0 / 12.0
+        assert (1.0 / 16.0) * f_eps_jet(params, 1.0 / 16.0)[1] <= 1.0 / 12.0
 
 
 def test_appendix_bounds_basic():

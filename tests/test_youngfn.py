@@ -1,18 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luxglue.errors import DegenerateParams, NegativeArgument
-from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
+from luxglue.numgrid import WeightedMeasure
 from luxglue.youngfn import (
     YoungParams,
     check_strict_convexity,
     delta2_constant,
     phi,
     phi_compose_d2,
-    phi_d1,
-    phi_d2,
+    phi_jet,
 )
 
 
@@ -47,17 +48,16 @@ def test_phi_negative_rejected():
     with pytest.raises(NegativeArgument):
         phi(YoungParams(1, 1, 0), -0.5)
     with pytest.raises(NegativeArgument):
-        phi_d1(YoungParams(1, 1, 0), 0.0)
+        phi_jet(YoungParams(1, 1, 0), 0.0)
 
 
 def test_derivatives_quadratic():
-    assert phi_d1(YoungParams(2), 3.0) == 6.0
-    assert phi_d2(YoungParams(2), 3.0) == 2.0
+    assert phi_jet(YoungParams(2), 3.0) == (9.0, 6.0, 2.0)
 
 
 def test_derivative_hand_value():
     expected = np.log(1.5) + 0.5 / 1.5
-    assert abs(phi_d1(YoungParams(1, 1, 0), 0.5) - expected) < 1e-15
+    assert abs(phi_jet(YoungParams(1, 1, 0), 0.5)[1] - expected) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -68,12 +68,47 @@ def test_derivative_hand_value():
 def test_derivatives_match_finite_differences(params):
     t = np.geomspace(1e-3, 1e3, 400)
     h = 1e-6 * t
-    fd1 = (phi(params, t + h) - phi(params, t - h)) / (2 * h)
-    fd2 = (phi_d1(params, t + h) - phi_d1(params, t - h)) / (2 * h)
+    (f_lo, d1_lo, _), (f_hi, d1_hi, _) = phi_jet(params, t - h), phi_jet(params, t + h)
+    _, d1, d2 = phi_jet(params, t)
+    fd1 = (f_hi - f_lo) / (2 * h)
+    fd2 = (d1_hi - d1_lo) / (2 * h)
     scale1 = np.max(np.abs(fd1))
     scale2 = np.max(np.abs(fd2))
-    assert np.max(np.abs(fd1 - phi_d1(params, t))) <= 1e-6 * scale1
-    assert np.max(np.abs(fd2 - phi_d2(params, t))) <= 1e-6 * scale2
+    assert np.max(np.abs(fd1 - d1)) <= 1e-6 * scale1
+    assert np.max(np.abs(fd2 - d2)) <= 1e-6 * scale2
+
+
+_RANDOM_EXPONENTS = np.random.default_rng(7).uniform(0.0, 3.0, size=2)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0, _RANDOM_EXPONENTS[0]])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, _RANDOM_EXPONENTS[1]])
+def test_jet_value_is_phi_bit_for_bit(q, r):
+    # the solver's value-only path and the jet must not drift apart
+    t = np.geomspace(1e-6, 1e6, 2000)
+    for p in (1.0, 1.5, 2.0):
+        params = YoungParams(p, q, r)
+        assert np.array_equal(phi_jet(params, t)[0].view(np.int64),
+                              phi(params, t).view(np.int64))
+
+
+@pytest.mark.parametrize("pqr,t,d1,d2,digest", [
+    ((1.0, 1.0, 0.0), 0.5, "0.7387984414414976", "1.1111111111111112", "19dc7f417d96ddfe"),
+    ((1.7, 2.3, 0.9), 3.0, "13.188401236545898", "9.304239802182488", "5beccb04e5dd0ca9"),
+    ((2.0, 0.5, 2.0), 1e-3, "1.4191197709001429e-10", "4.963022149171418e-07",
+     "118b3eb0aa2a0612"),
+    ((1.0, 0.0, 1.5), 1e4, "3.7654205842675705", "2.0672045026505685e-05", "1fc47d0da0d83768"),
+    ((3.0, 3.0, 3.0), 7.25, "3605.307004894302", "1920.1063094048727", "9850815c690da0aa"),
+])
+def test_jet_derivative_bits_pinned(pqr, t, d1, d2, digest):
+    # bits of the closed-form derivatives as first written, term by term: the
+    # reprs at one point, and a sha256 prefix of phi' then phi'' on 64 nodes
+    params = YoungParams(*pqr)
+    _, got1, got2 = phi_jet(params, t)
+    assert (repr(float(got1)), repr(float(got2))) == (d1, d2)
+    _, g1, g2 = phi_jet(params, np.geomspace(1e-4, 1e4, 64))
+    raw = np.concatenate([g1, g2]).astype("<f8").tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
 
 
 @settings(max_examples=60, deadline=None)
