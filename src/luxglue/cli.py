@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -25,34 +26,19 @@ from typing import Any, NoReturn
 import numpy as np
 
 from . import __version__
-from .degiorgi import (
-    IterationHypothesis,
-    fit_constant,
-    l_gamma,
-    power_superlevel_fn,
-    sharpness_sup,
-    simulate_vanishing,
-    t_gamma,
-)
+from .degiorgi import IterationHypothesis, l_gamma, sharpness_sup, simulate_power_profile, t_gamma
 from .errors import BadConfig, FileFormat, LuxglueError, ZeroMass
 from .gluing import GluePiece, GlueProblem, glue, verify_glue
-from .numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure
+from .numgrid import GridFn, Interval, SmoothFn, Verdict, WeightedMeasure, gauss_measure
 from .orlicz import (
     BLOCK_SIZE,
-    INEQ_SLACK,
-    holder_young_bound,
     holder_young_bounds,
+    holder_young_constant,
     integral_bound_from_norm,
     luxemburg_norm,
+    sweep_verdict,
 )
-from .radialpsh import (
-    appendix_c_bounds,
-    chart_density,
-    CounterexampleParams,
-    entropy_sweep,
-    feps_smoothfn,
-    fs_potential,
-)
+from .radialpsh import chart_density, entropy_sweep, feps_smoothfn, fs_potential, sweep_verdicts
 from .sampling import RNG_NAME, random_step_fn, random_young_params, rng_from_seed
 from .youngfn import YoungParams
 
@@ -101,18 +87,13 @@ def build_family(name: str, interval: Interval, args: dict[str, Any]) -> SmoothF
 # report plumbing
 
 
-def _verdict(name: str, passed: bool, lhs: float, rhs: float, tol: float) -> dict:
-    return {"name": name, "passed": bool(passed), "lhs": float(lhs),
-            "rhs": float(rhs), "tol": float(tol)}
-
-
-def _report(command: str, inputs: dict, results: dict, verdicts: list[dict],
+def _report(command: str, inputs: dict, results: dict, verdicts: list[Verdict],
             t_start: float) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "results": results,
-        "verdicts": verdicts,
+        "verdicts": [dataclasses.asdict(v) for v in verdicts],
         "meta": {
             "elapsed_s": time.monotonic() - t_start,
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -194,7 +175,11 @@ def read_data_csv(path: str) -> GridFn:
                 if len(row) != 3:
                     raise FileFormat(f"{path}: line {reader.line_num} has {len(row)} "
                                      "fields, expected 3")
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
+                if not all(map(math.isfinite, values)):
+                    raise FileFormat(f"{path}: line {reader.line_num} holds a non-finite "
+                                     "number")
+                rows.append(values)
     except OSError as exc:
         raise FileFormat(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
@@ -242,19 +227,13 @@ def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
         source = {"builtin": args.builtin, "interval": args.interval,
                   "panels": args.panels, "order": args.order, **fam_args}
     res = luxemburg_norm(f, params)
-    verdicts = [
-        _verdict("normalization_objective_le_1", res.objective_at_norm <= 1 + INEQ_SLACK,
-                 res.objective_at_norm, 1.0, INEQ_SLACK),
-    ]
-    lhs, rhs = integral_bound_from_norm(f, params, res.norm)
-    verdicts.append(_verdict("integral_le_norm_powers", lhs <= rhs * (1 + INEQ_SLACK),
-                             lhs, rhs, INEQ_SLACK))
+    bound = integral_bound_from_norm(f, params, res.norm)
     results = {
         "norm": res.norm,
         "objective_at_norm": res.objective_at_norm,
         "bracket": list(res.bracket),
-        "integral_lhs": lhs,
-        "integral_rhs": rhs,
+        "integral_lhs": bound.lhs,
+        "integral_rhs": bound.rhs,
         "mass": f.measure.mass,
     }
     if args.emit_data:
@@ -262,28 +241,21 @@ def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
                          [f.measure.nodes, f.measure.weights, f.values])
         results["data_file"] = args.emit_data
     inputs = {"young": args.young, "seed": args.seed, **source}
-    return _report("orlicz-norm", inputs, results, verdicts, t0)
+    return _report("orlicz-norm", inputs, results, [res.verdict, bound], t0)
 
 
 def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
     rng = rng_from_seed(args.seed)
-    verdicts: list[dict] = []
-    results: dict[str, Any] = {}
     if args.sweep > 0:
-        violations = 0
-        max_ratio = 0.0
+        bounds = []
         for start in range(0, args.sweep, BLOCK_SIZE):
             block = [(random_step_fn(rng), random_young_params(rng))
                      for _ in range(min(BLOCK_SIZE, args.sweep - start))]
-            for lhs, rhs, _ in holder_young_bounds(*zip(*block)):
-                ratio = lhs / rhs if rhs > 0 else 0.0
-                max_ratio = max(max_ratio, ratio)
-                if lhs > rhs * (1 + INEQ_SLACK):
-                    violations += 1
-        results = {"sweep": args.sweep, "violations": violations,
+            bounds += holder_young_bounds(*zip(*block))
+        max_ratio = max([0.0] + [b.lhs / b.rhs if b.rhs > 0 else 0.0 for b in bounds])
+        verdict = sweep_verdict(bounds)
+        results = {"sweep": args.sweep, "violations": int(verdict.lhs),
                    "max_ratio": max_ratio, "min_slack": 1.0 - max_ratio}
-        verdicts.append(_verdict("sweep_zero_violations", violations == 0,
-                                 violations, 0, 0))
     else:
         if args.space_mass <= 0:
             raise ZeroMass("the ambient measure must have positive mass")
@@ -295,20 +267,16 @@ def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
         weights = np.array([args.indicator_mass,
                             args.space_mass - args.indicator_mass])
         f = GridFn(WeightedMeasure(nodes, weights), np.array([1.0, 0.0]))
-        lhs, rhs, C = holder_young_bound(f, params)
-        results = {"lhs": lhs, "rhs": rhs, "C": C,
+        (verdict,) = holder_young_bounds([f], [params])
+        results = {"lhs": verdict.lhs, "rhs": verdict.rhs, "C": holder_young_constant(params),
                    "indicator_mass": args.indicator_mass,
                    "space_mass": args.space_mass}
-        verdicts.append(_verdict("bound_holds", lhs <= rhs * (1 + INEQ_SLACK),
-                                 lhs, rhs, INEQ_SLACK))
     inputs = {"seed": args.seed, "sweep": args.sweep, "young": args.young,
               "indicator_mass": args.indicator_mass, "space_mass": args.space_mass}
-    return _report("holder-young", inputs, results, verdicts, t0)
+    return _report("holder-young", inputs, results, [verdict], t0)
 
 
 def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
-    verdicts: list[dict] = []
-    results: dict[str, Any] = {}
     if args.mode == "formula":
         hyp = IterationHypothesis(args.C, args.alpha, args.beta, 0.0, args.f0)
         tg = t_gamma(hyp, args.gamma)
@@ -316,42 +284,23 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
         if args.T is not None:
             results["l_gamma"] = l_gamma(args.C, args.alpha, args.beta,
                                          args.gamma, args.T)
-        verdicts.append(_verdict("t_gamma_finite", np.isfinite(tg.value),
-                                 tg.value, np.inf, 0))
+        verdicts = [tg.verdict]
     elif args.mode == "simulate":
-        f = power_superlevel_fn(args.k, n_nodes=args.nodes)
-        C = fit_constant(f, args.alpha, args.beta)
-        hyp = IterationHypothesis(C, args.alpha, args.beta, f.t0, f.f_t0)
-        extensions = 0
-        for _ in range(8):  # extend the grid until it covers the threshold
-            T = t_gamma(hyp, args.gamma).value
-            if f.grid[-1] >= f.t0 + T:
-                break
-            f = power_superlevel_fn(args.k, n_nodes=args.nodes,
-                                    t_end=(f.t0 + T) * 1.05)
-            C = fit_constant(f, args.alpha, args.beta)
-            hyp = IterationHypothesis(C, args.alpha, args.beta, f.t0, f.f_t0)
-            extensions += 1
-        rep = simulate_vanishing(f, hyp, args.gamma)
+        rep, C, extensions = simulate_power_profile(args.k, args.alpha, args.beta, args.gamma,
+                                                    n_nodes=args.nodes)
         results = {"fitted_C": C, "status": rep.status, "threshold": rep.threshold,
                    "vanish_node": rep.node, "value_at_node": rep.value_at_node,
                    "chain_depth": rep.chain_depth, "pairs_checked": rep.pairs_checked,
                    "grid_extensions": extensions}
-        verdicts.append(_verdict("vanishing_verified",
-                                 rep.status == "verified" and rep.value_at_node == 0.0,
-                                 rep.value_at_node if rep.value_at_node is not None
-                                 else np.nan, 0.0, 0))
-        verdicts.append(_verdict("decay_chain", rep.chain_ok, rep.chain_depth, 0, 0))
+        verdicts = list(rep.verdicts)
     else:  # sharpness; parsing admits only the three choices
         if args.nodes < 16:
             raise BadConfig(f"sharpness needs --nodes >= 16 (one 16-point panel), "
                             f"got {args.nodes}")
         grid = gauss_measure(Interval(0.0, args.t_max), panels=args.nodes // 16, order=16)
-        sup = sharpness_sup(args.alpha, grid)
-        bound = (2 * args.alpha / np.e) ** args.alpha
-        results = {"sup": sup, "bound": bound, "ratio": sup / bound}
-        verdicts.append(_verdict("sup_le_bound", sup <= bound * (1 + INEQ_SLACK),
-                                 sup, bound, INEQ_SLACK))
+        verdict = sharpness_sup(args.alpha, grid)
+        results = {"sup": verdict.lhs, "bound": verdict.rhs, "ratio": verdict.lhs / verdict.rhs}
+        verdicts = [verdict]
     inputs = {k: getattr(args, k) for k in
               ("mode", "C", "alpha", "beta", "gamma", "f0", "T", "k", "nodes",
                "t_max", "seed")}
@@ -381,26 +330,6 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     problem = GlueProblem(left, right, mode, n=args.n)
     result = glue(problem)
     check = verify_glue(result)
-    probe_l = np.linspace(li.lo, li.hi, 257)
-    probe_r = np.linspace(ri.lo, ri.hi, 257)
-    match_l = float(np.max(np.abs(result.h.d0(probe_l) - left.fn.d0(probe_l))))
-    match_r = float(np.max(np.abs(result.h.d0(probe_r) - right.fn.d0(probe_r))))
-    verdicts = [
-        _verdict("restriction_match_left", match_l <= 1e-9, match_l, 1e-9, 0),
-        _verdict("restriction_match_right", match_r <= 1e-9, match_r, 1e-9, 0),
-    ]
-    if mode == "strictly_convex":
-        verdicts.append(_verdict("inf_h2_ge_certified",
-                                 check.inf_h2 >= result.cert_inf_h2 * (1 - 1e-9) - 1e-12,
-                                 check.inf_h2, result.cert_inf_h2, 1e-9))
-    if mode in ("strictly_convex", "convex"):
-        verdicts.append(_verdict("sup_h2_le_certified",
-                                 check.sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
-                                 check.sup_h2, result.cert_sup_h2, 1e-9))
-    if mode == "radial_psh":
-        verdicts.append(_verdict("det_le_certified",
-                                 check.det_sup <= result.det_cert * (1 + 1e-9),
-                                 check.det_sup, result.det_cert, 1e-9))
     results = {
         "c": result.c, "delta": result.delta, "eps": result.eps,
         "inf_h2": check.inf_h2, "sup_h2": check.sup_h2,
@@ -416,7 +345,7 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     inputs = {k: getattr(args, k) for k in
               ("mode", "left_fn", "left_interval", "left_coeffs", "right_fn",
                "right_interval", "right_coeffs", "eps", "n", "seed")}
-    return _report("glue", inputs, results, verdicts, t0)
+    return _report("glue", inputs, results, list(check.verdicts), t0)
 
 
 def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
@@ -428,42 +357,24 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
     eps_list = [2.0**-k for k in ks]
     r_low = n - 1 if args.r is None else args.r
     rows = entropy_sweep(n, (r_low, n + 1), eps_list)
-    table = [
-        {"k": k, "eps": row.eps, "ent_low": row.ent[0], "ent_high": row.ent[1],
-         "osc": row.osc,
-         "apx_integral": appendix_c_bounds(CounterexampleParams(row.eps, n),
-                                           t0=1.0 / 8.0).integral}
-        for k, row in zip(ks, rows)
-    ]
-    ent_low = np.array([row["ent_low"] for row in table])
-    ent_high = np.array([row["ent_high"] for row in table])
-    osc = np.array([row["osc"] for row in table])
-    apx_int = np.array([row["apx_integral"] for row in table])
-    verdicts = [
-        _verdict(f"ent_plateau_r_{r_low:g}", float(ent_low.max() / ent_low.min()) <= 10.0,
-                 float(ent_low.max() / ent_low.min()), 10.0, 0),
-        _verdict(f"ent_increasing_r_{n + 1}", bool(np.all(np.diff(ent_high) > 0)),
-                 float(np.min(np.diff(ent_high))), 0.0, 0),
-        _verdict("osc_strictly_increasing", bool(np.all(np.diff(osc) > 0)),
-                 float(np.min(np.diff(osc))), 0.0, 0),
-        _verdict("appendix_integral_uniform",
-                 bool(np.isfinite(apx_int).all())
-                 and float(apx_int.max() / apx_int.min()) <= 10.0,
-                 float(apx_int.max() / apx_int.min()), 10.0, 0),
-    ]
+    verdicts = sweep_verdicts((r_low, n + 1), rows)
+    table = [{"k": k, "eps": row.eps, "ent_low": row.ent[0], "ent_high": row.ent[1],
+              "osc": row.osc, "apx_integral": row.apx_integral}
+             for k, row in zip(ks, rows)]
     results = {
         "n": n, "r_low": r_low, "r_high": n + 1,
-        "ent_low_ratio": float(ent_low.max() / ent_low.min()),
-        "ent_high_growth": float(ent_high[-1] / ent_high[0]),
-        "osc_growth": float(osc[-1] / osc[0]),
-        "apx_integral_ratio": float(apx_int.max() / apx_int.min()),
+        "ent_low_ratio": verdicts[0].lhs,
+        "ent_high_growth": rows[-1].ent[1] / rows[0].ent[1],
+        "osc_growth": rows[-1].osc / rows[0].osc,
+        "apx_integral_ratio": verdicts[3].lhs,
         "table": table,
     }
     if args.table:
         _write_csv_table(
             args.table,
             ["k", "eps", f"ent_r{r_low:g}", f"ent_r{n + 1}", "osc", "apx_integral"],
-            [ks, eps_list, ent_low, ent_high, osc, apx_int],
+            [ks, eps_list, *([row[key] for row in table]
+                             for key in ("ent_low", "ent_high", "osc", "apx_integral"))],
         )
         results["table_file"] = args.table
     if args.detail_k is not None:

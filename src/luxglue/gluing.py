@@ -11,7 +11,8 @@ Three modes:
 
 ``glue()`` builds h with closed-form certificates and never samples h;
 ``verify_glue()`` samples h'' (and a radial glue's bridge determinant) on
-16,385 points on request, so its extremes are not enclosures.
+16,385 points on request, so its extremes (and the glue's verdicts) are not
+enclosures.
 
 The construction: modify each piece outside its interval by damping the
 second derivative down to a floor c through a smooth cutoff (the modified
@@ -35,7 +36,7 @@ from .errors import (
     NotStrictlyConvexPiece,
     VerificationFailed,
 )
-from .numgrid import Interval, Jet, SmoothFn, check_derivative_consistency, piecewise
+from .numgrid import Interval, Jet, SmoothFn, Verdict, check_derivative_consistency, piecewise
 
 # Curvature ceiling constant of the mollified absolute value: rho'' <= M/eps.
 # The bump mollifier actually peaks near 1.66/eps; certificates use M = 3.
@@ -239,7 +240,8 @@ class GlueResult:
 class GlueCheck:
     inf_h2: float
     sup_h2: float
-    det_sup: float | None = None  # radial glues only
+    det_sup: float | None  # radial glues only
+    verdicts: tuple[Verdict, ...]
 
 
 def compatibility(problem: GlueProblem) -> CompatReport:
@@ -552,13 +554,30 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
 def verify_glue(result: GlueResult) -> GlueCheck:
     """Sample h'' on _WORK_N points of the working interval and, for a radial
     glue, the complex-Hessian determinant of h(|z|^2) on _WORK_N points of
-    the bridge band, from the log glue H: e^(-n tau) H'^(n-1) H''."""
-    working = result.working
+    the bridge band, from the log glue H: e^(-n tau) H'^(n-1) H''.  The
+    verdicts: h matches each piece on 257 points of its interval, then the
+    sampled extremes that the mode certifies stay within their certificates.
+    """
+    p, working = result.problem, result.working
     h2_vals = result.h.d2(np.linspace(working.lo, working.hi, _WORK_N))
+    inf_h2, sup_h2 = float(np.min(h2_vals)), float(np.max(h2_vals))
+    verdicts = []
+    for side, piece in (("left", p.left), ("right", p.right)):
+        probe = np.linspace(piece.interval.lo, piece.interval.hi, 257)
+        match = float(np.max(np.abs(result.h.d0(probe) - piece.fn.d0(probe))))
+        verdicts.append(Verdict(f"restriction_match_{side}", match <= 1e-9, match, 1e-9, 0))
+    if p.mode == "strictly_convex":
+        verdicts.append(Verdict("inf_h2_ge_certified",
+                                inf_h2 >= result.cert_inf_h2 * (1 - 1e-9) - 1e-12,
+                                inf_h2, result.cert_inf_h2, 1e-9))
+    if p.mode in ("strictly_convex", "convex"):
+        verdicts.append(Verdict("sup_h2_le_certified", sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
+                                sup_h2, result.cert_sup_h2, 1e-9))
     det_sup = None
     if result.log_result is not None:
-        p = result.problem
         tau = np.linspace(np.log(p.left.interval.hi), np.log(p.right.interval.lo), _WORK_N)
         _, H1, H2 = result.log_result.h.eval(tau)
         det_sup = float(np.max(np.exp(-p.n * tau) * H1 ** (p.n - 1) * H2))
-    return GlueCheck(float(np.min(h2_vals)), float(np.max(h2_vals)), det_sup)
+        verdicts.append(Verdict("det_le_certified", det_sup <= result.det_cert * (1 + 1e-9),
+                                det_sup, result.det_cert, 1e-9))
+    return GlueCheck(inf_h2, sup_h2, det_sup, tuple(verdicts))

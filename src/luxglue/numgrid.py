@@ -1,4 +1,5 @@
-"""Quadrature grids, weighted measures, monotone bisection and the C^2 jet carrier.
+"""Quadrature grids, weighted measures, monotone bisection, the C^2 jet carrier
+and the verdict record every checked claim is reported as.
 
 Everything downstream works over two discrete stand-ins: a ``WeightedMeasure``
 (nodes + positive weights, the discrete measure space) and a ``SmoothFn``
@@ -21,6 +22,27 @@ from .errors import InvalidInput, NoBracket, NonFinite
 ArrayLike = Sequence[float] | np.ndarray
 
 _MAX_BISECT_ITERS = 500
+
+# Multiplicative slack absorbing quadrature and bisection error in all
+# inequality verdicts.
+INEQ_SLACK = 1e-8
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One checked claim of a report: whether it passed, its two sides and
+    the slack its rule allows.  The fields are cast as the report prints
+    them, so ``dataclasses.asdict`` is the report's verdict object."""
+
+    name: str
+    passed: bool
+    lhs: float
+    rhs: float
+    tol: float
+
+    def __post_init__(self) -> None:
+        for attr, cast in (("passed", bool), ("lhs", float), ("rhs", float), ("tol", float)):
+            object.__setattr__(self, attr, cast(getattr(self, attr)))
 
 
 def pairwise_sums(a: np.ndarray) -> np.ndarray:

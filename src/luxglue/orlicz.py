@@ -14,12 +14,8 @@ import numpy as np
 
 from .errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
                      VerificationFailed, ZeroMass)
-from .numgrid import GridFn, bisect_monotone, integrate, pairwise_sums
+from .numgrid import INEQ_SLACK, GridFn, Verdict, bisect_monotone, integrate, pairwise_sums
 from .youngfn import YoungParams, _weight, phi
-
-# Multiplicative slack absorbing quadrature and bisection error in all
-# inequality assertions.
-INEQ_SLACK = 1e-8
 
 _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
 
@@ -37,6 +33,12 @@ class LuxemburgResult:
     norm: float
     objective_at_norm: float
     bracket: tuple[float, float]
+
+    @property
+    def verdict(self) -> Verdict:
+        """The norm's defining inequality: objective at the norm <= 1."""
+        return Verdict("normalization_objective_le_1", self.objective_at_norm <= 1 + INEQ_SLACK,
+                       self.objective_at_norm, 1.0, INEQ_SLACK)
 
 
 @dataclass(frozen=True)
@@ -205,21 +207,16 @@ def norm_bound_from_integral(c: float, M: float, params: YoungParams) -> float:
     return c * max(1.0, M ** (1.0 / params.p))
 
 
-def integral_bound_from_norm(f: GridFn, params: YoungParams,
-                             norm: float) -> tuple[float, float]:
-    """Raw weighted integral of |f| against the bound max(N^p, N^(p+q+r))
-    given the norm N of f.
-
-    Returns (lhs, rhs) and asserts lhs <= rhs up to slack.
-    """
+def integral_bound_from_norm(f: GridFn, params: YoungParams, norm: float) -> Verdict:
+    """Raw weighted integral of |f| (lhs) against the bound max(N^p, N^(p+q+r))
+    (rhs) given the norm N of f; passed iff lhs <= rhs up to slack."""
     lhs = integrate(GridFn(f.measure, phi(params, np.abs(f.values))))
     try:
         rhs = max(norm**params.p, norm ** (params.p + params.q + params.r))
     except OverflowError:
         raise NonFinite(f"the bound max(N^p, N^(p+q+r)) overflows at N = {norm}") from None
-    if lhs > rhs * (1.0 + INEQ_SLACK):
-        raise VerificationFailed(f"integral bound violated: {lhs} > {rhs}")
-    return lhs, rhs
+    return Verdict("integral_le_norm_powers", lhs <= rhs * (1 + INEQ_SLACK), lhs, rhs,
+                   INEQ_SLACK)
 
 
 def holder_young_constant(params: YoungParams) -> float:
@@ -231,12 +228,12 @@ def holder_young_constant(params: YoungParams) -> float:
         raise NonFinite(f"the constant overflows at (p, q, r) = ({p}, {q}, {r})") from None
 
 
-def holder_young_bounds(fs: Sequence[GridFn], params: Sequence[YoungParams]
-                        ) -> list[tuple[float, float, float]]:
-    """For each f: its L1 mass against 2C * norm * mass^(1-1/p) / (log-factor
-    corrections), with every norm solved in one ``luxemburg_norms`` call.
+def holder_young_bounds(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Verdict]:
+    """For each f: its L1 mass (lhs) against 2C * norm * mass^(1-1/p) /
+    (log-factor corrections) (rhs), C the ``holder_young_constant``, with
+    every norm solved in one ``luxemburg_norms`` call.
 
-    Returns one (lhs, rhs, C) per f and asserts nothing.  Masses and
+    Returns one record per f, passed iff lhs <= rhs up to slack.  Masses and
     constants are checked before any norm is solved.
     """
     masses = [f.measure.mass for f in fs]
@@ -249,16 +246,16 @@ def holder_young_bounds(fs: Sequence[GridFn], params: Sequence[YoungParams]
         inv = 1.0 / mass
         denom = np.log1p(inv) ** (q / p) * np.log1p(np.log1p(inv)) ** (r / p)
         rhs = 2.0 * C * res.norm * mass ** (1.0 - 1.0 / p) / denom
-        out.append((integrate(GridFn(f.measure, np.abs(f.values))), rhs, C))
+        lhs = integrate(GridFn(f.measure, np.abs(f.values)))
+        out.append(Verdict("bound_holds", lhs <= rhs * (1 + INEQ_SLACK), lhs, rhs, INEQ_SLACK))
     return out
 
 
-def holder_young_bound(f: GridFn, params: YoungParams) -> tuple[float, float, float]:
-    """holder_young_bounds of f alone; asserts lhs <= rhs up to slack."""
-    lhs, rhs, C = holder_young_bounds([f], [params])[0]
-    if lhs > rhs * (1.0 + INEQ_SLACK):
-        raise VerificationFailed(f"integral {lhs} exceeded bound {rhs}")
-    return lhs, rhs, C
+def sweep_verdict(bounds: Sequence[Verdict]) -> Verdict:
+    """A sweep of ``holder_young_bounds`` records: passed iff none failed;
+    lhs counts the failures."""
+    violations = sum(not b.passed for b in bounds)
+    return Verdict("sweep_zero_violations", violations == 0, violations, 0, 0)
 
 
 def _eta(params: YoungParams, t: np.ndarray) -> np.ndarray:

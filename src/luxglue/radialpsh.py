@@ -21,6 +21,7 @@ from .numgrid import (
     Interval,
     Jet,
     SmoothFn,
+    Verdict,
     WeightedMeasure,
     gauss_measure,
     geometric_gauss_measure,
@@ -208,6 +209,22 @@ def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport
     return AppendixReport(eps, n, sup_big, integral, mass)
 
 
+def appendix_bound(n: int) -> float:
+    """eps-free upper bound B_n on the appendix integral (docs/DECISIONS.md,
+    section 3b): G(4)^n W(4) / n + n^(n-1) a^(n-2) (n a + n - 1)
+    / ((n-1) (1 + l3)^(n-1)), with l1, l2, l3 the iterated log1p of 4,
+    G(4) = phi(4)/4, W(4) = n^n l1^n (log n + l2)^(n-1), a = max(1, log n)."""
+    v = 4.0
+    l1 = math.log1p(v)
+    l2 = math.log1p(l1)
+    l3 = math.log1p(l2)
+    g4 = v / ((1 + v) * (1 + l1) * (1 + l2) * (1 + l3))
+    w4 = n**n * l1**n * (math.log(n) + l2) ** (n - 1)
+    a = max(1.0, math.log(n))
+    tail = n ** (n - 1) * a ** (n - 2) * (n * a + n - 1) / ((n - 1) * (1 + l3) ** (n - 1))
+    return g4**n * w4 / n + tail
+
+
 # ---------------------------------------------------------------------------
 # the assembled chart potential and its entropy sweep
 
@@ -296,19 +313,42 @@ class SweepRow:
     eps: float
     ent: tuple[float, ...]  # one entry per r of the sweep
     osc: float
+    apx_integral: float  # appendix_c_bounds(..., t0=1/8).integral
 
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     """For each eps: one chart density, its entropy at weight (1, n, r) for
-    every r in rs, and the oscillation proxy |f(0)| of the family.  Every (eps, r)
-    entropy is solved in one ``entropies`` call."""
+    every r in rs, the oscillation proxy |f(0)| of the family and the appendix
+    integral.  Every (eps, r) entropy is solved in one ``entropies`` call."""
     scales = [EntropyParams(n, r) for r in rs]
     eps_list = [float(eps) for eps in eps_list]
     dens = [chart_density(n, eps) for eps in eps_list]
     ents = entropies([d for d in dens for _ in scales], scales * len(dens))
-    return [SweepRow(eps, tuple(ents[i * len(scales):(i + 1) * len(scales)]),
-                     abs(f_eps_at_zero(CounterexampleParams(eps, n))))
-            for i, eps in enumerate(eps_list)]
+    params = [CounterexampleParams(eps, n) for eps in eps_list]
+    return [SweepRow(p.eps, tuple(ents[i * len(scales):(i + 1) * len(scales)]),
+                     abs(f_eps_at_zero(p)), appendix_c_bounds(p, t0=1.0 / 8.0).integral)
+            for i, p in enumerate(params)]
+
+
+def sweep_verdicts(rs: tuple[float, float], rows: list[SweepRow]) -> list[Verdict]:
+    """The sweep's verdicts from ``entropy_sweep`` rows at rs = (r_low, r_high):
+    max/min <= 10 at r_low, strict increase at r_high and of the oscillation,
+    and the appendix integrals finite with max/min <= 10, a ratio not promised
+    (docs/DECISIONS.md, sections 3c and 3d)."""
+    ent_low = np.array([row.ent[0] for row in rows])
+    ent_high = np.array([row.ent[1] for row in rows])
+    osc = np.array([row.osc for row in rows])
+    apx = np.array([row.apx_integral for row in rows])
+    plateau = float(ent_low.max() / ent_low.min())
+    apx_ratio = float(apx.max() / apx.min())
+    return [
+        Verdict(f"ent_plateau_r_{rs[0]:g}", plateau <= 10.0, plateau, 10.0, 0),
+        Verdict(f"ent_increasing_r_{rs[1]:g}", np.all(np.diff(ent_high) > 0),
+                np.min(np.diff(ent_high)), 0.0, 0),
+        Verdict("osc_strictly_increasing", np.all(np.diff(osc) > 0), np.min(np.diff(osc)), 0.0, 0),
+        Verdict("appendix_integral_uniform", np.isfinite(apx).all() and apx_ratio <= 10.0,
+                apx_ratio, 10.0, 0),
+    ]
 
 
 def fs_constant_density_norm(n: int, r: float) -> float:

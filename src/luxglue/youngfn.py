@@ -42,14 +42,14 @@ class YoungParams:
 
 def _as_nonneg(t: ArrayLike) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails the membership too
         raise NegativeArgument("argument must be >= 0")
     return t
 
 
 def _as_pos(t: ArrayLike) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise NegativeArgument("derivative formulas need t > 0")
     return t
 

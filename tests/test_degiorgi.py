@@ -14,6 +14,7 @@ from luxglue.degiorgi import (
     l_gamma,
     power_superlevel_fn,
     sharpness_sup,
+    simulate_power_profile,
     simulate_vanishing,
     t_gamma,
 )
@@ -152,19 +153,10 @@ def test_simulate_zero_function():
 
 def test_simulate_power_superlevel():
     for k in (1.0, 2.0, 3.0):
-        f = power_superlevel_fn(k, n_nodes=1500)
-        alpha, beta = 1.0, 2.0
-        C = fit_constant(f, alpha, beta)
-        hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
-        T = t_gamma(hyp, 1.5).value
-        if f.grid[-1] < f.t0 + T:
-            f = power_superlevel_fn(k, n_nodes=1500, t_end=(f.t0 + T) * 1.05)
-            C = fit_constant(f, alpha, beta)
-            hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
-        rep = simulate_vanishing(f, hyp, 1.5)
-        assert rep.status == "verified"
-        assert rep.value_at_node == 0.0
-        assert rep.chain_ok
+        # the default grid ends at 1.5, short of the threshold: one refit
+        rep, _, extensions = simulate_power_profile(k, 1.0, 2.0, 1.5, n_nodes=1500)
+        assert rep.status == "verified" and rep.value_at_node == 0.0
+        assert all(v.passed for v in rep.verdicts) and extensions == 1
 
 
 def test_simulate_not_applicable_at_equal_exponents():
@@ -175,6 +167,7 @@ def test_simulate_not_applicable_at_equal_exponents():
     hyp = IterationHypothesis(C, alpha, alpha, 0.0, f.f_t0)
     rep = simulate_vanishing(f, hyp, 1.5)
     assert rep.status == "not_applicable"
+    assert not any(v.passed for v in rep.verdicts)
 
 
 def test_simulate_rejects_bad_hypothesis():
@@ -198,15 +191,15 @@ def sharpness_grid(t_max=10.0, n=2048):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
 def test_sharpness_below_bound(alpha):
-    sup = sharpness_sup(alpha, sharpness_grid(n=1024))
-    assert sup <= (2 * alpha / np.e) ** alpha * (1 + 1e-8)
+    verdict = sharpness_sup(alpha, sharpness_grid(n=1024))
+    assert verdict.passed and verdict.rhs == (2 * alpha / np.e) ** alpha
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
 def test_sharpness_near_attains_peak_value(alpha):
     # the pair supremum approaches max of x^alpha e^-x = (alpha/e)^alpha as
     # the lower time grows and the gap shrinks like alpha e^-t
-    sup = sharpness_sup(alpha, sharpness_grid(n=2048))
+    sup = sharpness_sup(alpha, sharpness_grid(n=2048)).lhs
     peak = (alpha / np.e) ** alpha
     assert sup >= 0.95 * peak
 

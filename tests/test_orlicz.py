@@ -12,13 +12,13 @@ from luxglue.orlicz import (
     entropies,
     entropy,
     entropy_domination_factor,
-    holder_young_bound,
     holder_young_bounds,
     holder_young_constant,
     integral_bound_from_norm,
     luxemburg_norm,
     luxemburg_norms,
     norm_bound_from_integral,
+    sweep_verdict,
     young_pair_check,
 )
 from luxglue.sampling import random_measure, random_step_fn, random_young_params, rng_from_seed
@@ -147,11 +147,11 @@ def test_norm_bound_wiring():
 
 def test_integral_bound_zero_and_l1():
     m = unit_mass_measure()
-    lhs, rhs = integral_bound_from_norm(GridFn(m, np.zeros(2)), YoungParams(1), 0.0)
-    assert lhs == 0.0 and rhs == 0.0
+    zero = integral_bound_from_norm(GridFn(m, np.zeros(2)), YoungParams(1), 0.0)
+    assert zero.passed and zero.lhs == 0.0 and zero.rhs == 0.0
     f = GridFn(m, np.array([2.0, 3.0]))
-    lhs, rhs = integral_bound_from_norm(f, YoungParams(1), luxemburg_norm(f, YoungParams(1)).norm)
-    assert abs(lhs - rhs) <= 1e-8 * rhs  # L^1: both sides are the L^1 norm
+    l1 = integral_bound_from_norm(f, YoungParams(1), luxemburg_norm(f, YoungParams(1)).norm)
+    assert abs(l1.lhs - l1.rhs) <= 1e-8 * l1.rhs  # L^1: both sides are the L^1 norm
 
 
 def test_integral_bound_random_sweep():
@@ -159,8 +159,7 @@ def test_integral_bound_random_sweep():
     params = YoungParams(1, 2, 1)
     fs = [random_step_fn(rng) for _ in range(100)]
     for f, res in zip(fs, luxemburg_norms(fs, [params] * len(fs))):
-        lhs, rhs = integral_bound_from_norm(f, params, res.norm)
-        assert lhs <= rhs * (1 + 1e-8)
+        assert res.verdict.passed and integral_bound_from_norm(f, params, res.norm).passed
 
 
 def test_holder_young_constant():
@@ -172,21 +171,19 @@ def test_holder_young_constant():
 
 def test_holder_young_l1_case():
     f = GridFn(unit_mass_measure(), np.array([1.0, 4.0]))
-    lhs, rhs, C = holder_young_bound(f, YoungParams(1))
-    assert C == 1.0
+    (bound,) = holder_young_bounds([f], [YoungParams(1)])  # C = 1
     norm = luxemburg_norm(f, YoungParams(1)).norm
-    assert abs(rhs - 2 * norm) <= 1e-8 * rhs
-    assert lhs <= rhs
+    assert abs(bound.rhs - 2 * norm) <= 1e-8 * bound.rhs
+    assert bound.passed and bound.lhs <= bound.rhs
 
 
 def test_holder_young_indicator():
     # indicator of a set of mass 0.01 inside a mass-1 space, params (1,1,0)
     m = WeightedMeasure(np.array([0.0, 1.0]), np.array([0.01, 0.99]))
     f = GridFn(m, np.array([1.0, 0.0]))
-    lhs, rhs, C = holder_young_bound(f, YoungParams(1, 1, 0))
-    assert C == 1.5
-    assert lhs == pytest.approx(0.01)
-    assert lhs <= rhs * (1 + 1e-8)
+    (bound,) = holder_young_bounds([f], [YoungParams(1, 1, 0)])  # C = 1.5
+    assert bound.lhs == pytest.approx(0.01)
+    assert bound.passed
 
 
 def test_holder_young_zero_mass_guard():
@@ -355,9 +352,9 @@ def test_holder_young_bounds_count_instead_of_raising(monkeypatch):
     fs = [random_step_fn(rng) for _ in range(5)]
     params = [random_young_params(rng) for _ in fs]
     bounds = holder_young_bounds(fs, params)
-    assert bounds == [holder_young_bound(f, p) for f, p in zip(fs, params)]
+    assert bounds == [holder_young_bounds([f], [p])[0] for f, p in zip(fs, params)]
+    assert sweep_verdict(bounds).passed
     monkeypatch.setattr(orlicz, "holder_young_constant", lambda params: 1e-12)
-    assert all(lhs > rhs for lhs, rhs, _ in holder_young_bounds(fs, params)
-               if lhs > 0)
-    with pytest.raises(VerificationFailed):
-        holder_young_bound(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))
+    broken = holder_young_bounds(fs, params)
+    assert not any(b.passed for b in broken if b.lhs > 0)
+    assert sweep_verdict(broken).lhs == sum(b.lhs > 0 for b in broken) > 0

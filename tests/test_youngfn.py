@@ -51,6 +51,13 @@ def test_phi_negative_rejected():
         phi_jet(YoungParams(1, 1, 0), 0.0)
 
 
+@pytest.mark.parametrize("fn", [phi, phi_jet, phi_compose_d2])
+@pytest.mark.parametrize("t", [np.nan, [1.0, np.nan]])
+def test_nan_argument_rejected(fn, t):
+    with pytest.raises(NegativeArgument):
+        fn(YoungParams(1, 1, 1), t)
+
+
 def test_derivatives_quadratic():
     assert phi_jet(YoungParams(2), 3.0) == (9.0, 6.0, 2.0)
 
