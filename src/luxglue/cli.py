@@ -87,22 +87,6 @@ def build_family(name: str, interval: Interval, args: dict[str, Any]) -> SmoothF
 # report plumbing
 
 
-def _report(command: str, inputs: dict, results: dict, verdicts: list[Verdict],
-            t_start: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "verdicts": [dataclasses.asdict(v) for v in verdicts],
-        "meta": {
-            "elapsed_s": time.monotonic() - t_start,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "rng": RNG_NAME,
-            "version": __version__,
-        },
-    }
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a unique temp file beside path, fsync it, then rename it
     over path; the temp file is removed if any step fails."""
@@ -206,10 +190,12 @@ def _floats(text: str, count: int | None = None) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its report's inputs, results and verdicts
+
+Outcome = tuple[dict, dict, list[Verdict]]
 
 
-def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
+def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
     params = YoungParams(*_floats(args.young, 3))
     if args.data:
         f = read_data_csv(args.data)
@@ -241,10 +227,10 @@ def cmd_orlicz_norm(args: argparse.Namespace, t0: float) -> dict:
                          [f.measure.nodes, f.measure.weights, f.values])
         results["data_file"] = args.emit_data
     inputs = {"young": args.young, "seed": args.seed, **source}
-    return _report("orlicz-norm", inputs, results, [res.verdict, bound], t0)
+    return inputs, results, [res.verdict, bound]
 
 
-def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
+def cmd_holder_young(args: argparse.Namespace) -> Outcome:
     rng = rng_from_seed(args.seed)
     if args.sweep > 0:
         bounds = []
@@ -273,10 +259,10 @@ def cmd_holder_young(args: argparse.Namespace, t0: float) -> dict:
                    "space_mass": args.space_mass}
     inputs = {"seed": args.seed, "sweep": args.sweep, "young": args.young,
               "indicator_mass": args.indicator_mass, "space_mass": args.space_mass}
-    return _report("holder-young", inputs, results, [verdict], t0)
+    return inputs, results, [verdict]
 
 
-def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
+def cmd_degiorgi(args: argparse.Namespace) -> Outcome:
     if args.mode == "formula":
         hyp = IterationHypothesis(args.C, args.alpha, args.beta, 0.0, args.f0)
         tg = t_gamma(hyp, args.gamma)
@@ -304,13 +290,13 @@ def cmd_degiorgi(args: argparse.Namespace, t0: float) -> dict:
     inputs = {k: getattr(args, k) for k in
               ("mode", "C", "alpha", "beta", "gamma", "f0", "T", "k", "nodes",
                "t_max", "seed")}
-    return _report("degiorgi", inputs, results, verdicts, t0)
+    return inputs, results, verdicts
 
 
 _MODE_MAP = {"strict": "strictly_convex", "convex": "convex", "radial": "radial_psh"}
 
 
-def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
+def cmd_glue(args: argparse.Namespace) -> Outcome:
     mode = _MODE_MAP[args.mode]  # a choice, checked by parsing
     if args.h_csv and args.h_points < 0:
         raise BadConfig(f"--h-points must be >= 0, got {args.h_points}")
@@ -345,10 +331,10 @@ def cmd_glue(args: argparse.Namespace, t0: float) -> dict:
     inputs = {k: getattr(args, k) for k in
               ("mode", "left_fn", "left_interval", "left_coeffs", "right_fn",
                "right_interval", "right_coeffs", "eps", "n", "seed")}
-    return _report("glue", inputs, results, list(check.verdicts), t0)
+    return inputs, results, list(check.verdicts)
 
 
-def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
+def cmd_counterexample(args: argparse.Namespace) -> Outcome:
     n = args.n
     if args.kmax <= args.kmin:
         raise BadConfig(f"the verdicts compare rows: need --kmax > --kmin, "
@@ -385,7 +371,7 @@ def cmd_counterexample(args: argparse.Namespace, t0: float) -> dict:
         results["detail_file"] = path
     inputs = {"n": n, "kmin": args.kmin, "kmax": args.kmax, "r": args.r,
               "seed": args.seed}
-    return _report("counterexample", inputs, results, verdicts, t0)
+    return inputs, results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +495,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:  # its options go first: argparse checks them, a flag wins
             args = parser.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+        t_start = time.monotonic()
         with np.errstate(all="ignore"):  # numpy warnings would precede the JSON
-            report = args.handler(args, time.monotonic())
+            inputs, results, verdicts = args.handler(args)
+        meta = {"elapsed_s": time.monotonic() - t_start,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "rng": RNG_NAME, "version": __version__}
+        report = {"command": args.command, "inputs": inputs, "results": results,
+                  "verdicts": [dataclasses.asdict(v) for v in verdicts], "meta": meta}
         emit_report(report, args.format, args.out)
     except LuxglueError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "command": argv[0] if argv else None}
         sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 2
-    return 0 if all(v["passed"] for v in report["verdicts"]) else 1
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 if __name__ == "__main__":

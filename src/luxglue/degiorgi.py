@@ -6,7 +6,7 @@ sharpness example showing the threshold needs beta > alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,10 +44,10 @@ class IterationHypothesis:
     f_t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.C > 0 and self.alpha > 0 and self.beta > 0):
-            raise InvalidInput("C, alpha, beta must all be positive")
-        if self.f_t0 < 0:
-            raise InvalidInput("f_t0 must be >= 0")
+        if not (0 < self.C < np.inf and 0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise InvalidInput("C, alpha, beta must all be positive and finite")
+        if not 0 <= self.f_t0 < np.inf:
+            raise InvalidInput("f_t0 must be finite and >= 0")
 
 
 class TGamma(NamedTuple):
@@ -128,11 +128,11 @@ class LevelSetFn:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise InvalidInput("grid/values must be matching 1-D arrays, >= 2 points")
-        if not np.all(np.diff(grid) > 0):
-            raise InvalidInput("grid must be strictly increasing")
-        if np.any(values < 0):
-            raise InvalidInput("values must be >= 0")
-        if np.any(np.diff(values) > 0):
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise InvalidInput("grid must be finite and strictly increasing")
+        if not np.all((values >= 0) & (values < np.inf)):
+            raise InvalidInput("values must be finite and >= 0")
+        if not np.all(np.diff(values) <= 0):
             raise InvalidInput("values must be non-increasing")
 
     @property
@@ -151,10 +151,10 @@ class LevelSetFn:
         return float(self.grid[idx]), float(self.values[idx])
 
 
-def _select_indices(n: int, cap: int = _PAIR_CAP) -> np.ndarray:
-    if n <= cap:
+def _select_indices(n: int) -> np.ndarray:
+    if n <= _PAIR_CAP:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, cap).astype(int))
+    return np.unique(np.linspace(0, n - 1, _PAIR_CAP).astype(int))
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,31 @@ class HypothesisReport:
     vacuous: bool  # every pair skipped because f(t) = 0
 
 
+def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, slice, slice], np.ndarray]
+               ) -> tuple[float, tuple[int, int]]:
+    """(max, (i, j)) of cell over the index pairs i < j of the increasing
+    nodes t, ties going to the first pair in row-major order; (-inf, (0, 0))
+    when t has one node.
+
+    Rows go in blocks of _BLOCK.  ``cell(gap, rows, cols)`` gets the block's
+    gaps t[j] - t[i], with rows = i and cols = j as slices of t, and returns
+    a new array of the block's cells; those with j <= i are masked to -inf.
+    A block holding a NaN cell is skipped whole, since argmax stops at it.
+    """
+    best, at = -np.inf, (0, 0)
+    for start in range(0, t.size - 1, _BLOCK):
+        rows, cols = slice(start, min(start + _BLOCK, t.size - 1)), slice(start + 1, None)
+        gap = t[None, cols] - t[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = cell(gap, rows, cols)
+        m = len(block)
+        block[:, :m][_BELOW[:m, :m]] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(block)), block.shape)
+        if block[i, j] > best:
+            best, at = float(block[i, j]), (start + int(i), start + 1 + int(j))
+    return best, at
+
+
 def _pair_max(f: LevelSetFn, alpha: float, beta: float
               ) -> tuple[float, tuple[float, float], int]:
     """(worst, worst_pair, pairs_checked) of the C = 1 ratio
@@ -173,8 +198,8 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
     with f(t) > 0.
 
     f is non-increasing, so its positive values are a prefix of length p and
-    only the upper triangle of that p x p block can beat the ratio 0 of the
-    pairs whose f(s) = 0.  Ties go to the first pair in row-major order.
+    only the pairs inside that prefix can beat the ratio 0 of the pairs
+    whose f(s) = 0.
     """
     idx = _select_indices(f.grid.size)
     t = f.grid[idx]
@@ -186,23 +211,12 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
         return -np.inf, (f.t0, f.t0), 0
     if p == 1:  # the one positive row sees only f(s) = 0
         return 0.0, (float(t[0]), float(t[1])), checked
-    weight = np.log1p(1.0 / v[:p]) ** beta
-    worst = -np.inf
-    worst_pair = (f.t0, f.t0)
-    for start in range(0, p - 1, _BLOCK):
-        stop = min(start + _BLOCK, p - 1)
-        rows = stop - start
-        gap = t[None, start + 1:p] - t[start:stop, None]
-        # Same operation order as the definition, so fitted C stays bit-stable.
-        with np.errstate(invalid="ignore"):
-            ratio = (v[None, start + 1:p] * gap**alpha * weight[start:stop, None]
-                     / v[start:stop, None])
-        ratio[:, :rows][_BELOW[:rows, :rows]] = -np.inf
-        j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[j] > worst:
-            worst = float(ratio[j])
-            worst_pair = (float(t[start + j[0]]), float(t[start + 1 + j[1]]))
-    return worst, worst_pair, checked
+    v = v[:p]
+    weight = np.log1p(1.0 / v) ** beta
+    # Same operation order as the definition, so fitted C stays bit-stable.
+    worst, (i, j) = _pair_scan(t[:p], lambda gap, rows, cols: (
+        v[None, cols] * gap**alpha * weight[rows, None] / v[rows, None]))
+    return worst, (float(t[i]), float(t[j])), checked
 
 
 def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
@@ -305,19 +319,16 @@ def simulate_power_profile(k: float, alpha: float, beta: float, gamma: float, *,
     with C fitted to its grid.  The grid, first ending at 1.5 amplitude, is
     stretched to 1.05 (t0 + threshold) and C refitted, up to 8 times, until
     it covers the threshold.  Returns (report, fitted C, extensions)."""
-    f = power_superlevel_fn(k, amplitude=amplitude, length=length, n_nodes=n_nodes)
-    C = fit_constant(f, alpha, beta)
-    hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
-    extensions = 0
-    for _ in range(8):
+    t_end = None
+    for extensions in range(9):
+        f = power_superlevel_fn(k, amplitude=amplitude, length=length, n_nodes=n_nodes,
+                                t_end=t_end)
+        C = fit_constant(f, alpha, beta)
+        hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
         T = t_gamma(hyp, gamma).value
         if f.grid[-1] >= f.t0 + T:
             break
-        f = power_superlevel_fn(k, amplitude=amplitude, length=length, n_nodes=n_nodes,
-                                t_end=(f.t0 + T) * 1.05)
-        C = fit_constant(f, alpha, beta)
-        hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
-        extensions += 1
+        t_end = (f.t0 + T) * 1.05
     return simulate_vanishing(f, hyp, gamma), C, extensions
 
 
@@ -340,25 +351,11 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> Verdict:
     if alpha <= 0:
         raise InvalidInput("alpha must be positive")
     t = grid.nodes
-    log_logfac = _log_log1p_exp_exp(t)
-    et = np.exp(t)
-    best = -np.inf
-    for start in range(0, t.size - 1, _BLOCK):
-        stop = min(start + _BLOCK, t.size - 1)
-        ti = t[start:stop, None]
-        gap = t[None, start + 1:] - ti  # nodes increase: columns <= start have s <= t
-        upper = gap > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr = np.where(
-                upper,
-                alpha * np.log(np.where(upper, gap, 1.0))
-                + alpha * log_logfac[start:stop, None]
-                - (et[None, start + 1:] - et[start:stop, None]),
-                -np.inf,
-            )
-        m = float(np.max(logr))
-        if m > best:
-            best = m
+    with np.errstate(over="ignore"):  # e^t is inf past t = 709.78
+        log_logfac = _log_log1p_exp_exp(t)
+        et = np.exp(t)
+    best, _ = _pair_scan(t, lambda gap, rows, cols: (
+        alpha * np.log(gap) + alpha * log_logfac[rows, None] - (et[None, cols] - et[rows, None])))
     sup = float(np.exp(best))
     bound = (2.0 * alpha / np.e) ** alpha
     return Verdict("sup_le_bound", sup <= bound * (1 + INEQ_SLACK), sup, bound, INEQ_SLACK)
@@ -375,23 +372,21 @@ def power_superlevel_fn(
     *,
     amplitude: float = 1.0,
     length: float = 1.0,
-    t0: float = 0.0,
     t_end: float | None = None,
     n_nodes: int = 1024,
 ) -> LevelSetFn:
     """Superlevel-measure function of u(x) = amplitude * (1 - x/length)^k on
-    [0, length] under Lebesgue measure: f(t) = length * (1 - (t/amplitude)^(1/k))_+.
+    [0, length] under Lebesgue measure: f(t) = length * (1 - (t/amplitude)^(1/k))_+,
+    on n_nodes even nodes of [0, t_end] (t_end = 1.5 amplitude by default).
 
     Reaches exact 0 at t = amplitude, the shape driving the vanishing demo.
     """
-    if k <= 0 or amplitude <= 0 or length <= 0:
-        raise InvalidInput("k, amplitude, length must be positive")
-    if not 0 <= t0 < amplitude:
-        raise InvalidInput("t0 must lie in [0, amplitude)")
+    if not (0 < k < np.inf and 0 < amplitude < np.inf and 0 < length < np.inf):
+        raise InvalidInput("k, amplitude, length must be positive and finite")
     if n_nodes < 2:
         raise InvalidInput(f"n_nodes must be >= 2, got {n_nodes}")
     end = t_end if t_end is not None else 1.5 * amplitude
-    grid = np.linspace(t0, end, n_nodes)
+    grid = np.linspace(0.0, end, n_nodes)
     vals = length * np.maximum(0.0, 1.0 - (np.maximum(grid, 0.0) / amplitude) ** (1.0 / k))
     return LevelSetFn(grid, vals)
 

@@ -23,6 +23,7 @@ absolute value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +59,8 @@ class _UnitTable:
     interpolation with the exact derivative values (g for I, I for J).
     """
 
-    def __init__(self, g: Callable[[np.ndarray], np.ndarray], n: int = _TABLE_N):
+    def __init__(self, g: Callable[[np.ndarray], np.ndarray]):
+        n = _TABLE_N
         s = np.linspace(0.0, 1.0, n + 1)
         xg, wg = np.polynomial.legendre.leggauss(4)
         half = 0.5 / n
@@ -66,8 +68,6 @@ class _UnitTable:
         pts = mid[:, None] + half * xg[None, :]
         vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n, 4)
         inc = half * (vals @ wg)
-        self.n = n
-        self.s = s
         self.gI = np.asarray(g(s), dtype=float)
         self.I = np.concatenate([[0.0], np.cumsum(inc)])
         # exact integral of the Hermite cubic of I on each step
@@ -77,9 +77,9 @@ class _UnitTable:
 
     def _hermite(self, sq: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
         sq = np.clip(np.asarray(sq, dtype=float), 0.0, 1.0)
-        i = np.clip((sq * self.n).astype(int), 0, self.n - 1)
-        d = 1.0 / self.n
-        x = sq * self.n - i
+        i = np.clip((sq * _TABLE_N).astype(int), 0, _TABLE_N - 1)
+        d = 1.0 / _TABLE_N
+        x = sq * _TABLE_N - i
         x2 = x * x
         x3 = x2 * x
         return (
@@ -134,14 +134,9 @@ class _BumpTables:
         return _bump(x) / self.B
 
 
-_BUMP: _BumpTables | None = None
-
-
+@functools.cache
 def _bump_tables() -> _BumpTables:
-    global _BUMP
-    if _BUMP is None:
-        _BUMP = _BumpTables()
-    return _BUMP
+    return _BumpTables()
 
 
 def smoothstep(s: np.ndarray) -> np.ndarray:
@@ -261,8 +256,8 @@ def compatibility(problem: GlueProblem) -> CompatReport:
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
 
-def _min_max_on(fn: SmoothFn, lo: float, hi: float, n: int = _PROBE_N) -> tuple[float, float]:
-    vals = fn.d2(np.linspace(lo, hi, n))
+def _min_max_on(fn: SmoothFn, lo: float, hi: float) -> tuple[float, float]:
+    vals = fn.d2(np.linspace(lo, hi, _PROBE_N))
     return float(np.min(vals)), float(np.max(vals))
 
 

@@ -22,6 +22,7 @@ from .errors import InvalidInput, NoBracket, NonFinite
 ArrayLike = Sequence[float] | np.ndarray
 
 _MAX_BISECT_ITERS = 500
+_FD_RTOL = 1e-5  # finite-difference agreement check_derivative_consistency asks
 
 # Multiplicative slack absorbing quadrature and bisection error in all
 # inequality verdicts.
@@ -85,9 +86,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= t <= self.hi + slack
 
 
 @dataclass(frozen=True)
@@ -191,32 +189,27 @@ def bisect_monotone(
     hi: float,
     *,
     target: float = 0.0,
-    direction: str = "increasing",
     tol: float = 1e-10,
 ) -> float:
-    """Solve g(c) = target on [lo, hi] for monotone g by plain bisection.
+    """Solve g(c) = target on [lo, hi] for increasing g by plain bisection
+    (negate g and target to solve for a decreasing g).
 
     Returns the bracket midpoint once the bracket width is <= tol.  Raises
     NoBracket when the endpoints do not straddle the target and NonFinite when
     g produces NaN inside the bracket.
     """
-    if direction not in ("increasing", "decreasing"):
-        raise InvalidInput("direction must be 'increasing' or 'decreasing'")
     if not (lo < hi):
         raise InvalidInput("need lo < hi")
-    sign = 1.0 if direction == "increasing" else -1.0
 
     def shifted(c: float) -> float:
         v = g(c)
         if np.isnan(v):
             raise NonFinite(f"g({c}) is NaN")
-        return sign * (v - target)
+        return v - target
 
     flo, fhi = shifted(lo), shifted(hi)
     if flo > 0 or fhi < 0:
-        raise NoBracket(
-            f"g does not bracket target {target} on [{lo}, {hi}] ({direction})"
-        )
+        raise NoBracket(f"g does not bracket target {target} on [{lo}, {hi}]")
     for _ in range(_MAX_BISECT_ITERS):
         if hi - lo <= tol:
             break
@@ -287,10 +280,9 @@ class ConsistencyReport:
     n_probes: int
 
 
-def check_derivative_consistency(
-    fn: SmoothFn, n_probes: int = 64, rtol: float = 1e-5
-) -> ConsistencyReport:
-    """Central finite differences of f vs f' and f' vs f''.
+def check_derivative_consistency(fn: SmoothFn, n_probes: int = 64) -> ConsistencyReport:
+    """Central finite differences of f vs f' and f' vs f''; ok iff both
+    errors are <= 1e-5.
 
     Step is 1e-5 * scale (scale from the domain endpoints, capped by the
     domain length); the error is measured relative to the sup of the exact
@@ -311,6 +303,6 @@ def check_derivative_consistency(
     e1 = sup_rel_err((f0_hi - f0_lo) / (2 * h), f1)
     e2 = sup_rel_err((f1_hi - f1_lo) / (2 * h), f2)
 
-    return ConsistencyReport(ok=(e1 <= rtol and e2 <= rtol), worst_d1_err=e1,
+    return ConsistencyReport(ok=(e1 <= _FD_RTOL and e2 <= _FD_RTOL), worst_d1_err=e1,
                              worst_d2_err=e2, n_probes=n_probes)
 

@@ -18,6 +18,7 @@ from .numgrid import INEQ_SLACK, GridFn, Verdict, bisect_monotone, integrate, pa
 from .youngfn import YoungParams, _weight, phi
 
 _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
 # functions of 4,096 nodes take 4 MiB each).  In-process `holder-young
@@ -49,10 +50,10 @@ class EntropyParams:
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
+        if not (1 <= self.n < np.inf and int(self.n) == self.n):
             raise InvalidInput("n must be an integer >= 1")
-        if self.r < 0:
-            raise InvalidInput("r must be >= 0")
+        if not 0 <= self.r < np.inf:
+            raise InvalidInput("r must be finite and >= 0")
 
     @property
     def young(self) -> YoungParams:
@@ -202,8 +203,8 @@ def entropy(density: GridFn, ep: EntropyParams) -> float:
 def norm_bound_from_integral(c: float, M: float, params: YoungParams) -> float:
     """Norm bound c * max(1, M^(1/p)) given that the scaled weighted integral
     at scale c is at most M."""
-    if c <= 0 or M <= 0:
-        raise InvalidInput("need c > 0 and M > 0")
+    if not (0 < c < np.inf and 0 < M < np.inf):
+        raise InvalidInput("need finite c > 0 and M > 0")
     return c * max(1.0, M ** (1.0 / params.p))
 
 
@@ -258,22 +259,13 @@ def sweep_verdict(bounds: Sequence[Verdict]) -> Verdict:
     return Verdict("sweep_zero_violations", violations == 0, violations, 0, 0)
 
 
-def _eta(params: YoungParams, t: np.ndarray) -> np.ndarray:
-    p, q, r = params.p, params.q, params.r
-    t = np.asarray(t, dtype=float)
-    out = t ** (p - 1.0)
-    if q:
-        out = out * np.log1p(t) ** q
-    if r:
-        out = out * np.log1p(np.log1p(t)) ** r
-    return out
-
-
 def young_pair_check(a: float, b: float, params: YoungParams) -> bool:
     """Pointwise product inequality a*b <= phi(a) + PsiInv(b).
 
-    Psi(t) = eta(t)^(1/p) / C with eta the derivative-like weight; its inverse
-    is computed by bisection with a geometrically expanded bracket.
+    Psi(t) = eta(t)^(1/p) / C with eta(t) = t^(p-1) log^q(1+t) log^r(1+log(1+t));
+    its inverse is computed by bisection on [0, hi], hi the first of 1, 2, 4,
+    ..., 2^1023 and the largest float where Psi reaches b.  If Psi stays below b
+    there, PsiInv(b) exceeds every float and is taken as inf.
     """
     if a < 0 or b < 0:
         raise InvalidInput("need a, b >= 0")
@@ -285,15 +277,16 @@ def young_pair_check(a: float, b: float, params: YoungParams) -> bool:
     C = holder_young_constant(params)
 
     def psi(t: float) -> float:
-        return float(_eta(params, np.asarray(t))) ** (1.0 / params.p) / C
+        eta = _weight(np.asarray(t), params.p - 1.0, params.q, params.r)
+        return float(eta) ** (1.0 / params.p) / C
 
     hi = 1.0
-    for _ in range(400):
-        if psi(hi) >= b:
-            break
-        hi *= 2.0
-    psi_inv = bisect_monotone(psi, 0.0, hi, target=b, direction="increasing",
-                              tol=1e-12 * max(1.0, hi))
+    while psi(hi) < b and hi < _FLOAT_MAX:
+        hi = min(2.0 * hi, _FLOAT_MAX)
+    if psi(hi) < b:
+        psi_inv = np.inf
+    else:
+        psi_inv = bisect_monotone(psi, 0.0, hi, target=b, tol=1e-12 * max(1.0, hi))
     rhs = float(phi(params, np.asarray(a))) + psi_inv
     return lhs <= rhs * (1.0 + INEQ_SLACK)
 

@@ -73,7 +73,7 @@ class HessianSpectrum:
 
 def hessian_spectrum(p: RadialProfile, t: float) -> HessianSpectrum:
     """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t."""
-    if not p.fn.domain.contains(t, slack=1e-12):
+    if not (p.fn.domain.lo - 1e-12 <= t <= p.fn.domain.hi + 1e-12):
         raise OutOfDomain(f"t={t} outside {p.fn.domain}")
     _, f1, f2 = p.fn.eval(t)
     lam_small = float(f1)
@@ -147,10 +147,10 @@ def f_eps_at_zero(params: CounterexampleParams) -> float:
     return float(f_eps_jet(params, 0.0)[0])
 
 
-def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25,
-                  coeff: float = FEPS_COEFF) -> SmoothFn:
-    """Unguarded carrier for constructions that probe slightly past [lo, hi]."""
-    return SmoothFn(Interval(lo, hi), lambda t: _feps_jet(t, eps, coeff),
+def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25) -> SmoothFn:
+    """Unguarded carrier of the normalized family for constructions that
+    probe slightly past [lo, hi]."""
+    return SmoothFn(Interval(lo, hi), lambda t: _feps_jet(t, eps, FEPS_COEFF),
                     name=f"feps[{eps:g}]")
 
 

@@ -86,7 +86,7 @@ def test_criterion_03_weight_convexity():
         elif i == 1:
             params = YoungParams(1.0, 0.0, 1.5)  # double-log-only member
         else:
-            params = random_young_params(rng, p_range=(1.0, 3.0))
+            params = random_young_params(rng)
         if params.degenerate:
             continue
         rep = check_strict_convexity(params, grid)

@@ -271,6 +271,9 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["holder-young", "--seed=-1"],
     ["degiorgi", "--mode", "simulate", "--nodes=-1"],
     ["degiorgi", "--mode", "formula", "--bet", "2"],  # options are spelled in full
+    ["degiorgi", "--mode", "formula", "--C", "inf"],
+    ["degiorgi", "--mode", "formula", "--f0", "inf"],
+    ["degiorgi", "--mode", "simulate", "--k", "nan"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors

@@ -23,8 +23,11 @@ from luxglue.errors import (
     GammaOutOfRange,
     GridTooShort,
     HypothesisFails,
+    InvalidInput,
 )
-from luxglue.numgrid import WeightedMeasure
+from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
+from luxglue.orlicz import EntropyParams, norm_bound_from_integral
+from luxglue.youngfn import YoungParams
 
 # 50-digit evaluations of the threshold formulas, frozen.
 T_1_1_2_2_F1 = 22.630989917543453427205206889       # C=1 a=1 b=2 g=2 f0=1
@@ -202,6 +205,67 @@ def test_sharpness_near_attains_peak_value(alpha):
     sup = sharpness_sup(alpha, sharpness_grid(n=2048)).lhs
     peak = (alpha / np.e) ** alpha
     assert sup >= 0.95 * peak
+
+
+# sharpness_sup(alpha, grid).lhs on the CLI's grid of nodes // 16 panels of
+# order 16 on [0, t_max], for alpha = 0.5, 1 and 4; frozen from the scan before
+# it was shared with the hypothesis scan.  272 and 528 nodes run past one and
+# two 256-row blocks; on [0, 800], e^t overflows from t = 709.78 on.
+SHARPNESS_LHS = {
+    (10.0, 16): ("0.4225764862466746", "0.33934436796560985", "1.0752437431980677"),
+    (10.0, 256): ("0.445486680232805", "0.3666096671739246", "4.555814508093361"),
+    (10.0, 272): ("0.4450555333801265", "0.36158096052027894", "4.630255702570365"),
+    (10.0, 528): ("0.445696599505805", "0.3672376945327139", "4.624641483428392"),
+    (800.0, 528): ("0.38595285635121584", "0.33845022510481165", "0.6925328160554002"),
+}
+
+
+@pytest.mark.parametrize("t_max, nodes", sorted(SHARPNESS_LHS))
+def test_sharpness_sup_keeps_its_bits(t_max, nodes):
+    grid = gauss_measure(Interval(0.0, t_max), nodes // 16, 16)
+    got = tuple(repr(sharpness_sup(alpha, grid).lhs) for alpha in (0.5, 1.0, 4.0))
+    assert got == SHARPNESS_LHS[t_max, nodes]
+
+
+@pytest.mark.parametrize("n", [2, 256, 257, 513])
+def test_pair_scan_matches_brute_force_with_ties(n):
+    # cells drawn from {0, 1, 2, 3}, cells peaking on the whole diagonal
+    # j - i = 37 (or j - i = 1 at n = 2) and cells equal to i, peaking on
+    # the last row, tie everywhere; the scan must return the first maximum of
+    # the upper triangle in row-major order
+    t = np.arange(n, dtype=float)
+    drawn = np.random.default_rng(n).integers(0, 4, (n, n)).astype(float)
+    for cell in (lambda gap, rows, cols: drawn[rows, cols].copy(),
+                 lambda gap, rows, cols: -np.abs(gap - min(37.0, n - 1.0)),
+                 lambda gap, rows, cols: t[rows, None] + 0.0 * gap):
+        full = cell(t[None, :] - t[:, None], slice(None), slice(None))
+        full[np.tril_indices(n)] = -np.inf
+        first = int(np.argmax(full))
+        assert degiorgi._pair_scan(t, cell) == (full.max(), (first // n, first % n))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: IterationHypothesis(np.inf, 1.0, 2.0), id="C-inf"),
+    pytest.param(lambda: IterationHypothesis(np.nan, 1.0, 2.0), id="C-nan"),
+    pytest.param(lambda: IterationHypothesis(1.0, 1.0, np.inf), id="beta-inf"),
+    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, 0.0, np.inf), id="f_t0-inf"),
+    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, 0.0, np.nan), id="f_t0-nan"),
+    pytest.param(lambda: power_superlevel_fn(np.nan), id="k-nan"),
+    pytest.param(lambda: power_superlevel_fn(np.inf), id="k-inf"),
+    pytest.param(lambda: power_superlevel_fn(2.0, amplitude=np.nan), id="amplitude-nan"),
+    pytest.param(lambda: LevelSetFn([0.0, 1.0], [np.nan, 0.0]), id="level-nan-first"),
+    pytest.param(lambda: LevelSetFn([0.0, 1.0], [1.0, np.nan]), id="level-nan-last"),
+    pytest.param(lambda: LevelSetFn([0.0, 1.0], [np.inf, 1.0]), id="level-inf"),
+    pytest.param(lambda: LevelSetFn([0.0, np.inf], [1.0, 0.0]), id="level-grid-inf"),
+    pytest.param(lambda: norm_bound_from_integral(1.0, np.nan, YoungParams(2.0)), id="M-nan"),
+    pytest.param(lambda: norm_bound_from_integral(np.inf, 1.0, YoungParams(2.0)), id="c-inf"),
+    pytest.param(lambda: EntropyParams(2, r=np.nan), id="r-nan"),
+    pytest.param(lambda: EntropyParams(2, r=np.inf), id="r-inf"),
+    pytest.param(lambda: EntropyParams(np.nan), id="n-nan"),
+])
+def test_domain_guards_reject_nan_and_inf(build):
+    with pytest.raises(InvalidInput):
+        build()
 
 
 @settings(max_examples=80, deadline=None)

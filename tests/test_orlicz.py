@@ -195,7 +195,7 @@ def test_holder_young_zero_mass_guard():
 
         ns = argparse.Namespace(sweep=0, young="1,1,0", indicator_mass=0.0,
                                 space_mass=0.0, seed=0)
-        cmd_holder_young(ns, 0.0)
+        cmd_holder_young(ns)
 
 
 def test_young_pair_trivial_and_unit():
@@ -209,6 +209,33 @@ def test_young_pair_grid():
     params = YoungParams(2, 1, 1)
     vals = [0.05, 0.3, 1.0, 3.0, 10.0]
     assert all(young_pair_check(a, b, params) for a in vals for b in vals)
+
+
+@pytest.mark.parametrize("p, b", [(1.01, 100.0), (1.01, 0.5), (1.5, 100.0), (3.0, 1e-3),
+                                  (1.001, 1.1)])
+def test_young_pair_inverse_matches_closed_form(monkeypatch, p, b):
+    # at q = r = 0, Psi(t) = t^((p-1)/p) and C = 1, so PsiInv(b) = b^(p/(p-1));
+    # (1.01, 100) needs a bracket past 2^400: PsiInv = 1e202
+    solved = []
+
+    def recorded(*args, **kwargs):
+        solved.append(bisect(*args, **kwargs))
+        return solved[-1]
+
+    bisect = orlicz.bisect_monotone
+    monkeypatch.setattr(orlicz, "bisect_monotone", recorded)
+    assert young_pair_check(1.0, b, YoungParams(p))
+    exact = b ** (p / (p - 1.0))
+    # the bisection stops at a width of 1e-12 max(1, hi), with hi < 2 max(1, exact)
+    assert abs(solved[0] - exact) <= 4e-12 * max(1.0, exact)
+
+
+def test_young_pair_inverse_past_the_float_range(monkeypatch):
+    # PsiInv(100) = 100^1001 at p = 1.001: Psi stays below 100 on every float,
+    # so the inverse is taken as inf and the inequality holds without a solve
+    monkeypatch.setattr(orlicz, "bisect_monotone", None)
+    assert young_pair_check(1.0, 100.0, YoungParams(1.001))
+    assert young_pair_check(1e300, 1e10, YoungParams(1.0, 0.5, 0.0))
 
 
 def test_young_pair_degenerate():

@@ -218,8 +218,8 @@ def test_constant_density_norm_matches_scalar_equation():
     mass = chart_total_mass(n)
     params = YoungParams(1, n, r)
     oracle = bisect_monotone(
-        lambda c: mass * float(phi(params, np.asarray(1.0 / c))),
-        1e-6, 1e6, target=1.0, direction="decreasing", tol=1e-13,
+        lambda c: -mass * float(phi(params, np.asarray(1.0 / c))),
+        1e-6, 1e6, target=-1.0, tol=1e-13,
     )
     val = fs_constant_density_norm(n, r)
     assert abs(val - oracle) <= 1e-8 * oracle
