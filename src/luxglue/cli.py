@@ -264,7 +264,7 @@ def cmd_holder_young(args: argparse.Namespace) -> Outcome:
 
 def cmd_degiorgi(args: argparse.Namespace) -> Outcome:
     if args.mode == "formula":
-        hyp = IterationHypothesis(args.C, args.alpha, args.beta, 0.0, args.f0)
+        hyp = IterationHypothesis(args.C, args.alpha, args.beta, args.f0)
         tg = t_gamma(hyp, args.gamma)
         results = {"t_gamma": tg.value, "at_zero_level": tg.at_zero_level}
         if args.T is not None:

@@ -40,7 +40,6 @@ class IterationHypothesis:
     C: float
     alpha: float
     beta: float
-    t0: float = 0.0
     f_t0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -94,8 +93,8 @@ def t_gamma(h: IterationHypothesis, gamma: float) -> TGamma:
 def l_gamma(C: float, alpha: float, beta: float, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
     f(t0) > 1 / (e^L - 1) with L the value returned here."""
-    if not (C > 0 and alpha > 0 and beta > 0 and T > 0):
-        raise InvalidInput("C, alpha, beta, T must all be positive")
+    if not (0 < C < np.inf and 0 < alpha < np.inf and 0 < beta < np.inf and 0 < T < np.inf):
+        raise InvalidInput("C, alpha, beta, T must all be positive and finite")
     if not (1.0 < gamma < beta / alpha):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {beta / alpha})")
     ce = (C * np.e) ** (1.0 / alpha)
@@ -175,7 +174,8 @@ def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, slice, slice], np.ndar
     Rows go in blocks of _BLOCK.  ``cell(gap, rows, cols)`` gets the block's
     gaps t[j] - t[i], with rows = i and cols = j as slices of t, and returns
     a new array of the block's cells; those with j <= i are masked to -inf.
-    A block holding a NaN cell is skipped whole, since argmax stops at it.
+    A NaN cell counts as -inf: only when a block's argmax lands on a NaN are
+    the block's NaN cells masked and its argmax taken again.
     """
     best, at = -np.inf, (0, 0)
     for start in range(0, t.size - 1, _BLOCK):
@@ -185,7 +185,11 @@ def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, slice, slice], np.ndar
             block = cell(gap, rows, cols)
         m = len(block)
         block[:, :m][_BELOW[:m, :m]] = -np.inf
-        i, j = np.unravel_index(int(np.argmax(block)), block.shape)
+        k = int(np.argmax(block))
+        if np.isnan(block.flat[k]):
+            block[np.isnan(block)] = -np.inf
+            k = int(np.argmax(block))
+        i, j = np.unravel_index(k, block.shape)
         if block[i, j] > best:
             best, at = float(block[i, j]), (start + int(i), start + 1 + int(j))
     return best, at
@@ -241,7 +245,7 @@ def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
 
 def fit_constant(f: LevelSetFn, alpha: float, beta: float) -> float:
     """Smallest C making the hypothesis hold on the grid: the max pair ratio."""
-    probe = IterationHypothesis(1.0, alpha, beta, f.t0, f.f_t0)
+    probe = IterationHypothesis(1.0, alpha, beta, f.f_t0)
     report = check_hypothesis(f, probe)
     if report.vacuous:
         return 1.0
@@ -289,7 +293,7 @@ def simulate_vanishing(
     if not h.beta > h.alpha:
         return VanishingReport("not_applicable", np.nan, None, None, 0, False,
                                report.pairs_checked)
-    hyp = IterationHypothesis(h.C, h.alpha, h.beta, f.t0, f.f_t0)
+    hyp = IterationHypothesis(h.C, h.alpha, h.beta, f.f_t0)
     T = t_gamma(hyp, gamma).value
     node, val = f.value_at_first_node_geq(f.t0 + T)
     chain_ok = True
@@ -324,7 +328,7 @@ def simulate_power_profile(k: float, alpha: float, beta: float, gamma: float, *,
         f = power_superlevel_fn(k, amplitude=amplitude, length=length, n_nodes=n_nodes,
                                 t_end=t_end)
         C = fit_constant(f, alpha, beta)
-        hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
+        hyp = IterationHypothesis(C, alpha, beta, f.f_t0)
         T = t_gamma(hyp, gamma).value
         if f.grid[-1] >= f.t0 + T:
             break
@@ -348,8 +352,8 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> Verdict:
 
     Works in log space to dodge overflow.
     """
-    if alpha <= 0:
-        raise InvalidInput("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise InvalidInput("alpha must be positive and finite")
     t = grid.nodes
     with np.errstate(over="ignore"):  # e^t is inf past t = 709.78
         log_logfac = _log_log1p_exp_exp(t)
@@ -394,6 +398,6 @@ def power_superlevel_fn(
 def induction_inequality_gap(a: float, b: float, mu: float) -> float:
     """a^(1-mu) - b^(1-mu) - (mu-1)(b-a) b^-mu for b >= a > 0, mu >= 1;
     non-negative by convexity of x -> x^(1-mu)."""
-    if not (b >= a > 0 and mu >= 1):
-        raise InvalidInput("need b >= a > 0 and mu >= 1")
+    if not (np.inf > b >= a > 0 and np.inf > mu >= 1):
+        raise InvalidInput("need finite b >= a > 0 and mu >= 1")
     return a ** (1.0 - mu) - b ** (1.0 - mu) - (mu - 1.0) * (b - a) * b ** (-mu)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .errors import (
     NotStrictlyConvexPiece,
     VerificationFailed,
 )
-from .numgrid import Interval, Jet, SmoothFn, Verdict, check_derivative_consistency, piecewise
+from .numgrid import (Interval, Jet, SmoothFn, Verdict, check_derivative_consistency,
+                      gauss_legendre, piecewise)
 
 # Curvature ceiling constant of the mollified absolute value: rho'' <= M/eps.
 # The bump mollifier actually peaks near 1.66/eps; certificates use M = 3.
@@ -49,54 +50,8 @@ _WORK_N = 16385
 
 
 # ---------------------------------------------------------------------------
-# cumulative tables on the unit interval
-
-
-class _UnitTable:
-    """I(s) = integral of g over [0, s] and J(s) = integral of I, s in [0, 1].
-
-    Increments use 4-point Gauss per step; evaluation uses cubic Hermite
-    interpolation with the exact derivative values (g for I, I for J).
-    """
-
-    def __init__(self, g: Callable[[np.ndarray], np.ndarray]):
-        n = _TABLE_N
-        s = np.linspace(0.0, 1.0, n + 1)
-        xg, wg = np.polynomial.legendre.leggauss(4)
-        half = 0.5 / n
-        mid = 0.5 * (s[:-1] + s[1:])
-        pts = mid[:, None] + half * xg[None, :]
-        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(n, 4)
-        inc = half * (vals @ wg)
-        self.gI = np.asarray(g(s), dtype=float)
-        self.I = np.concatenate([[0.0], np.cumsum(inc)])
-        # exact integral of the Hermite cubic of I on each step
-        d = 1.0 / n
-        incJ = d * (0.5 * (self.I[:-1] + self.I[1:]) + d * (self.gI[:-1] - self.gI[1:]) / 12.0)
-        self.J = np.concatenate([[0.0], np.cumsum(incJ)])
-
-    def _hermite(self, sq: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
-        sq = np.clip(np.asarray(sq, dtype=float), 0.0, 1.0)
-        i = np.clip((sq * _TABLE_N).astype(int), 0, _TABLE_N - 1)
-        d = 1.0 / _TABLE_N
-        x = sq * _TABLE_N - i
-        x2 = x * x
-        x3 = x2 * x
-        return (
-            V[i] * (2 * x3 - 3 * x2 + 1)
-            + V[i + 1] * (-2 * x3 + 3 * x2)
-            + d * (D[i] * (x3 - 2 * x2 + x) + D[i + 1] * (x3 - x2))
-        )
-
-    def I_at(self, sq: np.ndarray) -> np.ndarray:
-        return self._hermite(sq, self.I, self.gI)
-
-    def J_at(self, sq: np.ndarray) -> np.ndarray:
-        return self._hermite(sq, self.J, self.I)
-
-
-# ---------------------------------------------------------------------------
-# bump mollifier primitives (all exactly even/odd via half-tables + mirrors)
+# fixed data: one node array on the unit interval, the bump's cumulative
+# tables and the cutoff on the nodes, built once on the first glue
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -108,40 +63,68 @@ def _bump(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _BumpTables:
-    def __init__(self) -> None:
-        self.table = _UnitTable(_bump)  # integrals of the bump over [0, x]
-        self.half_mass = float(self.table.I[-1])  # int_0^1 bump
-        self.B = 2.0 * self.half_mass  # full mass of the bump on [-1, 1]
-        # int_0^x of the (normalized) CDF for x >= 0, and the CDF integral
-        # from -1 to 0
-        self.J1 = float(self.table.J[-1]) / self.B
-        self.yu0 = 0.5 - self.J1
+def _tables(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, g) at the step ends for an integrand g given by its values on
+    ``_fixed().nodes``: I(s) = integral of g over [0, s], by 4-point Gauss
+    per step, and J(s) = integral of I, exact for the Hermite cubic of I."""
+    n = _TABLE_N
+    inc = (0.5 / n) * (vals[:4 * n].reshape(n, 4) @ gauss_legendre(4)[1])
+    g = vals[4 * n:]
+    I = np.concatenate([[0.0], np.cumsum(inc)])
+    d = 1.0 / n
+    incJ = d * (0.5 * (I[:-1] + I[1:]) + d * (g[:-1] - g[1:]) / 12.0)
+    return I, np.concatenate([[0.0], np.cumsum(incJ)]), g
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        """Normalized CDF of the bump: 0 at -1, 1/2 at 0, 1 at +1."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 + np.sign(x) * self.table.I_at(np.abs(x)) / self.B
 
-    def cdf_integral(self, x: np.ndarray) -> np.ndarray:
-        """Integral of the CDF from -1 to x (for the mollified |t|)."""
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        d_half = 0.5 * ax + self.table.J_at(ax) / self.B
-        return self.yu0 + d_half + np.where(x < 0, x, 0.0)
+def _hermite(sq: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolation on [0, 1] of step-end values V with exact
+    derivatives D (g for I, I for J)."""
+    sq = np.clip(np.asarray(sq, dtype=float), 0.0, 1.0)
+    i = np.clip((sq * _TABLE_N).astype(int), 0, _TABLE_N - 1)
+    d = 1.0 / _TABLE_N
+    x = sq * _TABLE_N - i
+    x2 = x * x
+    x3 = x2 * x
+    return (
+        V[i] * (2 * x3 - 3 * x2 + 1)
+        + V[i + 1] * (-2 * x3 + 3 * x2)
+        + d * (D[i] * (x3 - 2 * x2 + x) + D[i + 1] * (x3 - x2))
+    )
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return _bump(x) / self.B
+
+def _cdf(x: np.ndarray, I: np.ndarray, g: np.ndarray, mass: float) -> np.ndarray:
+    """Normalized CDF of the bump from its tables: 0 at -1, 1/2 at 0, 1 at +1."""
+    return 0.5 + np.sign(x) * _hermite(np.abs(x), I, g) / mass
+
+
+class _Fixed(NamedTuple):
+    nodes: np.ndarray  # the 4 Gauss points of each step, then the step ends
+    I: np.ndarray  # the bump's tables on [0, 1], mirrored for x < 0
+    J: np.ndarray
+    g: np.ndarray
+    mass: float  # of the bump on [-1, 1]
+    cutoff: np.ndarray  # 1 - smoothstep on the nodes
 
 
 @functools.cache
-def _bump_tables() -> _BumpTables:
-    return _BumpTables()
+def _fixed() -> _Fixed:
+    """Read-only; built on the first call, so importing builds no table."""
+    n = _TABLE_N
+    s = np.linspace(0.0, 1.0, n + 1)
+    mid = 0.5 * (s[:-1] + s[1:])
+    nodes = np.concatenate([(mid[:, None] + (0.5 / n) * gauss_legendre(4)[0][None, :]).ravel(), s])
+    I, J, g = _tables(_bump(nodes))
+    mass = 2.0 * float(I[-1])
+    fixed = _Fixed(nodes, I, J, g, mass, 1.0 - _cdf(2.0 * nodes - 1.0, I, g, mass))
+    for a in (nodes, I, J, g, fixed.cutoff):
+        a.setflags(write=False)
+    return fixed
 
 
 def smoothstep(s: np.ndarray) -> np.ndarray:
     """C^infinity monotone step on [0, 1] (bump CDF reparametrized)."""
-    return _bump_tables().cdf(2.0 * np.asarray(s, dtype=float) - 1.0)
+    fx = _fixed()
+    return _cdf(2.0 * np.asarray(s, dtype=float) - 1.0, fx.I, fx.g, fx.mass)
 
 
 def rho_eps(eps: float) -> SmoothFn:
@@ -152,15 +135,19 @@ def rho_eps(eps: float) -> SmoothFn:
     """
     if not eps > 0:
         raise NonPositiveEps(f"eps must be positive, got {eps}")
-    bt = _bump_tables()
+    fx = _fixed()
+    cdf_at_0 = 0.5 - float(fx.J[-1]) / fx.mass  # CDF integral from -1 to 0
 
     def outer(t: np.ndarray) -> Jet:
         return np.abs(t), np.sign(t), 0.0
 
     def inner(t: np.ndarray) -> Jet:
         x = t / eps
-        return (2.0 * eps * bt.cdf_integral(x) - t, 2.0 * bt.cdf(x) - 1.0,
-                2.0 * bt.density(x) / eps)
+        ax = np.abs(x)
+        cdf_integral = (cdf_at_0 + (0.5 * ax + _hermite(ax, fx.J, fx.I) / fx.mass)
+                        + np.where(x < 0, x, 0.0))
+        return (2.0 * eps * cdf_integral - t, 2.0 * _cdf(x, fx.I, fx.g, fx.mass) - 1.0,
+                2.0 * (_bump(x) / fx.mass) / eps)
 
     def jet(t: np.ndarray) -> Jet:
         core = np.abs(t / eps) < 1.0
@@ -329,21 +316,18 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
     if anchor not in (A, B):
         raise InvalidInput("anchor must be a piece endpoint")
     ds = 0.9 * delta
-
-    def fall(s: np.ndarray) -> np.ndarray:
-        return 1.0 - smoothstep(s)
-
+    fx = _fixed()
     # I and J integrate cutoff*(f''-c) once and twice across each band
-    right = _UnitTable(lambda s: fall(s) * (piece.d2(B + s * ds) - c))
-    left = _UnitTable(lambda s: fall(s) * (piece.d2(A - s * ds) - c))
+    IR, JR, gR = _tables(fx.cutoff * (piece.d2(B + fx.nodes * ds) - c))
+    IL, JL, gL = _tables(fx.cutoff * (piece.d2(A - fx.nodes * ds) - c))
     (f0A, f0B), (f1A, f1B), _ = piece.eval(np.array([A, B], dtype=float))
     # W = integral of cutoff*(f''-c) from A, V = integral of W from A
     WB = f1B - f1A - c * (B - A)
     VB = f0B - f0A - f1A * (B - A) - 0.5 * c * (B - A) ** 2
-    W_end_R = WB + ds * float(right.I[-1])
-    W_end_L = -ds * float(left.I[-1])
-    V_Bd = VB + WB * ds + ds**2 * float(right.J[-1])
-    V_Ad = ds**2 * float(left.J[-1])
+    W_end_R = WB + ds * float(IR[-1])
+    W_end_L = -ds * float(IL[-1])
+    V_Bd = VB + WB * ds + ds**2 * float(JR[-1])
+    V_Ad = ds**2 * float(JL[-1])
     WP, VP, f0P, f1P = (0.0, 0.0, f0A, f1A) if anchor == A else (WB, VB, f0B, f1B)
 
     def core(t: np.ndarray) -> Jet:
@@ -355,12 +339,12 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
 
     def right_band(t: np.ndarray) -> Jet:
         x = (t - B) / ds
-        return (VB + WB * (t - B) + ds**2 * right.J_at(x), WB + ds * right.I_at(x),
+        return (VB + WB * (t - B) + ds**2 * _hermite(x, JR, IR), WB + ds * _hermite(x, IR, gR),
                 smoothstep(((B + ds) - t) / ds) * (piece.d2(t) - c) + c)
 
     def left_band(t: np.ndarray) -> Jet:
         x = (A - t) / ds
-        return (ds**2 * left.J_at(x), -ds * left.I_at(x),
+        return (ds**2 * _hermite(x, JL, IL), -ds * _hermite(x, IL, gL),
                 smoothstep((t - (A - ds)) / ds) * (piece.d2(t) - c) + c)
 
     def right_tail(t: np.ndarray) -> Jet:

@@ -12,6 +12,7 @@ so results are bit-stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -150,11 +151,20 @@ def integrate(f: GridFn) -> float:
     return pairwise_sum(prod)
 
 
+@functools.cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_panels(edges: np.ndarray, order: int) -> WeightedMeasure:
     """Gauss-Legendre rule of the given order on each panel between edges."""
     if not 2 <= order <= 64:
         raise InvalidInput("order must lie in {2..64}")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -267,8 +267,8 @@ def young_pair_check(a: float, b: float, params: YoungParams) -> bool:
     ..., 2^1023 and the largest float where Psi reaches b.  If Psi stays below b
     there, PsiInv(b) exceeds every float and is taken as inf.
     """
-    if a < 0 or b < 0:
-        raise InvalidInput("need a, b >= 0")
+    if not (0 <= a < np.inf and 0 <= b < np.inf):
+        raise InvalidInput("need finite a, b >= 0")
     if params.degenerate:
         raise DegenerateParams("Psi is constant for (1, 0, 0); nothing to invert")
     lhs = a * b

@@ -274,6 +274,9 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["degiorgi", "--mode", "formula", "--C", "inf"],
     ["degiorgi", "--mode", "formula", "--f0", "inf"],
     ["degiorgi", "--mode", "simulate", "--k", "nan"],
+    ["degiorgi", "--mode", "sharpness", "--alpha", "nan"],
+    ["degiorgi", "--mode", "sharpness", "--alpha", "inf"],
+    ["degiorgi", "--mode", "formula", "--beta", "3", "--T", "inf"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors

@@ -26,7 +26,7 @@ from luxglue.errors import (
     InvalidInput,
 )
 from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
-from luxglue.orlicz import EntropyParams, norm_bound_from_integral
+from luxglue.orlicz import EntropyParams, norm_bound_from_integral, young_pair_check
 from luxglue.youngfn import YoungParams
 
 # 50-digit evaluations of the threshold formulas, frozen.
@@ -37,47 +37,47 @@ L_1_1_3_2_T1 = 22.630989917543453427205206889       # C=1 a=1 b=3 g=2 T=1
 
 def test_t_gamma_branch_crossing_value():
     # f0 = 1 sits on the branch boundary; both branches coincide there
-    tg = t_gamma(IterationHypothesis(1, 1, 2, 0, 1.0), 2.0)
+    tg = t_gamma(IterationHypothesis(1, 1, 2, 1.0), 2.0)
     assert abs(tg.value - T_1_1_2_2_F1) <= 1e-12 * T_1_1_2_2_F1
     assert not tg.at_zero_level
 
 
 def test_t_gamma_oracle_upper_branch():
-    tg = t_gamma(IterationHypothesis(2, 1, 3, 0, 10.0), 1.5)
+    tg = t_gamma(IterationHypothesis(2, 1, 3, 10.0), 1.5)
     assert abs(tg.value - T_2_1_3_15_F10) <= 1e-12 * T_2_1_3_15_F10
 
 
 def test_t_gamma_zero_level_limit():
-    tg = t_gamma(IterationHypothesis(1, 1, 2, 0, 0.0), 1.5)
+    tg = t_gamma(IterationHypothesis(1, 1, 2, 0.0), 1.5)
     assert tg.value == 0.0 and tg.at_zero_level
     # at gamma = beta/alpha the limit is the finite front factor
-    tg2 = t_gamma(IterationHypothesis(1, 1, 2, 0, 0.0), 2.0)
+    tg2 = t_gamma(IterationHypothesis(1, 1, 2, 0.0), 2.0)
     assert tg2.at_zero_level and tg2.value > 0
 
 
 def test_t_gamma_vanishing_level_monotone():
-    vals = [t_gamma(IterationHypothesis(1, 1, 2, 0, f0), 1.5).value
+    vals = [t_gamma(IterationHypothesis(1, 1, 2, f0), 1.5).value
             for f0 in (1e-6, 1e-4, 1e-2)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_t_gamma_guards():
     with pytest.raises(BetaNotGreaterThanAlpha):
-        t_gamma(IterationHypothesis(1, 1, 1, 0, 1.0), 1.0)
+        t_gamma(IterationHypothesis(1, 1, 1, 1.0), 1.0)
     with pytest.raises(GammaOutOfRange):
-        t_gamma(IterationHypothesis(1, 1, 2, 0, 1.0), 2.5)
+        t_gamma(IterationHypothesis(1, 1, 2, 1.0), 2.5)
     with pytest.raises(GammaOutOfRange):
-        t_gamma(IterationHypothesis(1, 1, 2, 0, 1.0), 1.0)
+        t_gamma(IterationHypothesis(1, 1, 2, 1.0), 1.0)
 
 
 def test_t_gamma_monotonicities():
     # increasing in f0 (the log(1 + 1/f0) denominator shrinks: a larger
     # starting level takes longer to die out) and increasing in C
     f0s = np.geomspace(1.5, 100.0, 12)
-    vals = [t_gamma(IterationHypothesis(1, 1, 3, 0, f0), 1.5).value for f0 in f0s]
+    vals = [t_gamma(IterationHypothesis(1, 1, 3, f0), 1.5).value for f0 in f0s]
     assert np.all(np.diff(vals) > 0)
     Cs = np.geomspace(0.1, 10.0, 12)
-    vals = [t_gamma(IterationHypothesis(C, 1, 3, 0, 2.0), 1.5).value for C in Cs]
+    vals = [t_gamma(IterationHypothesis(C, 1, 3, 2.0), 1.5).value for C in Cs]
     assert np.all(np.diff(vals) > 0)
 
 
@@ -102,7 +102,7 @@ def test_threshold_duality():
     f = power_superlevel_fn(2.0, n_nodes=2000)
     alpha, beta, gamma = 1.0, 2.0, 1.5
     C = fit_constant(f, alpha, beta)
-    hyp = IterationHypothesis(C, alpha, beta, f.t0, f.f_t0)
+    hyp = IterationHypothesis(C, alpha, beta, f.f_t0)
     T = t_gamma(hyp, gamma).value
     positive = f.grid[f.values > 0]
     assert np.all(positive - f.t0 < T)
@@ -116,7 +116,7 @@ def test_threshold_to_lower_bound_consistency():
     # evaluate the dual exponent at a time just below the vanishing threshold:
     # the implied lower bound on f(t0) must be finite, positive, and satisfied
     C, alpha, beta, gamma, f0 = 2.0, 1.0, 3.0, 1.5, 10.0
-    T_star = t_gamma(IterationHypothesis(C, alpha, beta, 0.0, f0), gamma).value
+    T_star = t_gamma(IterationHypothesis(C, alpha, beta, f0), gamma).value
     L = l_gamma(C, alpha, beta, gamma, 0.999 * T_star)
     bound = 1.0 / (np.exp(L) - 1.0)
     assert np.isfinite(L) and L > 0
@@ -125,7 +125,7 @@ def test_threshold_to_lower_bound_consistency():
 
 def test_check_hypothesis_vacuous():
     f = LevelSetFn(np.linspace(0, 1, 50), np.zeros(50))
-    rep = check_hypothesis(f, IterationHypothesis(1, 1, 2, 0, 0))
+    rep = check_hypothesis(f, IterationHypothesis(1, 1, 2, 0))
     assert rep.vacuous and rep.satisfied
 
 
@@ -134,7 +134,7 @@ def test_check_hypothesis_double_exp():
     f = double_exp_level_fn(grid)
     for alpha in (0.5, 1.0, 2.0):
         C = (2 * alpha / np.e) ** alpha
-        hyp = IterationHypothesis(C, alpha, alpha, 0.0, f.f_t0)
+        hyp = IterationHypothesis(C, alpha, alpha, f.f_t0)
         rep = check_hypothesis(f, hyp)
         assert rep.satisfied and rep.worst_ratio <= 1.0 + 1e-12
 
@@ -143,14 +143,14 @@ def test_check_hypothesis_flags_violation():
     grid = np.array([0.0, 1.0, 2.0])
     values = np.array([1.0, 1.0, 1.0])  # constant positive: decay fails
     f = LevelSetFn(grid, values)
-    rep = check_hypothesis(f, IterationHypothesis(0.01, 1, 2, 0, 1.0))
+    rep = check_hypothesis(f, IterationHypothesis(0.01, 1, 2, 1.0))
     assert not rep.satisfied
     assert rep.worst_pair[1] > rep.worst_pair[0]
 
 
 def test_simulate_zero_function():
     f = LevelSetFn(np.linspace(0, 2, 64), np.zeros(64))
-    rep = simulate_vanishing(f, IterationHypothesis(1, 1, 2, 0, 0), 1.5)
+    rep = simulate_vanishing(f, IterationHypothesis(1, 1, 2, 0), 1.5)
     assert rep.status == "verified" and rep.value_at_node == 0.0
 
 
@@ -167,7 +167,7 @@ def test_simulate_not_applicable_at_equal_exponents():
     f = double_exp_level_fn(grid)
     alpha = 1.0
     C = (2 * alpha / np.e) ** alpha
-    hyp = IterationHypothesis(C, alpha, alpha, 0.0, f.f_t0)
+    hyp = IterationHypothesis(C, alpha, alpha, f.f_t0)
     rep = simulate_vanishing(f, hyp, 1.5)
     assert rep.status == "not_applicable"
     assert not any(v.passed for v in rep.verdicts)
@@ -176,13 +176,13 @@ def test_simulate_not_applicable_at_equal_exponents():
 def test_simulate_rejects_bad_hypothesis():
     f = LevelSetFn(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(HypothesisFails):
-        simulate_vanishing(f, IterationHypothesis(0.01, 1, 2, 0, 1.0), 1.5)
+        simulate_vanishing(f, IterationHypothesis(0.01, 1, 2, 1.0), 1.5)
 
 
 def test_simulate_grid_too_short():
     f = power_superlevel_fn(2.0, n_nodes=300, t_end=0.5)  # never reaches 0
     C = fit_constant(f, 1.0, 2.0)
-    hyp = IterationHypothesis(C, 1.0, 2.0, f.t0, f.f_t0)
+    hyp = IterationHypothesis(C, 1.0, 2.0, f.f_t0)
     with pytest.raises(GridTooShort):
         simulate_vanishing(f, hyp, 1.5)
 
@@ -227,6 +227,22 @@ def test_sharpness_sup_keeps_its_bits(t_max, nodes):
     assert got == SHARPNESS_LHS[t_max, nodes]
 
 
+@pytest.mark.parametrize("nodes", [240, 256, 272])
+def test_sharpness_sup_keeps_blocks_with_overflowed_pairs(nodes):
+    # past t = 709.78 both e^s and e^t overflow, and their difference is NaN;
+    # such a pair's ratio is 0, and the finite pairs of its block still count
+    grid = gauss_measure(Interval(0.0, 800.0), nodes // 16, 16)
+    t = grid.nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        et = np.exp(t)
+        cells = (np.log(t[None, :] - t[:, None])
+                 + degiorgi._log_log1p_exp_exp(t)[:, None] - (et[None, :] - et[:, None]))
+    upper = cells[np.triu_indices(t.size, 1)]
+    assert np.isnan(upper).any()
+    sup = sharpness_sup(1.0, grid).lhs
+    assert sup == np.exp(np.max(upper[~np.isnan(upper)])) > 0.05
+
+
 @pytest.mark.parametrize("n", [2, 256, 257, 513])
 def test_pair_scan_matches_brute_force_with_ties(n):
     # cells drawn from {0, 1, 2, 3}, cells peaking on the whole diagonal
@@ -248,8 +264,8 @@ def test_pair_scan_matches_brute_force_with_ties(n):
     pytest.param(lambda: IterationHypothesis(np.inf, 1.0, 2.0), id="C-inf"),
     pytest.param(lambda: IterationHypothesis(np.nan, 1.0, 2.0), id="C-nan"),
     pytest.param(lambda: IterationHypothesis(1.0, 1.0, np.inf), id="beta-inf"),
-    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, 0.0, np.inf), id="f_t0-inf"),
-    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, 0.0, np.nan), id="f_t0-nan"),
+    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, np.inf), id="f_t0-inf"),
+    pytest.param(lambda: IterationHypothesis(1.0, 1.0, 2.0, np.nan), id="f_t0-nan"),
     pytest.param(lambda: power_superlevel_fn(np.nan), id="k-nan"),
     pytest.param(lambda: power_superlevel_fn(np.inf), id="k-inf"),
     pytest.param(lambda: power_superlevel_fn(2.0, amplitude=np.nan), id="amplitude-nan"),
@@ -262,6 +278,16 @@ def test_pair_scan_matches_brute_force_with_ties(n):
     pytest.param(lambda: EntropyParams(2, r=np.nan), id="r-nan"),
     pytest.param(lambda: EntropyParams(2, r=np.inf), id="r-inf"),
     pytest.param(lambda: EntropyParams(np.nan), id="n-nan"),
+    pytest.param(lambda: young_pair_check(1.0, np.nan, YoungParams(2.0, 1.0)), id="young-b-nan"),
+    pytest.param(lambda: young_pair_check(1.0, np.inf, YoungParams(2.0, 1.0)), id="young-b-inf"),
+    pytest.param(lambda: young_pair_check(np.nan, 1.0, YoungParams(2.0, 1.0)), id="young-a-nan"),
+    pytest.param(lambda: l_gamma(np.inf, 1.0, 3.0, 2.0, 1.0), id="l_gamma-C-inf"),
+    pytest.param(lambda: l_gamma(1.0, 1.0, 3.0, 2.0, np.inf), id="l_gamma-T-inf"),
+    pytest.param(lambda: l_gamma(1.0, np.nan, 3.0, 2.0, 1.0), id="l_gamma-alpha-nan"),
+    pytest.param(lambda: induction_inequality_gap(1.0, np.inf, 2.0), id="induction-b-inf"),
+    pytest.param(lambda: induction_inequality_gap(1.0, 2.0, np.nan), id="induction-mu-nan"),
+    pytest.param(lambda: sharpness_sup(np.nan, sharpness_grid(n=16)), id="sharpness-nan"),
+    pytest.param(lambda: sharpness_sup(np.inf, sharpness_grid(n=16)), id="sharpness-inf"),
 ])
 def test_domain_guards_reject_nan_and_inf(build):
     with pytest.raises(InvalidInput):
@@ -377,7 +403,7 @@ def test_fit_then_simulate_scans_once(monkeypatch):
     monkeypatch.setattr(degiorgi, "_pair_max", counted)
     f = power_superlevel_fn(2.0, n_nodes=600, t_end=20.0)
     C = fit_constant(f, 1.0, 2.0)
-    hyp = IterationHypothesis(C, 1.0, 2.0, f.t0, f.f_t0)
+    hyp = IterationHypothesis(C, 1.0, 2.0, f.f_t0)
     rep = simulate_vanishing(f, hyp, 1.5)
     assert rep.status == "verified"
     assert calls == [(1.0, 2.0)]

@@ -316,3 +316,68 @@ def test_internal_guards_raise_invalid_input():
         delta_search(problem, 1.0)
     with pytest.raises(InvalidInput):
         _regularized(problem.left.fn, 0.75, 1.0, 0.1)
+
+
+# repr of (c, delta, eps, cert_sup_h2, det_cert), then of (h, h', h'') at each
+# probe, frozen from the glue built with per-table quadrature rules and
+# cutoffs.  The probes cover both pieces, the four cutoff bands (one of them
+# below a1), the bridge and both affine tails.
+_LINEAR_PROBES = (-0.9, -0.2, 0.5, 1.2, 2.0, 2.7, 3.5, 4.3, 4.9)
+GLUE_BITS = {
+    "strict": (_LINEAR_PROBES,
+               ("1.045", "0.5", "1.1081447961598314", "299.59698411601124", "None"),
+               (("1.333657261002217", "-0.8748556635490174", "1.045"),
+                ("0.980507153824137", "-0.09012047715409954", "1.6602075444741518"),
+                ("1.4118342427282833", "1.3485502728184846", "2.1045650818455455"),
+                ("2.8720241872058616", "2.8015635017922937", "1.6863840941640884"),
+                ("6.158810826819989", "6.339366295113311", "4.521250705691221"),
+                ("10.985761308505412", "7.287591521712303", "1.4100172900314227"),
+                ("17.557651118063163", "9.257295335418949", "2.657188600625685"),
+                ("25.809951289050733", "11.267012484490932", "1.439231361599989"),
+                ("32.76810397734964", "11.91134734140596", "1.045"))),
+    "convex": (_LINEAR_PROBES,
+               ("0.0", "0.5", "0.7896573757089635", "57.0", "None"),
+               (("0.3463704971641457", "-0.4500000000000002", "0.0"),
+                ("0.03758570843280662", "-0.34745101788501787", "1.1833658724068052"),
+                ("0.25", "1.0", "2.0"),
+                ("1.4375857084328065", "2.3474510178850183", "1.1833658724068052"),
+                ("4.195685248582073", "4.7749999999999995", "0.0"),
+                ("7.5385146642564", "4.785287042077198", "0.23438935546730705"),
+                ("11.625", "5.5", "1.0"),
+                ("16.338514664256397", "6.214712957922802", "0.23438935546730705"),
+                ("20.073185248582075", "6.225", "0.0"))),
+    "radial": ((0.0125, 0.03, 0.07, 0.15, 0.3, 0.8, 2.0, 5.0, 8.0),
+               ("0.001987411402653746", "0.34657359027997264", "0.18441767239499096",
+                "24.350459279799434", "3116.8587878143276"),
+               (("-0.23721318818948794", "0.9106439799732553", "-58.30429441040971"),
+                ("-0.22578369331013212", "0.5012364095773535", "-11.067868792889836"),
+                ("-0.2109826635550558", "0.28813424374886176", "-2.926564524886527"),
+                ("-0.15729007672478973", "1.7639832871058863", "26.055003978530543"),
+                ("0.13555603738239674", "1.5301453511189815", "-5.078402154811563"),
+                ("0.586773534576198", "0.5774916093174438", "-0.655070600932848"),
+                ("1.0986122886681098", "0.3333333333333333", "-0.1111111111111111"),
+                ("1.7911635310041694", "0.16463825495271206", "-0.03193682702545137"),
+                ("2.1785361137006833", "0.10308486005993497", "-0.012854554204325406"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GLUE_BITS))
+def test_glue_keeps_its_bits(kind):
+    problem = {
+        "strict": lambda: GlueProblem(exp_quad_piece((0, 1)), exp_quad_piece((3, 4), c=1.2),
+                                      "strictly_convex"),
+        "convex": lambda: GlueProblem(quad_piece((0, 1)),
+                                      quad_piece((3, 4), a=9 - 5 * 3 + 0.5 * 9, b=5 - 3.0, c=0.5),
+                                      "convex"),
+        # the README's radial glue
+        "radial": lambda: GlueProblem(
+            GluePiece(feps_smoothfn(2.0**-10, lo=1 / 64, hi=1 / 16)),
+            GluePiece(SmoothFn(Interval(1.0, 4.0), fs_potential().jet, name="log1p")),
+            "radial_psh", n=2),
+    }[kind]()
+    probes, scalars, jets = GLUE_BITS[kind]
+    res = glue(problem)
+    got = (res.c, res.delta, res.eps, res.cert_sup_h2, res.det_cert)
+    assert tuple(repr(None if x is None else float(x)) for x in got) == scalars
+    h = res.h.eval(np.array(probes))
+    assert tuple(tuple(repr(float(v)) for v in col) for col in zip(*h)) == jets
