@@ -64,16 +64,15 @@ def _exp_exp_fn(interval: Interval) -> SmoothFn:
     return SmoothFn(interval, jet, name="exp-exp")
 
 
-def build_family(name: str, interval: Interval, args: dict[str, Any]) -> SmoothFn:
+def build_family(name: str, interval: Interval, coeffs: list[float] | None,
+                 eps: float | None) -> SmoothFn:
     if name == "poly":
-        coeffs = args.get("coeffs")
         if not coeffs:
             raise BadConfig("poly family needs coeffs")
         return _poly_fn(interval, coeffs)
     if name == "log1p":
         return dataclasses.replace(fs_potential(), domain=interval)
     if name == "feps":
-        eps = args.get("eps")
         if eps is None:
             raise BadConfig("feps family needs eps")
         return feps_smoothfn(float(eps), lo=interval.lo, hi=interval.hi)
@@ -203,15 +202,15 @@ def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
     else:
         interval = Interval(*_floats(args.interval, 2))
         m = gauss_measure(interval, args.panels, args.order)
-        fam_args: dict[str, Any] = {}
-        if args.coeffs:
-            fam_args["coeffs"] = _floats(args.coeffs)
-        if args.eps is not None:
-            fam_args["eps"] = args.eps
-        fn = build_family(args.builtin, interval, fam_args)
+        coeffs = _floats(args.coeffs) if args.coeffs else None
+        fn = build_family(args.builtin, interval, coeffs, args.eps)
         f = GridFn(m, fn.d0(m.nodes))
         source = {"builtin": args.builtin, "interval": args.interval,
-                  "panels": args.panels, "order": args.order, **fam_args}
+                  "panels": args.panels, "order": args.order}
+        if coeffs:
+            source["coeffs"] = coeffs
+        if args.eps is not None:
+            source["eps"] = args.eps
     res = luxemburg_norm(f, params)
     bound = integral_bound_from_norm(f, params, res.norm)
     results = {
@@ -232,6 +231,8 @@ def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
 
 def cmd_holder_young(args: argparse.Namespace) -> Outcome:
     rng = rng_from_seed(args.seed)
+    if args.sweep < 0:
+        raise BadConfig(f"--sweep must be >= 0, got {args.sweep}")
     if args.sweep > 0:
         bounds = []
         for start in range(0, args.sweep, BLOCK_SIZE):
@@ -264,12 +265,11 @@ def cmd_holder_young(args: argparse.Namespace) -> Outcome:
 
 def cmd_degiorgi(args: argparse.Namespace) -> Outcome:
     if args.mode == "formula":
-        hyp = IterationHypothesis(args.C, args.alpha, args.beta, args.f0)
-        tg = t_gamma(hyp, args.gamma)
+        hyp = IterationHypothesis(args.C, args.alpha, args.beta)
+        tg = t_gamma(hyp, args.f0, args.gamma)
         results = {"t_gamma": tg.value, "at_zero_level": tg.at_zero_level}
         if args.T is not None:
-            results["l_gamma"] = l_gamma(args.C, args.alpha, args.beta,
-                                         args.gamma, args.T)
+            results["l_gamma"] = l_gamma(hyp, args.gamma, args.T)
         verdicts = [tg.verdict]
     elif args.mode == "simulate":
         rep, C, extensions = simulate_power_profile(args.k, args.alpha, args.beta, args.gamma,
@@ -302,17 +302,10 @@ def cmd_glue(args: argparse.Namespace) -> Outcome:
         raise BadConfig(f"--h-points must be >= 0, got {args.h_points}")
     li = Interval(*_floats(args.left_interval, 2))
     ri = Interval(*_floats(args.right_interval, 2))
-    largs: dict[str, Any] = {}
-    rargs: dict[str, Any] = {}
-    if args.left_coeffs:
-        largs["coeffs"] = _floats(args.left_coeffs)
-    if args.right_coeffs:
-        rargs["coeffs"] = _floats(args.right_coeffs)
-    if args.eps is not None:
-        largs["eps"] = args.eps
-        rargs["eps"] = args.eps
-    left = GluePiece(build_family(args.left_fn, li, largs))
-    right = GluePiece(build_family(args.right_fn, ri, rargs))
+    lc = _floats(args.left_coeffs) if args.left_coeffs else None
+    rc = _floats(args.right_coeffs) if args.right_coeffs else None
+    left = GluePiece(build_family(args.left_fn, li, lc, args.eps))
+    right = GluePiece(build_family(args.right_fn, ri, rc, args.eps))
     problem = GlueProblem(left, right, mode, n=args.n)
     result = glue(problem)
     check = verify_glue(result)

@@ -40,13 +40,10 @@ class IterationHypothesis:
     C: float
     alpha: float
     beta: float
-    f_t0: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0 < self.C < np.inf and 0 < self.alpha < np.inf and 0 < self.beta < np.inf):
             raise InvalidInput("C, alpha, beta must all be positive and finite")
-        if not 0 <= self.f_t0 < np.inf:
-            raise InvalidInput("f_t0 must be finite and >= 0")
 
 
 class TGamma(NamedTuple):
@@ -58,28 +55,30 @@ class TGamma(NamedTuple):
         return Verdict("t_gamma_finite", np.isfinite(self.value), self.value, np.inf, 0)
 
 
-def t_gamma(h: IterationHypothesis, gamma: float) -> TGamma:
-    """Vanishing threshold: max-form of the two-branch expression.
+def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
+    """Vanishing threshold: max-form of the two-branch expression in f(t0).
 
     Requires beta > alpha and gamma in (1, beta/alpha].  When f(t0) = 0 the
     log(1 + 1/f) factor diverges and the max-form limit is returned (0 for
     gamma < beta/alpha) together with a flag.  Both written forms of the
     threshold are evaluated and must agree to 1e-12 relative.
     """
+    if not 0 <= f_t0 < np.inf:
+        raise InvalidInput("f_t0 must be finite and >= 0")
     if not h.beta > h.alpha:
         raise BetaNotGreaterThanAlpha(f"beta={h.beta} must exceed alpha={h.alpha}")
     ratio = h.beta / h.alpha
     if not (1.0 < gamma <= ratio):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {ratio}]")
     front = (h.C * np.e) ** (1.0 / h.alpha) * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
-    if h.f_t0 == 0.0:
+    if f_t0 == 0.0:
         # log(1 + 1/f(t0)) -> infinity: first max argument tends to
         # L^(gamma - beta/alpha), the second to 0.
         limit = front if gamma == ratio else 0.0
         return TGamma(limit, True)
-    L = np.log1p(1.0 / h.f_t0)
+    L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
-    if h.f_t0 <= 1.0:
+    if f_t0 <= 1.0:
         branch = front / L ** (ratio - gamma)
     else:
         branch = (h.C * np.e) ** (1.0 / h.alpha) * 2.0**gamma / ((gamma - 1.0) * L**ratio)
@@ -90,18 +89,18 @@ def t_gamma(h: IterationHypothesis, gamma: float) -> TGamma:
     return TGamma(float(value), False)
 
 
-def l_gamma(C: float, alpha: float, beta: float, gamma: float, T: float) -> float:
+def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
     f(t0) > 1 / (e^L - 1) with L the value returned here."""
-    if not (0 < C < np.inf and 0 < alpha < np.inf and 0 < beta < np.inf and 0 < T < np.inf):
-        raise InvalidInput("C, alpha, beta, T must all be positive and finite")
-    if not (1.0 < gamma < beta / alpha):
-        raise GammaOutOfRange(f"gamma={gamma} outside (1, {beta / alpha})")
-    ce = (C * np.e) ** (1.0 / alpha)
+    if not 0 < T < np.inf:
+        raise InvalidInput("T must be positive and finite")
+    if not (1.0 < gamma < h.beta / h.alpha):
+        raise GammaOutOfRange(f"gamma={gamma} outside (1, {h.beta / h.alpha})")
+    ce = (h.C * np.e) ** (1.0 / h.alpha)
     a1 = (ce * (2.0 / np.log(2.0)) ** gamma / ((gamma - 1.0) * T)) ** (
-        alpha / (beta - gamma * alpha)
+        h.alpha / (h.beta - gamma * h.alpha)
     )
-    a2 = (ce * 2.0**gamma / ((gamma - 1.0) * T)) ** (alpha / beta)
+    a2 = (ce * 2.0**gamma / ((gamma - 1.0) * T)) ** (h.alpha / h.beta)
     return float(max(a1, a2))
 
 
@@ -245,8 +244,7 @@ def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
 
 def fit_constant(f: LevelSetFn, alpha: float, beta: float) -> float:
     """Smallest C making the hypothesis hold on the grid: the max pair ratio."""
-    probe = IterationHypothesis(1.0, alpha, beta, f.f_t0)
-    report = check_hypothesis(f, probe)
+    report = check_hypothesis(f, IterationHypothesis(1.0, alpha, beta))
     if report.vacuous:
         return 1.0
     return report.worst_ratio
@@ -293,8 +291,7 @@ def simulate_vanishing(
     if not h.beta > h.alpha:
         return VanishingReport("not_applicable", np.nan, None, None, 0, False,
                                report.pairs_checked)
-    hyp = IterationHypothesis(h.C, h.alpha, h.beta, f.f_t0)
-    T = t_gamma(hyp, gamma).value
+    T = t_gamma(h, f.f_t0, gamma).value
     node, val = f.value_at_first_node_geq(f.t0 + T)
     chain_ok = True
     depth = 0
@@ -328,8 +325,8 @@ def simulate_power_profile(k: float, alpha: float, beta: float, gamma: float, *,
         f = power_superlevel_fn(k, amplitude=amplitude, length=length, n_nodes=n_nodes,
                                 t_end=t_end)
         C = fit_constant(f, alpha, beta)
-        hyp = IterationHypothesis(C, alpha, beta, f.f_t0)
-        T = t_gamma(hyp, gamma).value
+        hyp = IterationHypothesis(C, alpha, beta)
+        T = t_gamma(hyp, f.f_t0, gamma).value
         if f.grid[-1] >= f.t0 + T:
             break
         t_end = (f.t0 + T) * 1.05

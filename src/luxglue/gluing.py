@@ -23,6 +23,7 @@ absolute value.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -515,19 +516,9 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     # is at most the log glue's curvature ceiling
     det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** n
                 * log_res.cert_sup_h2)
-    return GlueResult(
-        problem=problem,
-        h=h,
-        c=log_res.c,
-        delta=log_res.delta,
-        eps=log_res.eps,
-        cert_inf_h2=log_res.cert_inf_h2,
-        cert_sup_h2=log_res.cert_sup_h2,
-        working=working,
-        compat=compat,
-        log_result=log_res,
-        det_cert=det_cert,
-    )
+    # c, delta, eps and both curvature certificates are the log glue's
+    return dataclasses.replace(log_res, problem=problem, h=h, working=working, compat=compat,
+                               log_result=log_res, det_cert=det_cert)
 
 
 def verify_glue(result: GlueResult) -> GlueCheck:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonFinite, OutOfDomain
-from .gluing import GluePiece, GlueProblem, GlueResult, glue
+from .gluing import GluePiece, GlueProblem, glue
 from .numgrid import (
     GridFn,
     Interval,
@@ -148,8 +148,10 @@ def f_eps_at_zero(params: CounterexampleParams) -> float:
 
 
 def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25) -> SmoothFn:
-    """Unguarded carrier of the normalized family for constructions that
-    probe slightly past [lo, hi]."""
+    """Carrier of the normalized family for constructions that probe
+    slightly past [lo, hi]: only eps is guarded, not t."""
+    if not 0 < eps < np.inf:
+        raise InvalidInput(f"eps must be positive and finite, got {eps}")
     return SmoothFn(Interval(lo, hi), lambda t: _feps_jet(t, eps, FEPS_COEFF),
                     name=f"feps[{eps:g}]")
 
@@ -175,8 +177,8 @@ class AppendixReport:
     mass: float
 
 
-def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport:
-    """Sup of the big eigenvalue on [t0, 1/4] and the chart-weighted entropy
+def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
+    """Sup of the big eigenvalue on [1/8, 1/4] and the chart-weighted entropy
     integral of the determinant F on [0, 1/4], both for the raw
     (coefficient-1) family.
 
@@ -185,13 +187,11 @@ def appendix_c_bounds(params: CounterexampleParams, t0: float) -> AppendixReport
     halving of eps past that.  Raises NonFinite once eps is so small (about
     2^-250) that the family's second derivative overflows.
     """
-    if not 0 < t0 < 0.25:
-        raise InvalidInput("t0 must lie in (0, 1/4)")
     eps, n = params.eps, params.n
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):
             raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
-    t = np.linspace(t0, 0.25, 4097)
+    t = np.linspace(0.125, 0.25, 4097)
     _, f1, f2 = _feps_jet(t, eps, 1.0)
     sup_big = float(np.max(f1 + t * f2))
     m = geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
@@ -229,18 +229,10 @@ def appendix_bound(n: int) -> float:
 # the assembled chart potential and its entropy sweep
 
 
-@dataclass(frozen=True)
-class ChartPotential:
-    """Potential equal to the quadruple-log family near 0, the reference
-    potential past t = 1, and a strictly psh radial glue on the band between."""
-
-    params: CounterexampleParams
-    profile: RadialProfile
-    glue_result: GlueResult
-
-
-def build_v_eps(params: CounterexampleParams) -> ChartPotential:
-    """Assemble the chart potential for the given eps.
+def build_v_eps(params: CounterexampleParams) -> RadialProfile:
+    """The chart potential for the given eps: the quadruple-log family near
+    0, the reference potential past t = 1, and a strictly psh radial glue on
+    the band between.
 
     Glue pieces sit on t in [1/64, 1/16] (the family) and [1, 4] (the
     reference); the glue happens in log coordinates and is exact on both
@@ -250,16 +242,14 @@ def build_v_eps(params: CounterexampleParams) -> ChartPotential:
     left = GluePiece(feps_smoothfn(eps, lo=1.0 / 64.0, hi=1.0 / 16.0))
     fs = fs_potential()
     right = GluePiece(dataclasses.replace(fs, domain=Interval(1.0, 4.0)))
-    result = glue(GlueProblem(left, right, "radial_psh", n=n))
-    h = result.h
+    h = glue(GlueProblem(left, right, "radial_psh", n=n)).h
     b1, a2 = 1.0 / 16.0, 1.0
 
     def jet(t: np.ndarray) -> Jet:
         return piecewise(t, [(t <= b1, left.fn.jet), (t >= a2, fs.jet),
                              ((t > b1) & (t < a2), h.jet)])
 
-    profile = RadialProfile(n, SmoothFn(Interval(0.0, 9.0), jet, name=f"veps[{eps:g}]"))
-    return ChartPotential(params, profile, result)
+    return RadialProfile(n, SmoothFn(Interval(0.0, 9.0), jet, name=f"veps[{eps:g}]"))
 
 
 def chart_measure(n: int, eps: float = EPS_MAX) -> WeightedMeasure:
@@ -289,12 +279,12 @@ def chart_total_mass(n: int) -> float:
     return math.pi**n / math.factorial(n)
 
 
-def density_ratio(chart: ChartPotential, measure: WeightedMeasure) -> GridFn:
+def density_ratio(profile: RadialProfile, measure: WeightedMeasure) -> GridFn:
     """Determinant of the assembled potential against the reference
     determinant; identically 1 past t = 1."""
-    n = chart.params.n
+    n = profile.n
     t = measure.nodes
-    _, lam1, f2 = chart.profile.fn.eval(t)
+    _, lam1, f2 = profile.fn.eval(t)
     lam2 = lam1 + t * f2
     dens = lam1 ** (n - 1) * lam2 * (1.0 + t) ** (n + 1)
     dens = np.where(t >= 1.0, 1.0, dens)
@@ -304,8 +294,7 @@ def density_ratio(chart: ChartPotential, measure: WeightedMeasure) -> GridFn:
 def chart_density(n: int, eps: float) -> GridFn:
     """Density ratio of the chart potential at eps on the chart measure for
     eps; the only builder of a sweep density."""
-    chart = build_v_eps(CounterexampleParams(eps, n))
-    return density_ratio(chart, chart_measure(n, eps))
+    return density_ratio(build_v_eps(CounterexampleParams(eps, n)), chart_measure(n, eps))
 
 
 @dataclass(frozen=True)
@@ -313,7 +302,7 @@ class SweepRow:
     eps: float
     ent: tuple[float, ...]  # one entry per r of the sweep
     osc: float
-    apx_integral: float  # appendix_c_bounds(..., t0=1/8).integral
+    apx_integral: float  # appendix_c_bounds(...).integral
 
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
@@ -326,7 +315,7 @@ def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     ents = entropies([d for d in dens for _ in scales], scales * len(dens))
     params = [CounterexampleParams(eps, n) for eps in eps_list]
     return [SweepRow(p.eps, tuple(ents[i * len(scales):(i + 1) * len(scales)]),
-                     abs(f_eps_at_zero(p)), appendix_c_bounds(p, t0=1.0 / 8.0).integral)
+                     abs(f_eps_at_zero(p)), appendix_c_bounds(p).integral)
             for i, p in enumerate(params)]
 
 

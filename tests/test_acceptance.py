@@ -282,7 +282,7 @@ def test_criterion_10_appendix_integral_uniformity():
     all_ok = True
     for n in (2, 3):
         vals = np.array([
-            appendix_c_bounds(CounterexampleParams(2.0**-k, n), 1.0 / 8.0).integral
+            appendix_c_bounds(CounterexampleParams(2.0**-k, n)).integral
             for k in EPS_KS
         ])
         finite = bool(np.isfinite(vals).all() and np.all(vals > 0))
@@ -290,7 +290,7 @@ def test_criterion_10_appendix_integral_uniformity():
                           finite, f"range [{vals.min():.3e}, {vals.max():.3e}]")
         # Past the sweep too, where the integral is still growing.
         deep = np.array([
-            appendix_c_bounds(CounterexampleParams(2.0**-k, n), 1.0 / 8.0).integral
+            appendix_c_bounds(CounterexampleParams(2.0**-k, n)).integral
             for k in (60, 100, 200)
         ])
         top = float(max(vals.max(), deep.max()))

@@ -277,6 +277,11 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["degiorgi", "--mode", "sharpness", "--alpha", "nan"],
     ["degiorgi", "--mode", "sharpness", "--alpha", "inf"],
     ["degiorgi", "--mode", "formula", "--beta", "3", "--T", "inf"],
+    *(["glue", "--mode", "radial", "--eps", eps, "--left-fn", "feps",
+       "--left-interval", "0.015625,0.0625", "--right-fn", "log1p", "--right-interval", "1,4"]
+      for eps in ("nan", "-1", "inf")),
+    ["orlicz-norm", "--builtin", "feps", "--eps", "nan", "--interval", "0,0.25"],
+    ["holder-young", "--sweep", "-5"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from luxglue.errors import InvalidInput, NonFinite, OutOfDomain
+from luxglue.errors import NonFinite, OutOfDomain
 from luxglue.numgrid import Interval, gauss_measure
 from luxglue.orlicz import EntropyParams, entropy
 from luxglue.radialpsh import (
@@ -134,13 +134,13 @@ def test_feps_slope_bound_at_sixteenth():
 
 
 def test_appendix_bounds_basic():
-    rep = appendix_c_bounds(CounterexampleParams(2.0**-5, 2), t0=1.0 / 8.0)
+    rep = appendix_c_bounds(CounterexampleParams(2.0**-5, 2))
     assert isinstance(rep, AppendixReport)
     assert np.isfinite(rep.integral) and rep.integral > 0
     assert np.isfinite(rep.sup_big_eigen)
     # frozen adaptive-quadrature oracle values for n=2
     assert rep.integral == pytest.approx(1.1364098619e-4, rel=1e-6)
-    rep40 = appendix_c_bounds(CounterexampleParams(2.0**-40, 2), t0=1.0 / 8.0)
+    rep40 = appendix_c_bounds(CounterexampleParams(2.0**-40, 2))
     assert rep40.integral == pytest.approx(0.108133810092, rel=1e-6)
 
 
@@ -157,17 +157,17 @@ def test_appendix_quadrature_resolves_small_eps(n):
         L3 = math.log1p(L2)
         d1 = u * u / ((1 + u) * (1 + L1) * (1 + L2) * (1 + L3))
         exact = (0.25 * d1) ** n / n
-        rep = appendix_c_bounds(CounterexampleParams(eps, n), t0=1.0 / 8.0)
+        rep = appendix_c_bounds(CounterexampleParams(eps, n))
         assert rep.mass == pytest.approx(exact, rel=1e-10)
 
 
 def test_appendix_rejects_overflowing_eps():
     with pytest.raises(NonFinite):
-        appendix_c_bounds(CounterexampleParams(2.0**-300, 2), t0=1.0 / 8.0)
+        appendix_c_bounds(CounterexampleParams(2.0**-300, 2))
 
 
 def test_appendix_sup_stable_in_eps():
-    sups = [appendix_c_bounds(CounterexampleParams(2.0**-k, 2), 1.0 / 8.0).sup_big_eigen
+    sups = [appendix_c_bounds(CounterexampleParams(2.0**-k, 2)).sup_big_eigen
             for k in (5, 10, 20, 30, 40)]
     assert max(sups) / min(sups) < 1.5
 
@@ -180,8 +180,7 @@ def test_chart_measure_mass():
 
 def test_build_v_eps_branches_and_seams():
     params = CounterexampleParams(2.0**-10, 2)
-    chart = build_v_eps(params)
-    fn = chart.profile.fn
+    fn = build_v_eps(params).fn
     ts = np.linspace(1.0, 8.0, 50)
     assert np.max(np.abs(fn.d0(ts) - np.log1p(ts))) == 0.0
     assert float(fn.d0(0.0)) == f_eps_at_zero(params)
@@ -194,16 +193,15 @@ def test_build_v_eps_branches_and_seams():
 
 @pytest.mark.parametrize("k", [5, 10, 20])
 def test_build_v_eps_strictly_psh(k):
-    chart = build_v_eps(CounterexampleParams(2.0**-k, 2))
+    profile = build_v_eps(CounterexampleParams(2.0**-k, 2))
     grid = gauss_measure(Interval(1e-9, 9.0), 64, 8)
-    assert psh_check(chart.profile, grid).strict
+    assert psh_check(profile, grid).strict
 
 
 def test_density_ratio_tail_is_unit():
     params = CounterexampleParams(2.0**-10, 2)
-    chart = build_v_eps(params)
     m = chart_measure(2)
-    dens = density_ratio(chart, m)
+    dens = density_ratio(build_v_eps(params), m)
     tail = m.nodes >= 1.0
     assert np.all(dens.values[tail] == 1.0)
     assert np.all(dens.values > 0)
@@ -262,7 +260,6 @@ def test_chart_sweep_builds_without_verifying(monkeypatch):
     monkeypatch.setattr(radialpsh, "verify_glue", refuse, raising=False)
     rows = entropy_sweep(2, (1, 3), [2.0**-5, 2.0**-20])
     assert all(np.isfinite(row.ent).all() for row in rows)
-    assert build_v_eps(CounterexampleParams(2.0**-10, 2)).glue_result.det_cert > 0
 
 
 def test_chart_measure_resolves_small_eps():
@@ -273,6 +270,30 @@ def test_chart_measure_resolves_small_eps():
     assert np.isfinite(entropy_sweep(2, (3,), [2.0**-150])[0].ent[0])
 
 
-def test_appendix_t0_outside_the_quarter_raises_invalid_input():
-    with pytest.raises(InvalidInput):
-        appendix_c_bounds(CounterexampleParams(2.0**-10, 2), t0=0.3)
+# reprs of (ent at n - 1, ent at n + 1, osc, apx_integral) for each row of
+# entropy_sweep(n, (n - 1, n + 1), [2^-5, 2^-20, 2^-40]), and of
+# (sup_big_eigen, integral, mass) of appendix_c_bounds at eps = 2^-10, n = 2;
+# frozen from the code before the chart became a bare RadialProfile.
+SWEEP_ROWS = {
+    2: [("2.84682881930236", "2.8194953931981264", "0.22564704811797964",
+         "0.00011364098619577128"),
+        ("2.900844312543101", "2.9201693600039373", "0.289871844025193",
+         "0.04580876770187961"),
+        ("2.9278959260112134", "3.2198145204501594", "0.3136540236472179",
+         "0.10813381009209207")],
+    3: [("4.593481844137646", "4.91221000070008", "0.22564704811797964",
+         "6.759832387618205e-07"),
+        ("4.72432433125987", "5.083355781829553", "0.289871844025193",
+         "0.053668060765271745"),
+        ("4.745203847764276", "5.353307210872169", "0.3136540236472179",
+         "0.18086528015941924")],
+}
+APPENDIX_2_10 = ("0.21559986595574765", "0.006877934112082297", "0.004355265086299882")
+
+
+def test_chart_sweep_keeps_its_bits():
+    for n, want in SWEEP_ROWS.items():
+        rows = entropy_sweep(n, (n - 1, n + 1), [2.0**-5, 2.0**-20, 2.0**-40])
+        assert [tuple(map(repr, (*row.ent, row.osc, row.apx_integral))) for row in rows] == want
+    rep = appendix_c_bounds(CounterexampleParams(2.0**-10, 2))
+    assert tuple(map(repr, (rep.sup_big_eigen, rep.integral, rep.mass))) == APPENDIX_2_10
