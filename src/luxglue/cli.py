@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .degiorgi import IterationHypothesis, l_gamma, sharpness_sup, simulate_power_profile, t_gamma
 from .errors import BadConfig, FileFormat, LuxglueError, ZeroMass
-from .gluing import GluePiece, GlueProblem, glue, verify_glue
+from .gluing import MODES, GlueProblem, glue, verify_glue
 from .numgrid import GridFn, Interval, SmoothFn, Verdict, WeightedMeasure, gauss_measure
 from .orlicz import (
     BLOCK_SIZE,
@@ -71,7 +71,7 @@ def build_family(name: str, interval: Interval, coeffs: list[float] | None,
             raise BadConfig("poly family needs coeffs")
         return _poly_fn(interval, coeffs)
     if name == "log1p":
-        return dataclasses.replace(fs_potential(), domain=interval)
+        return dataclasses.replace(fs_potential(), interval=interval)
     if name == "feps":
         if eps is None:
             raise BadConfig("feps family needs eps")
@@ -194,7 +194,15 @@ def _floats(text: str, count: int | None = None) -> list[float]:
 Outcome = tuple[dict, dict, list[Verdict]]
 
 
+def _check_eps_read(eps: float | None, families: tuple[str, ...]) -> None:
+    """Only the feps family reads --eps; a value nothing reads is an error."""
+    if eps is not None and "feps" not in families:
+        raise BadConfig(f"--eps {eps:g} is read only by the feps family, and no function "
+                        "here is one")
+
+
 def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
+    _check_eps_read(args.eps, () if args.data else (args.builtin,))
     params = YoungParams(*_floats(args.young, 3))
     if args.data:
         f = read_data_csv(args.data)
@@ -293,26 +301,22 @@ def cmd_degiorgi(args: argparse.Namespace) -> Outcome:
     return inputs, results, verdicts
 
 
-_MODE_MAP = {"strict": "strictly_convex", "convex": "convex", "radial": "radial_psh"}
-
-
 def cmd_glue(args: argparse.Namespace) -> Outcome:
-    mode = _MODE_MAP[args.mode]  # a choice, checked by parsing
     if args.h_csv and args.h_points < 0:
         raise BadConfig(f"--h-points must be >= 0, got {args.h_points}")
     li = Interval(*_floats(args.left_interval, 2))
     ri = Interval(*_floats(args.right_interval, 2))
     lc = _floats(args.left_coeffs) if args.left_coeffs else None
     rc = _floats(args.right_coeffs) if args.right_coeffs else None
-    left = GluePiece(build_family(args.left_fn, li, lc, args.eps))
-    right = GluePiece(build_family(args.right_fn, ri, rc, args.eps))
-    problem = GlueProblem(left, right, mode, n=args.n)
-    result = glue(problem)
+    _check_eps_read(args.eps, (args.left_fn, args.right_fn))
+    left = build_family(args.left_fn, li, lc, args.eps)
+    right = build_family(args.right_fn, ri, rc, args.eps)
+    result = glue(GlueProblem(left, right, args.mode, n=args.n))
     check = verify_glue(result)
     results = {
         "c": result.c, "delta": result.delta, "eps": result.eps,
         "inf_h2": check.inf_h2, "sup_h2": check.sup_h2,
-        "cert_inf_h2": result.cert_inf_h2, "cert_sup_h2": result.cert_sup_h2,
+        "cert_inf_h2": result.c, "cert_sup_h2": result.cert_sup_h2,
         "compat": {"lhs": result.compat.lhs, "mid": result.compat.mid,
                    "rhs": result.compat.rhs},
         "det_sup": check.det_sup, "det_cert": result.det_cert,
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glue", help="construct a certified glue")
     common(p)
-    p.add_argument("--mode", choices=sorted(_MODE_MAP), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--left-fn", default="poly")
     p.add_argument("--left-coeffs", default=None)
     p.add_argument("--left-interval", required=True)

@@ -1,11 +1,12 @@
 """Constructive C^2 gluing of two convex pieces on disjoint intervals.
 
-Three modes:
+Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
 
-* strictly_convex: the glue keeps a positive curvature floor and carries
-  certified two-sided curvature bounds;
-* convex: the zero-floor variant with a certified upper curvature bound;
-* radial_psh: pieces are radial potentials in t = |z|^2; the glue happens in
+* strict: h'' stays between a positive floor c and a ceiling, both
+  certified;
+* convex: the zero-floor variant (c = 0) with a certified upper curvature
+  bound;
+* radial: pieces are radial potentials in t = |z|^2; the glue happens in
   logarithmic coordinates and returns to t-space, preserving strict
   plurisubharmonicity, with a certified determinant bound on the bridge band.
 
@@ -161,26 +162,15 @@ def rho_eps(eps: float) -> SmoothFn:
 # problem/result containers
 
 
-@dataclass(frozen=True)
-class GluePiece:
-    """One piece: a C^2 function whose nominal interval is its domain."""
-
-    fn: SmoothFn
-
-    @property
-    def interval(self) -> Interval:
-        return self.fn.domain
-
-
-MODES = ("strictly_convex", "convex", "radial_psh")
+MODES = ("convex", "radial", "strict")
 
 
 @dataclass(frozen=True)
 class GlueProblem:
-    left: GluePiece
-    right: GluePiece
+    left: SmoothFn
+    right: SmoothFn
     mode: str
-    n: int = 2  # complex dimension, used by radial_psh certificates only
+    n: int = 2  # complex dimension, used by radial certificates only
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -190,10 +180,10 @@ class GlueProblem:
         if not a1 < b1 < a2 < b2:
             raise InvalidInput(f"need a1 < b1 < a2 < b2, got intervals "
                                f"[{a1:g}, {b1:g}] and [{a2:g}, {b2:g}]")
-        if self.mode == "radial_psh" and not a1 > 0:
+        if self.mode == "radial" and not a1 > 0:
             raise InvalidInput("radial mode needs a1 > 0")
-        if self.n < 1:
-            raise InvalidInput("n must be >= 1")
+        if not (1 <= self.n < np.inf and int(self.n) == self.n):
+            raise InvalidInput("n must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,10 +198,9 @@ class CompatReport:
 class GlueResult:
     problem: GlueProblem
     h: SmoothFn
-    c: float
+    c: float  # the curvature floor, certified inf h'' (the log glue's inf H'' if radial)
     delta: float
     eps: float
-    cert_inf_h2: float
     cert_sup_h2: float
     working: Interval
     compat: CompatReport
@@ -230,12 +219,12 @@ class GlueCheck:
 def compatibility(problem: GlueProblem) -> CompatReport:
     """Three-term slope chain whose strict ordering is necessary and
     sufficient for a glue to exist in the given mode."""
-    f, g = problem.left.fn, problem.right.fn
-    a1, b1 = problem.left.interval.lo, problem.left.interval.hi
-    a2, b2 = problem.right.interval.lo, problem.right.interval.hi
+    f, g = problem.left, problem.right
+    a1, b1 = f.interval.lo, f.interval.hi
+    a2, b2 = g.interval.lo, g.interval.hi
     fb, f1b, _ = map(float, f.eval(b1))
     ga, g1a, _ = map(float, g.eval(a2))
-    if problem.mode == "radial_psh":
+    if problem.mode == "radial":
         lhs = b1 * f1b
         mid = (ga - fb) / (np.log(a2) - np.log(b1))
         rhs = a2 * g1a
@@ -252,11 +241,11 @@ def _min_max_on(fn: SmoothFn, lo: float, hi: float) -> tuple[float, float]:
 def delta_search(problem: GlueProblem, c: float) -> float:
     """Largest dyadic margin delta = (a2-b1)/2^j, j = 2..60, satisfying the
     side conditions of the construction at probe-grid resolution."""
-    if problem.mode == "radial_psh":
+    if problem.mode == "radial":
         raise InvalidInput("delta search runs on the log-coordinate problem")
-    f, g = problem.left.fn, problem.right.fn
-    a1, b1 = problem.left.interval.lo, problem.left.interval.hi
-    a2, b2 = problem.right.interval.lo, problem.right.interval.hi
+    f, g = problem.left, problem.right
+    a1, b1 = f.interval.lo, f.interval.hi
+    a2, b2 = g.interval.lo, g.interval.hi
     gap = a2 - b1
     compat = compatibility(problem)
     if not compat.ok:
@@ -275,7 +264,7 @@ def delta_search(problem: GlueProblem, c: float) -> float:
             continue
         fb, fpb, _ = map(float, f.eval(b1 + delta))
         ga, gpa, _ = map(float, g.eval(a2 - delta))
-        if problem.mode == "strictly_convex":
+        if problem.mode == "strict":
             if min_f_d < c or min_g_d < c:
                 continue
             if not (gpa - fpb) / (gap - 2 * delta) > c:
@@ -313,7 +302,7 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
     anchored parabola; the double integral telescopes against the closed
     forms there.
     """
-    A, B = piece.domain.lo, piece.domain.hi
+    A, B = piece.interval.lo, piece.interval.hi
     if anchor not in (A, B):
         raise InvalidInput("anchor must be a piece endpoint")
     ds = 0.9 * delta
@@ -371,12 +360,12 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
 
 def _piece_curvature_check(problem: GlueProblem) -> tuple[float, float, float, float]:
     """(alpha1, alpha2, sup_f, sup_g) with mode-specific positivity demands."""
-    f, g = problem.left.fn, problem.right.fn
-    a1, b1 = problem.left.interval.lo, problem.left.interval.hi
-    a2, b2 = problem.right.interval.lo, problem.right.interval.hi
+    f, g = problem.left, problem.right
+    a1, b1 = f.interval.lo, f.interval.hi
+    a2, b2 = g.interval.lo, g.interval.hi
     alpha1, sup_f = _min_max_on(f, a1, b1)
     alpha2, sup_g = _min_max_on(g, a2, b2)
-    if problem.mode == "strictly_convex":
+    if problem.mode == "strict":
         if alpha1 <= 0:
             raise NotStrictlyConvexPiece(f"left piece: min f'' = {alpha1} <= 0")
         if alpha2 <= 0:
@@ -404,9 +393,9 @@ def glue(problem: GlueProblem) -> GlueResult:
     NotStrictlyConvexPiece when a piece misses its mode's curvature demand,
     DeltaSearchFailed when no dyadic margin satisfies the side conditions.
     """
-    _validate_piece(problem.left.fn, "left")
-    _validate_piece(problem.right.fn, "right")
-    if problem.mode == "radial_psh":
+    _validate_piece(problem.left, "left")
+    _validate_piece(problem.right, "right")
+    if problem.mode == "radial":
         return _glue_radial(problem)
 
     compat = compatibility(problem)
@@ -419,14 +408,14 @@ def glue(problem: GlueProblem) -> GlueResult:
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
     gap = a2 - b1
-    if problem.mode == "strictly_convex":
+    if problem.mode == "strict":
         c = min(alpha1 / 2, alpha2 / 2, (compat.mid - compat.lhs) / gap,
                 (compat.rhs - compat.mid) / gap)
     else:
         c = 0.0
     delta = delta_search(problem, c)
-    F_jet = _regularized(problem.left.fn, anchor=b1, c=c, delta=delta)
-    G_jet = _regularized(problem.right.fn, anchor=a2, c=c, delta=delta)
+    F_jet = _regularized(problem.left, anchor=b1, c=c, delta=delta)
+    G_jet = _regularized(problem.right, anchor=a2, c=c, delta=delta)
     seams = np.array([b1, a2], dtype=float)
     (F_b1, F_a2), (G_b1, G_a2) = F_jet(seams)[0], G_jet(seams)[0]
     gap_b1, gap_a2 = float(F_b1 - G_b1), float(G_a2 - F_a2)
@@ -453,7 +442,7 @@ def glue(problem: GlueProblem) -> GlueResult:
     h = SmoothFn(working, h_jet, name=f"glue[{problem.mode}]")
     denom = gap * min(compat.mid - compat.lhs, compat.rhs - compat.mid)
     slope_span = (compat.rhs - compat.lhs) ** 2
-    lead = 16.0 if problem.mode == "strictly_convex" else 4.0
+    lead = 16.0 if problem.mode == "strict" else 4.0
     cert_sup = lead * MOLLIFIER_M * slope_span / denom + 1.0 + max(sup_f, sup_g)
     return GlueResult(
         problem=problem,
@@ -461,31 +450,28 @@ def glue(problem: GlueProblem) -> GlueResult:
         c=c,
         delta=delta,
         eps=eps,
-        cert_inf_h2=c,
         cert_sup_h2=cert_sup,
         working=working,
         compat=compat,
     )
 
 
-def _log_piece(piece: GluePiece) -> GluePiece:
+def _log_piece(fn: SmoothFn) -> SmoothFn:
     """Same function in logarithmic coordinates: tau -> f(e^tau)."""
-    fn = piece.fn
-    lo, hi = piece.interval.lo, piece.interval.hi
 
     def jet(tau: np.ndarray) -> Jet:
         t = np.exp(tau)
         f0, f1, f2 = fn.eval(t)
         return f0, t * f1, t * f1 + t * t * f2
 
-    return GluePiece(SmoothFn(Interval(np.log(lo), np.log(hi)), jet,
-                              name=f"log[{fn.name}]"))
+    return SmoothFn(Interval(np.log(fn.interval.lo), np.log(fn.interval.hi)), jet,
+                    name=f"log[{fn.name}]")
 
 
 def _glue_radial(problem: GlueProblem) -> GlueResult:
-    f, g = problem.left.fn, problem.right.fn
-    a1, b1 = problem.left.interval.lo, problem.left.interval.hi
-    a2, b2 = problem.right.interval.lo, problem.right.interval.hi
+    f, g = problem.left, problem.right
+    a1, b1 = f.interval.lo, f.interval.hi
+    a2, b2 = g.interval.lo, g.interval.hi
     n = problem.n
     for fn, lo, hi, label in ((f, a1, b1, "left"), (g, a2, b2, "right")):
         t = np.linspace(lo, hi, _PROBE_N)
@@ -501,7 +487,7 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
             f"radial slope chain fails: {compat.lhs} < {compat.mid} < {compat.rhs}"
         )
     log_res = glue(GlueProblem(_log_piece(problem.left), _log_piece(problem.right),
-                               "strictly_convex", n=n))
+                               "strict", n=n))
     H = log_res.h
 
     def jet(t: np.ndarray) -> Jet:
@@ -509,14 +495,14 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
         return H0, H1 / t, (H2 - H1) / (t * t)
 
     working = Interval(a1, float(np.exp(np.log(b2) + 1.0)))
-    h = SmoothFn(working, jet, name="glue[radial_psh]")
+    h = SmoothFn(working, jet, name="glue[radial]")
 
     # bound on the bridge band's determinant e^(-n tau) H'^(n-1) H'': on
     # tau in [log b1, log a2], e^(-n tau) <= b1^-n, H' <= a2 g'(a2), and H''
     # is at most the log glue's curvature ceiling
     det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** n
                 * log_res.cert_sup_h2)
-    # c, delta, eps and both curvature certificates are the log glue's
+    # c, delta, eps and the curvature ceiling are the log glue's
     return dataclasses.replace(log_res, problem=problem, h=h, working=working, compat=compat,
                                log_result=log_res, det_cert=det_cert)
 
@@ -534,13 +520,13 @@ def verify_glue(result: GlueResult) -> GlueCheck:
     verdicts = []
     for side, piece in (("left", p.left), ("right", p.right)):
         probe = np.linspace(piece.interval.lo, piece.interval.hi, 257)
-        match = float(np.max(np.abs(result.h.d0(probe) - piece.fn.d0(probe))))
+        match = float(np.max(np.abs(result.h.d0(probe) - piece.d0(probe))))
         verdicts.append(Verdict(f"restriction_match_{side}", match <= 1e-9, match, 1e-9, 0))
-    if p.mode == "strictly_convex":
+    if p.mode == "strict":
         verdicts.append(Verdict("inf_h2_ge_certified",
-                                inf_h2 >= result.cert_inf_h2 * (1 - 1e-9) - 1e-12,
-                                inf_h2, result.cert_inf_h2, 1e-9))
-    if p.mode in ("strictly_convex", "convex"):
+                                inf_h2 >= result.c * (1 - 1e-9) - 1e-12,
+                                inf_h2, result.c, 1e-9))
+    if p.mode != "radial":
         verdicts.append(Verdict("sup_h2_le_certified", sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
                                 sup_h2, result.cert_sup_h2, 1e-9))
     det_sup = None

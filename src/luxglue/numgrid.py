@@ -240,13 +240,13 @@ Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
 class SmoothFn:
     """C^2 function carrier: one jet map t -> (f(t), f'(t), f''(t)).
 
-    The interval marks the nominal domain (the piece an operation acts on);
+    The interval is the nominal domain (the piece an operation acts on);
     the jet itself is expected to evaluate on a neighbourhood of it so that
     one-sided constructions can probe slightly outside.  The jet receives a
     1-D float array and returns three arrays of its shape.
     """
 
-    domain: Interval
+    interval: Interval
     jet: Callable[[np.ndarray], Jet] = field(repr=False)
     name: str = ""
 
@@ -287,7 +287,6 @@ class ConsistencyReport:
     ok: bool
     worst_d1_err: float
     worst_d2_err: float
-    n_probes: int
 
 
 def check_derivative_consistency(fn: SmoothFn, n_probes: int = 64) -> ConsistencyReport:
@@ -298,7 +297,7 @@ def check_derivative_consistency(fn: SmoothFn, n_probes: int = 64) -> Consistenc
     domain length); the error is measured relative to the sup of the exact
     derivative over the probe grid, so zero crossings do not inflate it.
     """
-    dom = fn.domain
+    dom = fn.interval
     scale = max(1.0, abs(dom.lo), abs(dom.hi))
     h = min(1e-5 * scale, dom.length / 8.0)
     t = np.linspace(dom.lo + h, dom.hi - h, n_probes)
@@ -314,5 +313,5 @@ def check_derivative_consistency(fn: SmoothFn, n_probes: int = 64) -> Consistenc
     e2 = sup_rel_err((f1_hi - f1_lo) / (2 * h), f2)
 
     return ConsistencyReport(ok=(e1 <= _FD_RTOL and e2 <= _FD_RTOL), worst_d1_err=e1,
-                             worst_d2_err=e2, n_probes=n_probes)
+                             worst_d2_err=e2)
 

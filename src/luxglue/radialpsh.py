@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonFinite, OutOfDomain
-from .gluing import GluePiece, GlueProblem, glue
+from .gluing import GlueProblem, glue
 from .numgrid import (
     GridFn,
     Interval,
@@ -46,9 +46,9 @@ class RadialProfile:
     fn: SmoothFn
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidInput("complex dimension must be >= 2")
-        if self.fn.domain.lo < 0:
+        if not (2 <= self.n < np.inf and int(self.n) == self.n):
+            raise InvalidInput("complex dimension must be an integer >= 2")
+        if self.fn.interval.lo < 0:
             raise InvalidInput("radial domain must sit inside [0, infinity)")
 
 
@@ -60,8 +60,8 @@ class CounterexampleParams:
     def __post_init__(self) -> None:
         if not 0 < self.eps < EPS_MAX:
             raise InvalidInput(f"eps must lie in (0, {EPS_MAX})")
-        if self.n < 2:
-            raise InvalidInput("n must be >= 2")
+        if not (2 <= self.n < np.inf and int(self.n) == self.n):
+            raise InvalidInput("n must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class HessianSpectrum:
 
 def hessian_spectrum(p: RadialProfile, t: float) -> HessianSpectrum:
     """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t."""
-    if not (p.fn.domain.lo - 1e-12 <= t <= p.fn.domain.hi + 1e-12):
-        raise OutOfDomain(f"t={t} outside {p.fn.domain}")
+    if not (p.fn.interval.lo - 1e-12 <= t <= p.fn.interval.hi + 1e-12):
+        raise OutOfDomain(f"t={t} outside {p.fn.interval}")
     _, f1, f2 = p.fn.eval(t)
     lam_small = float(f1)
     lam_big = lam_small + t * float(f2)
@@ -148,10 +148,13 @@ def f_eps_at_zero(params: CounterexampleParams) -> float:
 
 
 def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25) -> SmoothFn:
-    """Carrier of the normalized family for constructions that probe
-    slightly past [lo, hi]: only eps is guarded, not t."""
+    """Carrier of the normalized family on the nominal interval [lo, hi],
+    lo >= 0 since the family is a function of t = |z|^2; the jet takes any
+    t > -eps, so constructions may probe slightly past the interval."""
     if not 0 < eps < np.inf:
         raise InvalidInput(f"eps must be positive and finite, got {eps}")
+    if not lo >= 0:
+        raise InvalidInput(f"the interval [{lo:g}, {hi:g}] must lie in t = |z|^2 >= 0")
     return SmoothFn(Interval(lo, hi), lambda t: _feps_jet(t, eps, FEPS_COEFF),
                     name=f"feps[{eps:g}]")
 
@@ -168,8 +171,6 @@ def _eps_panels(eps: float, h: int) -> int:
 
 @dataclass(frozen=True)
 class AppendixReport:
-    eps: float
-    n: int
     sup_big_eigen: float
     integral: float
     # Quadrature of t^(n-1) F on the same nodes; its exact value is
@@ -206,7 +207,7 @@ def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
     )
     integral = pairwise_sum(m.weights * integrand)
     mass = pairwise_sum(m.weights * tt ** (n - 1) * F)
-    return AppendixReport(eps, n, sup_big, integral, mass)
+    return AppendixReport(sup_big, integral, mass)
 
 
 def appendix_bound(n: int) -> float:
@@ -239,14 +240,14 @@ def build_v_eps(params: CounterexampleParams) -> RadialProfile:
     pieces, so the seams at 1/16 and 1 are exact.
     """
     eps, n = params.eps, params.n
-    left = GluePiece(feps_smoothfn(eps, lo=1.0 / 64.0, hi=1.0 / 16.0))
+    left = feps_smoothfn(eps, lo=1.0 / 64.0, hi=1.0 / 16.0)
     fs = fs_potential()
-    right = GluePiece(dataclasses.replace(fs, domain=Interval(1.0, 4.0)))
-    h = glue(GlueProblem(left, right, "radial_psh", n=n)).h
+    right = dataclasses.replace(fs, interval=Interval(1.0, 4.0))
+    h = glue(GlueProblem(left, right, "radial", n=n)).h
     b1, a2 = 1.0 / 16.0, 1.0
 
     def jet(t: np.ndarray) -> Jet:
-        return piecewise(t, [(t <= b1, left.fn.jet), (t >= a2, fs.jet),
+        return piecewise(t, [(t <= b1, left.jet), (t >= a2, fs.jet),
                              ((t > b1) & (t < a2), h.jet)])
 
     return RadialProfile(n, SmoothFn(Interval(0.0, 9.0), jet, name=f"veps[{eps:g}]"))

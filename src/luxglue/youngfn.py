@@ -142,7 +142,6 @@ def phi_compose_d2(params: YoungParams, t: ArrayLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    params: YoungParams
     min_d2: float
     argmin_d2: float
     min_compose_d2: float | None
@@ -175,7 +174,6 @@ def check_strict_convexity(params: YoungParams, grid: WeightedMeasure) -> Convex
         violations += int(np.count_nonzero(c2 <= 0))
     ok = d2[i] > 0 and (min_c is None or min_c > 0)
     return ConvexityReport(
-        params=params,
         min_d2=float(d2[i]),
         argmin_d2=float(t[i]),
         min_compose_d2=min_c,

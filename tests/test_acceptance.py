@@ -188,19 +188,19 @@ def test_criterion_07_glue_certified_bounds():
         res = glue(prob)
         check = verify_glue(res)
         assert all(v.passed for v in check.verdicts), check.verdicts
-        worst_inf_margin = min(worst_inf_margin, check.inf_h2 - res.cert_inf_h2)
+        worst_inf_margin = min(worst_inf_margin, check.inf_h2 - res.c)
         worst_sup_margin = min(worst_sup_margin, res.cert_sup_h2 - check.sup_h2)
         for piece in (prob.left, prob.right):
             t = np.linspace(piece.interval.lo, piece.interval.hi, 257)
-            assert np.max(np.abs(res.h.d1(t) - piece.fn.d1(t))) <= 1e-7
-            assert np.max(np.abs(res.h.d2(t) - piece.fn.d2(t))) <= 1e-6
+            assert np.max(np.abs(res.h.d1(t) - piece.d1(t))) <= 1e-7
+            assert np.max(np.abs(res.h.d2(t) - piece.d2(t))) <= 1e-6
     rejected = 0
     for _ in range(5):
         left = quad_piece((0, 1))
         right = quad_piece((3, 4), a=float(rng.uniform(-30, -10)))
-        if not compatibility(GlueProblem(left, right, "strictly_convex")).ok:
+        if not compatibility(GlueProblem(left, right, "strict")).ok:
             with pytest.raises(IncompatiblePieces):
-                glue(GlueProblem(left, right, "strictly_convex"))
+                glue(GlueProblem(left, right, "strict"))
             rejected += 1
     ok = _clause("criterion 7 (glue certificates, 20 pairs + rejections)",
                  rejected > 0,

@@ -282,6 +282,15 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
       for eps in ("nan", "-1", "inf")),
     ["orlicz-norm", "--builtin", "feps", "--eps", "nan", "--interval", "0,0.25"],
     ["holder-young", "--sweep", "-5"],
+    # the quadruple-log family is a function of t = |z|^2 >= 0
+    ["orlicz-norm", "--builtin", "feps", "--eps", "0.001", "--interval=-1,0.25"],
+    ["orlicz-norm", "--builtin", "feps", "--eps", "0.001", "--interval=-0.0005,0.25"],
+    # an --eps that no feps family reads
+    ["glue", "--mode", "strict", "--eps", "0.5", "--left-fn", "poly", "--left-coeffs", "0,0,1",
+     "--left-interval", "0,1", "--right-fn", "poly", "--right-coeffs", "0,0,1",
+     "--right-interval", "3,4"],
+    ["orlicz-norm", "--builtin", "poly", "--eps", "0.5"],
+    ["orlicz-norm", "--data", "unread.csv", "--eps", "0.5"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors

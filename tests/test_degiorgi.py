@@ -25,9 +25,10 @@ from luxglue.errors import (
     HypothesisFails,
     InvalidInput,
 )
-from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
+from luxglue.gluing import GlueProblem
+from luxglue.numgrid import Interval, SmoothFn, WeightedMeasure, gauss_measure
 from luxglue.orlicz import EntropyParams, norm_bound_from_integral, young_pair_check
-from luxglue.radialpsh import feps_smoothfn
+from luxglue.radialpsh import CounterexampleParams, RadialProfile, feps_smoothfn, fs_potential
 from luxglue.youngfn import YoungParams
 
 # 50-digit evaluations of the threshold formulas, frozen.
@@ -275,6 +276,10 @@ def test_pair_scan_matches_brute_force_with_ties(n):
         assert degiorgi._pair_scan(t, cell) == (full.max(), (first // n, first % n))
 
 
+def _square(interval) -> SmoothFn:
+    return SmoothFn(Interval(*interval), lambda t: (t * t, 2 * t, 2 + 0 * t))
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: IterationHypothesis(np.inf, 1.0, 2.0), id="C-inf"),
     pytest.param(lambda: IterationHypothesis(np.nan, 1.0, 2.0), id="C-nan"),
@@ -310,6 +315,14 @@ def test_pair_scan_matches_brute_force_with_ties(n):
     pytest.param(lambda: feps_smoothfn(np.inf), id="feps-eps-inf"),
     pytest.param(lambda: feps_smoothfn(0.0), id="feps-eps-zero"),
     pytest.param(lambda: feps_smoothfn(-1.0), id="feps-eps-negative"),
+    pytest.param(lambda: feps_smoothfn(1e-3, lo=-1e-4), id="feps-lo-negative"),
+    *(pytest.param(lambda n=n: CounterexampleParams(2.0**-10, n), id=f"counterexample-n-{n}")
+      for n in (np.nan, 2.5, np.inf)),
+    *(pytest.param(lambda n=n: RadialProfile(n, fs_potential()), id=f"profile-n-{n}")
+      for n in (np.nan, 2.5, np.inf)),
+    *(pytest.param(lambda n=n: GlueProblem(_square((0.5, 1.0)), _square((3.0, 4.0)), "radial",
+                                           n=n), id=f"glue-n-{n}")
+      for n in (np.nan, 2.5, np.inf)),
 ])
 def test_domain_guards_reject_nan_and_inf(build):
     with pytest.raises(InvalidInput):
