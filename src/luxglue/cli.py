@@ -194,15 +194,17 @@ def _floats(text: str, count: int | None = None) -> list[float]:
 Outcome = tuple[dict, dict, list[Verdict]]
 
 
-def _check_eps_read(eps: float | None, families: tuple[str, ...]) -> None:
-    """Only the feps family reads --eps; a value nothing reads is an error."""
-    if eps is not None and "feps" not in families:
-        raise BadConfig(f"--eps {eps:g} is read only by the feps family, and no function "
-                        "here is one")
+def _check_read(flag: str, value: object, family: str, families: tuple[str, ...]) -> None:
+    """Only the named family reads the flag; a value that nothing reads is an error."""
+    if value is not None and family not in families:
+        raise BadConfig(f"{flag} {value} is read only by the {family} family, and no "
+                        "function here is one")
 
 
 def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
-    _check_eps_read(args.eps, () if args.data else (args.builtin,))
+    families = () if args.data else (args.builtin,)
+    _check_read("--eps", args.eps, "feps", families)
+    _check_read("--coeffs", args.coeffs, "poly", families)
     params = YoungParams(*_floats(args.young, 3))
     if args.data:
         f = read_data_csv(args.data)
@@ -210,7 +212,9 @@ def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
     else:
         interval = Interval(*_floats(args.interval, 2))
         m = gauss_measure(interval, args.panels, args.order)
-        coeffs = _floats(args.coeffs) if args.coeffs else None
+        coeffs = None
+        if args.builtin == "poly":  # the constant 1 unless --coeffs says otherwise
+            coeffs = _floats("1" if args.coeffs is None else args.coeffs)
         fn = build_family(args.builtin, interval, coeffs, args.eps)
         f = GridFn(m, fn.d0(m.nodes))
         source = {"builtin": args.builtin, "interval": args.interval,
@@ -308,7 +312,9 @@ def cmd_glue(args: argparse.Namespace) -> Outcome:
     ri = Interval(*_floats(args.right_interval, 2))
     lc = _floats(args.left_coeffs) if args.left_coeffs else None
     rc = _floats(args.right_coeffs) if args.right_coeffs else None
-    _check_eps_read(args.eps, (args.left_fn, args.right_fn))
+    _check_read("--eps", args.eps, "feps", (args.left_fn, args.right_fn))
+    _check_read("--left-coeffs", args.left_coeffs, "poly", (args.left_fn,))
+    _check_read("--right-coeffs", args.right_coeffs, "poly", (args.right_fn,))
     left = build_family(args.left_fn, li, lc, args.eps)
     right = build_family(args.right_fn, ri, rc, args.eps)
     result = glue(GlueProblem(left, right, args.mode, n=args.n))
@@ -407,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--young", default="1,1,0", help="p,q,r")
     p.add_argument("--data", default=None, help="CSV file t,weight,value")
     p.add_argument("--builtin", default="poly")
-    p.add_argument("--coeffs", default="1", help="poly coefficients c0,c1,...")
+    p.add_argument("--coeffs", default=None, help="poly coefficients c0,c1,... (default 1)")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--interval", default="0,1")
     p.add_argument("--panels", type=int, default=8)

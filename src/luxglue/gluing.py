@@ -6,11 +6,14 @@ Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
   certified;
 * convex: the zero-floor variant (c = 0) with a certified upper curvature
   bound;
-* radial: pieces are radial potentials in t = |z|^2; the glue happens in
-  logarithmic coordinates and returns to t-space, preserving strict
-  plurisubharmonicity, with a certified determinant bound on the bridge band.
+* radial: pieces are radial potentials in t = |z|^2; the strict glue runs on
+  the log pieces H(tau) = f(e^tau) and h returns to t-space, preserving
+  strict plurisubharmonicity, with a certified determinant bound on the
+  bridge band.
 
-``glue()`` builds h with closed-form certificates and never samples h;
+``glue()`` checks each piece's derivatives, probes its curvature with one jet
+evaluation on 2,049 points (a radial glue's pieces in log coordinates), then
+builds h with closed-form certificates and never samples h;
 ``verify_glue()`` samples h'' (and a radial glue's bridge determinant) on
 16,385 points on request, so its extremes (and the glue's verdicts) are not
 enclosures.
@@ -233,9 +236,12 @@ def compatibility(problem: GlueProblem) -> CompatReport:
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
 
-def _min_max_on(fn: SmoothFn, lo: float, hi: float) -> tuple[float, float]:
-    vals = fn.d2(np.linspace(lo, hi, _PROBE_N))
-    return float(np.min(vals)), float(np.max(vals))
+def _probe(fn: SmoothFn, margin: float = 0.0) -> tuple[float, float, float]:
+    """(min f', min f'', max f'') on _PROBE_N points of fn's interval widened
+    by margin, from one jet evaluation.  A NaN at any point makes them NaN,
+    so every demand on them is written as membership, which a NaN fails."""
+    _, f1, f2 = fn.eval(np.linspace(fn.interval.lo - margin, fn.interval.hi + margin, _PROBE_N))
+    return float(np.min(f1)), float(np.min(f2)), float(np.max(f2))
 
 
 def delta_search(problem: GlueProblem, c: float) -> float:
@@ -244,28 +250,26 @@ def delta_search(problem: GlueProblem, c: float) -> float:
     if problem.mode == "radial":
         raise InvalidInput("delta search runs on the log-coordinate problem")
     f, g = problem.left, problem.right
-    a1, b1 = f.interval.lo, f.interval.hi
-    a2, b2 = g.interval.lo, g.interval.hi
+    b1, a2 = f.interval.hi, g.interval.lo
     gap = a2 - b1
     compat = compatibility(problem)
     if not compat.ok:
         raise DeltaSearchFailed("compatibility chain fails; conditions unsatisfiable")
-    sup_f = _min_max_on(f, a1, b1)[1]
-    sup_g = _min_max_on(g, a2, b2)[1]
+    sup_f, sup_g = _probe(f)[2], _probe(g)[2]
     mid = compat.mid
     f1b, g1a = compat.lhs, compat.rhs
     f_b1, g_a2 = float(f.d0(b1)), float(g.d0(a2))
 
     for j in range(2, 61):
         delta = gap / 2.0**j
-        min_f_d, max_f_d = _min_max_on(f, a1 - delta, b1 + delta)
-        min_g_d, max_g_d = _min_max_on(g, a2 - delta, b2 + delta)
-        if max_f_d > sup_f + 1.0 or max_g_d > sup_g + 1.0:
+        _, min_f_d, max_f_d = _probe(f, delta)
+        _, min_g_d, max_g_d = _probe(g, delta)
+        if not (max_f_d <= sup_f + 1.0 and max_g_d <= sup_g + 1.0):
             continue
         fb, fpb, _ = map(float, f.eval(b1 + delta))
         ga, gpa, _ = map(float, g.eval(a2 - delta))
         if problem.mode == "strict":
-            if min_f_d < c or min_g_d < c:
+            if not (min_f_d >= c and min_g_d >= c):
                 continue
             if not (gpa - fpb) / (gap - 2 * delta) > c:
                 continue
@@ -279,7 +283,7 @@ def delta_search(problem: GlueProblem, c: float) -> float:
             # convex mode: the pieces' global formulas stand in for convex
             # extensions, so the extension must stay convex on the margins
             floor = -1e-12 * (1.0 + max(abs(sup_f), abs(sup_g)))
-            if min_f_d < floor or min_g_d < floor:
+            if not (min_f_d >= floor and min_g_d >= floor):
                 continue
             if not fpb < gpa:
                 continue
@@ -358,25 +362,6 @@ def _regularized(piece: SmoothFn, anchor: float, c: float,
     return jet
 
 
-def _piece_curvature_check(problem: GlueProblem) -> tuple[float, float, float, float]:
-    """(alpha1, alpha2, sup_f, sup_g) with mode-specific positivity demands."""
-    f, g = problem.left, problem.right
-    a1, b1 = f.interval.lo, f.interval.hi
-    a2, b2 = g.interval.lo, g.interval.hi
-    alpha1, sup_f = _min_max_on(f, a1, b1)
-    alpha2, sup_g = _min_max_on(g, a2, b2)
-    if problem.mode == "strict":
-        if alpha1 <= 0:
-            raise NotStrictlyConvexPiece(f"left piece: min f'' = {alpha1} <= 0")
-        if alpha2 <= 0:
-            raise NotStrictlyConvexPiece(f"right piece: min g'' = {alpha2} <= 0")
-    else:
-        floor = -1e-12 * (1.0 + max(abs(sup_f), abs(sup_g)))
-        if alpha1 < floor or alpha2 < floor:
-            raise NotStrictlyConvexPiece("convex mode needs convex pieces")
-    return alpha1, alpha2, sup_f, sup_g
-
-
 def _validate_piece(fn: SmoothFn, label: str) -> None:
     report = check_derivative_consistency(fn)
     if not report.ok:
@@ -404,14 +389,21 @@ def glue(problem: GlueProblem) -> GlueResult:
             f"slope chain must increase strictly: {compat.lhs} < {compat.mid} "
             f"< {compat.rhs} fails"
         )
-    alpha1, alpha2, sup_f, sup_g = _piece_curvature_check(problem)
+    (_, alpha1, sup_f), (_, alpha2, sup_g) = _probe(problem.left), _probe(problem.right)
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
     gap = a2 - b1
     if problem.mode == "strict":
+        if not alpha1 > 0:
+            raise NotStrictlyConvexPiece(f"left piece: min f'' = {alpha1} is not > 0")
+        if not alpha2 > 0:
+            raise NotStrictlyConvexPiece(f"right piece: min g'' = {alpha2} is not > 0")
         c = min(alpha1 / 2, alpha2 / 2, (compat.mid - compat.lhs) / gap,
                 (compat.rhs - compat.mid) / gap)
     else:
+        floor = -1e-12 * (1.0 + max(abs(sup_f), abs(sup_g)))
+        if not (alpha1 >= floor and alpha2 >= floor):
+            raise NotStrictlyConvexPiece("convex mode needs convex pieces")
         c = 0.0
     delta = delta_search(problem, c)
     F_jet = _regularized(problem.left, anchor=b1, c=c, delta=delta)
@@ -469,25 +461,26 @@ def _log_piece(fn: SmoothFn) -> SmoothFn:
 
 
 def _glue_radial(problem: GlueProblem) -> GlueResult:
+    """The strict glue of the log pieces H(tau) = f(e^tau), read back in t.
+    H' = t lambda1 and H'' = t lambda2 (the eigenvalues f', f' + t f''), so one
+    probe of each H decides strict plurisubharmonicity (docs/DECISIONS.md,
+    section 6)."""
     f, g = problem.left, problem.right
     a1, b1 = f.interval.lo, f.interval.hi
     a2, b2 = g.interval.lo, g.interval.hi
     n = problem.n
-    for fn, lo, hi, label in ((f, a1, b1, "left"), (g, a2, b2, "right")):
-        t = np.linspace(lo, hi, _PROBE_N)
-        _, lam1, f2 = fn.eval(t)
-        lam2 = lam1 + t * f2
-        if np.min(lam1) <= 0 or np.min(lam2) <= 0:
-            raise NotStrictlyConvexPiece(
-                f"{label} piece is not strictly plurisubharmonic in t = |z|^2"
-            )
+    logs = _log_piece(f), _log_piece(g)
+    for H, label in zip(logs, ("left", "right")):
+        min_h1, min_h2, _ = _probe(H)
+        if not (min_h1 > 0 and min_h2 > 0):
+            raise NotStrictlyConvexPiece(f"{label} piece is not strictly "
+                                         "plurisubharmonic in t = |z|^2")
     compat = compatibility(problem)
     if not compat.ok:
         raise IncompatiblePieces(
             f"radial slope chain fails: {compat.lhs} < {compat.mid} < {compat.rhs}"
         )
-    log_res = glue(GlueProblem(_log_piece(problem.left), _log_piece(problem.right),
-                               "strict", n=n))
+    log_res = glue(GlueProblem(*logs, "strict", n=n))
     H = log_res.h
 
     def jet(t: np.ndarray) -> Jet:

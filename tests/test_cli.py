@@ -291,6 +291,18 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
      "--right-interval", "3,4"],
     ["orlicz-norm", "--builtin", "poly", "--eps", "0.5"],
     ["orlicz-norm", "--data", "unread.csv", "--eps", "0.5"],
+    # coefficients that no poly piece reads
+    ["orlicz-norm", "--builtin", "exp-exp", "--coeffs", "1,2"],
+    ["orlicz-norm", "--builtin", "log1p", "--coeffs", "1"],
+    ["orlicz-norm", "--builtin", "feps", "--eps", "0.001", "--interval", "0,0.25",
+     "--coeffs", "1"],
+    ["orlicz-norm", "--data", "unread.csv", "--coeffs", "1"],
+    ["glue", "--mode", "strict", "--left-fn", "log1p", "--left-coeffs", "0,1",
+     "--left-interval", "0,1", "--right-fn", "poly", "--right-coeffs", "0,0,1",
+     "--right-interval", "3,4"],
+    ["glue", "--mode", "convex", "--left-fn", "poly", "--left-coeffs", "20,-10,1",
+     "--left-interval", "0,1", "--right-fn", "exp-exp", "--right-coeffs", "1",
+     "--right-interval", "5,60"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors
@@ -302,6 +314,33 @@ def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     payload = json.loads(err)
     assert payload["command"] == (argv[0] if argv else None)
     assert payload["error"] in ("InvalidInput", "BadConfig")
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("strict", "right piece: min g'' = nan is not > 0"),
+    ("convex", "convex mode needs convex pieces"),
+], ids=["strict", "convex"])
+def test_glue_nan_probe_node_fails_the_curvature_demand(mode, message, capsys):
+    # exp-exp's g'' underflows to 0 inside [5, 354.893] and is NaN (inf * 0)
+    # only at the last probe node, where e^(2t) overflows
+    code = run_cli(["glue", "--mode", mode, "--left-fn", "poly", "--left-coeffs", "20,-10,1",
+                    "--left-interval", "0,1", "--right-fn", "exp-exp",
+                    "--right-interval", "5,354.893"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"command": "glue", "error": "NotStrictlyConvexPiece",
+                               "message": message}
+
+
+def test_convex_glue_margin_skips_a_nan_probe(tmp_path):
+    # on [5, 354.8] g'' is finite, but the margins of j = 2..5 reach past
+    # t = 354.89, where it is NaN; j = 6 is the first whose margin stays short
+    out = tmp_path / "r.json"
+    code = run_cli(["glue", "--mode", "convex", "--left-fn", "poly", "--left-coeffs", "20,-10,1",
+                    "--left-interval", "0,1", "--right-fn", "exp-exp",
+                    "--right-interval", "5,354.8", "--out", str(out)])
+    assert code == 0
+    assert load_without_meta(out)["results"]["delta"] == 4 / 2**6
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,10 +285,15 @@ def test_radial_example_pieces():
     assert all(v.passed for v in verify_glue(glue(prob)).verdicts)
 
 
-def test_radial_rejects_non_psh_piece():
-    mk_bad = SmoothFn(Interval(0.5, 1.0), lambda t: (-t, -1.0 + 0 * t, 0 * t))
+@pytest.mark.parametrize("lo, hi, jet", [
+    (0.3, 0.4, lambda t: (t**2 - t, 2 * t - 1, 2 + 0 * t)),  # lambda1 = f' < 0 only
+    (0.5, 1.0, lambda t: (-1 / t, 1 / t**2, -2 / t**3)),  # lambda2 = f' + t f'' < 0 only
+    (0.5, 1.0, lambda t: (-t, -1.0 + 0 * t, 0 * t)),  # both
+], ids=["lambda1", "lambda2", "both"])
+def test_radial_rejects_non_psh_piece(lo, hi, jet):
+    mk_bad = SmoothFn(Interval(lo, hi), jet)
     mk = SmoothFn(Interval(3.0, 4.0), lambda t: (t**2, 2 * t, 2 + 0 * t))
-    with pytest.raises(NotStrictlyConvexPiece):
+    with pytest.raises(NotStrictlyConvexPiece, match="not strictly plurisubharmonic"):
         glue(GlueProblem(mk_bad, mk, "radial"))
 
 
