@@ -322,7 +322,7 @@ def cmd_glue(args: argparse.Namespace) -> Outcome:
     results = {
         "c": result.c, "delta": result.delta, "eps": result.eps,
         "inf_h2": check.inf_h2, "sup_h2": check.sup_h2,
-        "cert_inf_h2": result.c, "cert_sup_h2": result.cert_sup_h2,
+        "cert_sup_h2": result.cert_sup_h2,
         "compat": {"lhs": result.compat.lhs, "mid": result.compat.mid,
                    "rhs": result.compat.rhs},
         "det_sup": check.det_sup, "det_cert": result.det_cert,

@@ -14,9 +14,9 @@ Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
 ``glue()`` checks each piece's derivatives, probes its curvature with one jet
 evaluation on 2,049 points (a radial glue's pieces in log coordinates), then
 builds h with closed-form certificates and never samples h;
-``verify_glue()`` samples h'' (and a radial glue's bridge determinant) on
-16,385 points on request, so its extremes (and the glue's verdicts) are not
-enclosures.
+``verify_glue()`` samples h'' (a radial glue's H'' and H', and its bridge
+determinant) on 16,385 points on request, so its extremes (and the glue's
+verdicts) are not enclosures.
 
 The construction: modify each piece outside its interval by damping the
 second derivative down to a floor c through a smooth cutoff (the modified
@@ -220,19 +220,17 @@ class GlueCheck:
 
 
 def compatibility(problem: GlueProblem) -> CompatReport:
-    """Three-term slope chain whose strict ordering is necessary and
-    sufficient for a glue to exist in the given mode."""
+    """Slope chain f'(b1) < (g(a2) - f(b1)) / (a2 - b1) < g'(a2), whose strict
+    ordering is necessary and sufficient for a glue to exist.  A radial
+    problem's chain is that of its log pieces: since H' = t f', it reads
+    b1 f'(b1) < (g(a2) - f(b1)) / log(a2/b1) < a2 g'(a2)."""
     f, g = problem.left, problem.right
-    a1, b1 = f.interval.lo, f.interval.hi
-    a2, b2 = g.interval.lo, g.interval.hi
-    fb, f1b, _ = map(float, f.eval(b1))
-    ga, g1a, _ = map(float, g.eval(a2))
     if problem.mode == "radial":
-        lhs = b1 * f1b
-        mid = (ga - fb) / (np.log(a2) - np.log(b1))
-        rhs = a2 * g1a
-    else:
-        lhs, mid, rhs = f1b, (ga - fb) / (a2 - b1), g1a
+        f, g = _log_piece(f), _log_piece(g)
+    b1, a2 = f.interval.hi, g.interval.lo
+    fb, lhs, _ = map(float, f.eval(b1))
+    ga, rhs, _ = map(float, g.eval(a2))
+    mid = (ga - fb) / (a2 - b1)
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
 
@@ -475,11 +473,6 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
         if not (min_h1 > 0 and min_h2 > 0):
             raise NotStrictlyConvexPiece(f"{label} piece is not strictly "
                                          "plurisubharmonic in t = |z|^2")
-    compat = compatibility(problem)
-    if not compat.ok:
-        raise IncompatiblePieces(
-            f"radial slope chain fails: {compat.lhs} < {compat.mid} < {compat.rhs}"
-        )
     log_res = glue(GlueProblem(*logs, "strict", n=n))
     H = log_res.h
 
@@ -495,37 +488,40 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     # is at most the log glue's curvature ceiling
     det_cert = (a2 ** (n - 1) * float(g.d1(a2)) ** (n - 1) / b1 ** n
                 * log_res.cert_sup_h2)
-    # c, delta, eps and the curvature ceiling are the log glue's
-    return dataclasses.replace(log_res, problem=problem, h=h, working=working, compat=compat,
+    # c, delta, eps, the curvature ceiling and the slope chain are the log glue's
+    return dataclasses.replace(log_res, problem=problem, h=h, working=working,
                                log_result=log_res, det_cert=det_cert)
 
 
 def verify_glue(result: GlueResult) -> GlueCheck:
-    """Sample h'' on _WORK_N points of the working interval and, for a radial
-    glue, the complex-Hessian determinant of h(|z|^2) on _WORK_N points of
-    the bridge band, from the log glue H: e^(-n tau) H'^(n-1) H''.  The
-    verdicts: h matches each piece on 257 points of its interval, then the
-    sampled extremes that the mode certifies stay within their certificates.
-    """
-    p, working = result.problem, result.working
-    h2_vals = result.h.d2(np.linspace(working.lo, working.hi, _WORK_N))
+    """Sample the glue that carries the certificates (a radial glue's log glue
+    H) on _WORK_N points of its working interval and, for a radial glue, the
+    determinant e^(-n tau) H'^(n-1) H'' of h(|z|^2) on _WORK_N points of the
+    bridge band.  The verdicts: h matches each piece on 257 points of its
+    interval, and the sampled extremes stay within their certificates; a
+    radial glue also needs H' > 0 for tau >= log a1 (DECISIONS section 6)."""
+    p, cert = result.problem, result.log_result or result
+    x = np.linspace(cert.working.lo, cert.working.hi, _WORK_N)
+    _, h1_vals, h2_vals = cert.h.eval(x)
     inf_h2, sup_h2 = float(np.min(h2_vals)), float(np.max(h2_vals))
     verdicts = []
     for side, piece in (("left", p.left), ("right", p.right)):
         probe = np.linspace(piece.interval.lo, piece.interval.hi, 257)
         match = float(np.max(np.abs(result.h.d0(probe) - piece.d0(probe))))
         verdicts.append(Verdict(f"restriction_match_{side}", match <= 1e-9, match, 1e-9, 0))
-    if p.mode == "strict":
+    if cert.problem.mode == "strict":
         verdicts.append(Verdict("inf_h2_ge_certified",
-                                inf_h2 >= result.c * (1 - 1e-9) - 1e-12,
-                                inf_h2, result.c, 1e-9))
-    if p.mode != "radial":
-        verdicts.append(Verdict("sup_h2_le_certified", sup_h2 <= result.cert_sup_h2 * (1 + 1e-9),
-                                sup_h2, result.cert_sup_h2, 1e-9))
+                                inf_h2 >= cert.c * (1 - 1e-9) - 1e-12,
+                                inf_h2, cert.c, 1e-9))
+    verdicts.append(Verdict("sup_h2_le_certified", sup_h2 <= cert.cert_sup_h2 * (1 + 1e-9),
+                            sup_h2, cert.cert_sup_h2, 1e-9))
     det_sup = None
     if result.log_result is not None:
+        # below log a1 lies the regularized extension, which h never reads
+        min_h1 = float(np.min(h1_vals[x >= cert.problem.left.interval.lo]))
+        verdicts.append(Verdict("h1_positive", min_h1 > 0, min_h1, 0.0, 0))
         tau = np.linspace(np.log(p.left.interval.hi), np.log(p.right.interval.lo), _WORK_N)
-        _, H1, H2 = result.log_result.h.eval(tau)
+        _, H1, H2 = cert.h.eval(tau)
         det_sup = float(np.max(np.exp(-p.n * tau) * H1 ** (p.n - 1) * H2))
         verdicts.append(Verdict("det_le_certified", det_sup <= result.det_cert * (1 + 1e-9),
                                 det_sup, result.det_cert, 1e-9))

@@ -174,8 +174,8 @@ def _gauss_panels(edges: np.ndarray, order: int) -> WeightedMeasure:
 
 def gauss_measure(interval: Interval, panels: int, order: int) -> WeightedMeasure:
     """Composite Gauss-Legendre rule: `panels` equal panels of the given order."""
-    if panels < 1:
-        raise InvalidInput("panels must be >= 1")
+    if not (isinstance(panels, (int, np.integer)) and panels >= 1):
+        raise InvalidInput(f"panels must be an integer >= 1, got {panels}")
     return _gauss_panels(np.linspace(interval.lo, interval.hi, panels + 1), order)
 
 
@@ -186,8 +186,8 @@ def geometric_gauss_measure(interval: Interval, panels: int = 40,
     Suited to integrands that vary on a logarithmic scale near the left
     endpoint; the panel adjacent to lo has width ~ length / 2**panels.
     """
-    if panels < 1:
-        raise InvalidInput("panels must be >= 1")
+    if not (isinstance(panels, (int, np.integer)) and panels >= 1):
+        raise InvalidInput(f"panels must be an integer >= 1, got {panels}")
     k = np.arange(panels + 1, dtype=float)
     return _gauss_panels(
         interval.lo + interval.length * (2.0**k - 1.0) / (2.0**panels - 1.0), order)

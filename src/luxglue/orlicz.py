@@ -179,7 +179,7 @@ def entropies(densities: Sequence[GridFn], scales: Sequence[EntropyParams]) -> l
     Also verifies, density by density, the general upper bound by the raw
     weighted integral: norm <= max(1, integral of phi(density)).
     """
-    if any(np.any(d.values < 0) for d in densities):
+    if not all(np.all(d.values >= 0) for d in densities):
         raise NegativeDensity("density must be >= 0")
     youngs = [ep.young for ep in scales]
     out = []

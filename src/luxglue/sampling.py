@@ -12,8 +12,8 @@ RNG_NAME = "PCG64"
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

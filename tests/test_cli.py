@@ -135,7 +135,8 @@ _VERDICT_NAMES = {
     "glue-convex": (_GLUE + ["--mode", "convex", "--left-interval", "0,1"],
                     _MATCH + ["sup_h2_le_certified"]),
     "glue-radial": (_GLUE + ["--mode", "radial", "--left-interval", "0.5,1"],
-                    _MATCH + ["det_le_certified"]),
+                    _MATCH + ["inf_h2_ge_certified", "sup_h2_le_certified", "h1_positive",
+                              "det_le_certified"]),
     "counterexample": (["counterexample", "--kmin", "5", "--kmax", "6"],
                        ["ent_plateau_r_1", "ent_increasing_r_3", "osc_strictly_increasing",
                         "appendix_integral_uniform"]),

@@ -26,9 +26,11 @@ from luxglue.errors import (
     InvalidInput,
 )
 from luxglue.gluing import GlueProblem
-from luxglue.numgrid import Interval, SmoothFn, WeightedMeasure, gauss_measure
+from luxglue.numgrid import (Interval, SmoothFn, WeightedMeasure, gauss_measure,
+                             geometric_gauss_measure)
 from luxglue.orlicz import EntropyParams, norm_bound_from_integral, young_pair_check
 from luxglue.radialpsh import CounterexampleParams, RadialProfile, feps_smoothfn, fs_potential
+from luxglue.sampling import rng_from_seed
 from luxglue.youngfn import YoungParams
 
 # 50-digit evaluations of the threshold formulas, frozen.
@@ -323,6 +325,11 @@ def _square(interval) -> SmoothFn:
     *(pytest.param(lambda n=n: GlueProblem(_square((0.5, 1.0)), _square((3.0, 4.0)), "radial",
                                            n=n), id=f"glue-n-{n}")
       for n in (np.nan, 2.5, np.inf)),
+    *(pytest.param(lambda k=k: gauss_measure(Interval(0.0, 1.0), k, 8), id=f"panels-{k}")
+      for k in (np.nan, 2.5, np.inf)),
+    *(pytest.param(lambda k=k: geometric_gauss_measure(Interval(0.0, 1.0), k),
+                   id=f"geometric-panels-{k}") for k in (np.nan, 2.5, np.inf)),
+    *(pytest.param(lambda s=s: rng_from_seed(s), id=f"seed-{s}") for s in (np.nan, 2.5, -1)),
 ])
 def test_domain_guards_reject_nan_and_inf(build):
     with pytest.raises(InvalidInput):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,38 @@ def test_radial_det_certificate():
     check = verify_glue(glue(radial_problem()))
     assert [v.name for v in check.verdicts][-1] == "det_le_certified"
     assert all(v.passed for v in check.verdicts)
+
+
+def test_radial_glue_keeps_its_log_chain():
+    problem = radial_problem()
+    assert compatibility(problem) == glue(problem).compat
+    # g(a2) = 9 - 20 sits below the left piece: b1 f'(b1) = 2 > the log chord slope
+    right = SmoothFn(Interval(3.0, 4.0), lambda t: (t**2 - 20.0, 2 * t, 2 + 0 * t))
+    problem = GlueProblem(problem.left, right, "radial")
+    assert not compatibility(problem).ok
+    with pytest.raises(IncompatiblePieces):
+        glue(problem)
+
+
+def _flip_h1(log):
+    def jet(tau):
+        H0, H1, H2 = log.h.jet(tau)
+        return H0, -H1, H2
+
+    return dataclasses.replace(log, h=SmoothFn(log.h.interval, jet))
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("inf_h2_ge_certified", lambda log, sup: dataclasses.replace(log, c=2.0 * log.c)),
+    ("sup_h2_le_certified", lambda log, sup: dataclasses.replace(log, cert_sup_h2=0.5 * sup)),
+    ("h1_positive", lambda log, sup: _flip_h1(log)),
+])
+def test_radial_verdict_fails_on_a_mutant_log_glue(name, mutate):
+    res = glue(radial_problem())
+    check = verify_glue(res)
+    assert all(v.passed for v in check.verdicts)
+    mutant = dataclasses.replace(res, log_result=mutate(res.log_result, check.sup_h2))
+    assert [v.name for v in verify_glue(mutant).verdicts if not v.passed] == [name]
 
 
 def test_radial_example_pieces():

@@ -109,8 +109,9 @@ def test_entropy_zero_and_scalar():
 
 
 def test_entropy_rejects_negative():
-    with pytest.raises(NegativeDensity):
-        entropy(GridFn(unit_mass_measure(), np.array([1.0, -1.0])), EntropyParams(1))
+    for bad in (-1.0, np.nan):  # a NaN density value is not >= 0 either
+        with pytest.raises(NegativeDensity):
+            entropy(GridFn(unit_mass_measure(), np.array([1.0, bad])), EntropyParams(1))
 
 
 def test_entropy_integral_upper_bound():
