@@ -18,10 +18,10 @@ builds h with closed-form certificates and never samples h;
 determinant) on 16,385 points on request, so its extremes (and the glue's
 verdicts) are not enclosures.
 
-The construction: modify each piece outside its interval by damping the
-second derivative down to a floor c through a smooth cutoff (the modified
-function is exact on the piece interval by an integral identity), then bridge
-the two modified functions with a regularized max built from a mollified
+The construction: extend each piece from both ends of its interval, damping
+the second derivative down to a floor c through a smooth cutoff (on its
+interval the extension is the piece's own jet, bit for bit), then bridge the
+two extended functions with a regularized max built from a mollified
 absolute value.
 """
 
@@ -293,69 +293,50 @@ def delta_search(problem: GlueProblem, c: float) -> float:
     raise DeltaSearchFailed("no dyadic delta satisfied the side conditions (j <= 60)")
 
 
-def _regularized(piece: SmoothFn, anchor: float, c: float,
-                 delta: float) -> Callable[[np.ndarray], Jet]:
-    """Jet of the piece modified outside its interval: second derivative is
-    damped to the floor c through a smooth cutoff with support margin
-    0.9 * delta.
+def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarray], Jet]:
+    """Jet of the piece extended past each end e of its interval, its second
+    derivative damped to the floor c through a smooth cutoff with support
+    margin ds = 0.9 * delta.  On the interval it is the piece's own jet.
 
-    Exact on the piece interval by the identity
-    value(t) = double integral of cutoff*(f''-c) from the anchor, plus the
-    anchored parabola; the double integral telescopes against the closed
-    forms there.
+    At d = t - e and x = |d| / ds, the band x < 1 reads
+    f(e) + f'(e) d + c d^2/2 + ds^2 J(x), where I and J integrate
+    cutoff*(f''-c) once and twice outward from e; past the band, J goes on
+    linearly and the curvature is c.
     """
     A, B = piece.interval.lo, piece.interval.hi
-    if anchor not in (A, B):
-        raise InvalidInput("anchor must be a piece endpoint")
     ds = 0.9 * delta
     fx = _fixed()
-    # I and J integrate cutoff*(f''-c) once and twice across each band
-    IR, JR, gR = _tables(fx.cutoff * (piece.d2(B + fx.nodes * ds) - c))
-    IL, JL, gL = _tables(fx.cutoff * (piece.d2(A - fx.nodes * ds) - c))
+
+    def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
+        """The band and tail jets beyond e, on the side sign points to."""
+        I, J, g = _tables(fx.cutoff * (piece.d2(e + sign * fx.nodes * ds) - c))
+
+        def extended(t: np.ndarray, Jx, Ix, d2) -> Jet:
+            d = t - e
+            return f0 + f1 * d + 0.5 * c * d * d + ds * ds * Jx, f1 + c * d + sign * ds * Ix, d2
+
+        def band(t: np.ndarray) -> Jet:
+            x = np.abs(t - e) / ds
+            return extended(t, _hermite(x, J, I), _hermite(x, I, g),
+                            smoothstep(1.0 - x) * (piece.d2(t) - c) + c)
+
+        def tail(t: np.ndarray) -> Jet:
+            return extended(t, J[-1] + I[-1] * (np.abs(t - e) / ds - 1.0), I[-1], c)
+
+        return band, tail
+
     (f0A, f0B), (f1A, f1B), _ = piece.eval(np.array([A, B], dtype=float))
-    # W = integral of cutoff*(f''-c) from A, V = integral of W from A
-    WB = f1B - f1A - c * (B - A)
-    VB = f0B - f0A - f1A * (B - A) - 0.5 * c * (B - A) ** 2
-    W_end_R = WB + ds * float(IR[-1])
-    W_end_L = -ds * float(IL[-1])
-    V_Bd = VB + WB * ds + ds**2 * float(JR[-1])
-    V_Ad = ds**2 * float(JL[-1])
-    WP, VP, f0P, f1P = (0.0, 0.0, f0A, f1A) if anchor == A else (WB, VB, f0B, f1B)
-
-    def core(t: np.ndarray) -> Jet:
-        f0, f1, f2 = piece.eval(t)
-        # the band formula cutoff*(f''-c)+c at cutoff 1, left unsimplified so
-        # h'' keeps its last-bit values
-        return (f0 - f0A - f1A * (t - A) - 0.5 * c * (t - A) ** 2,
-                f1 - f1A - c * (t - A), (f2 - c) + c)
-
-    def right_band(t: np.ndarray) -> Jet:
-        x = (t - B) / ds
-        return (VB + WB * (t - B) + ds**2 * _hermite(x, JR, IR), WB + ds * _hermite(x, IR, gR),
-                smoothstep(((B + ds) - t) / ds) * (piece.d2(t) - c) + c)
-
-    def left_band(t: np.ndarray) -> Jet:
-        x = (A - t) / ds
-        return (ds**2 * _hermite(x, JL, IL), -ds * _hermite(x, IL, gL),
-                smoothstep((t - (A - ds)) / ds) * (piece.d2(t) - c) + c)
-
-    def right_tail(t: np.ndarray) -> Jet:
-        return V_Bd + W_end_R * (t - (B + ds)), W_end_R, c
-
-    def left_tail(t: np.ndarray) -> Jet:
-        return V_Ad + W_end_L * (t - (A - ds)), W_end_L, c
+    left_band, left_tail = side(A, f0A, f1A, -1.0)
+    right_band, right_tail = side(B, f0B, f1B, 1.0)
 
     def jet(t: np.ndarray) -> Jet:
-        v, w, d2 = piecewise(t, [
-            ((t >= A) & (t <= B), core),
+        return piecewise(t, [
+            ((t >= A) & (t <= B), piece.jet),
             ((t > B) & (t < B + ds), right_band),
             (t >= B + ds, right_tail),
             ((t < A) & (t > A - ds), left_band),
             (t <= A - ds, left_tail),
         ])
-        dt = t - anchor
-        return (v - VP - WP * dt + f0P + f1P * dt + 0.5 * c * dt**2,
-                w - WP + f1P + c * dt, d2)
 
     return jet
 
@@ -376,10 +357,10 @@ def glue(problem: GlueProblem) -> GlueResult:
     NotStrictlyConvexPiece when a piece misses its mode's curvature demand,
     DeltaSearchFailed when no dyadic margin satisfies the side conditions.
     """
-    _validate_piece(problem.left, "left")
-    _validate_piece(problem.right, "right")
     if problem.mode == "radial":
         return _glue_radial(problem)
+    _validate_piece(problem.left, "left")
+    _validate_piece(problem.right, "right")
 
     compat = compatibility(problem)
     if not compat.ok:
@@ -404,8 +385,8 @@ def glue(problem: GlueProblem) -> GlueResult:
             raise NotStrictlyConvexPiece("convex mode needs convex pieces")
         c = 0.0
     delta = delta_search(problem, c)
-    F_jet = _regularized(problem.left, anchor=b1, c=c, delta=delta)
-    G_jet = _regularized(problem.right, anchor=a2, c=c, delta=delta)
+    F_jet = _regularized(problem.left, c, delta)
+    G_jet = _regularized(problem.right, c, delta)
     seams = np.array([b1, a2], dtype=float)
     (F_b1, F_a2), (G_b1, G_a2) = F_jet(seams)[0], G_jet(seams)[0]
     gap_b1, gap_a2 = float(F_b1 - G_b1), float(G_a2 - F_a2)
@@ -461,8 +442,8 @@ def _log_piece(fn: SmoothFn) -> SmoothFn:
 def _glue_radial(problem: GlueProblem) -> GlueResult:
     """The strict glue of the log pieces H(tau) = f(e^tau), read back in t.
     H' = t lambda1 and H'' = t lambda2 (the eigenvalues f', f' + t f''), so one
-    probe of each H decides strict plurisubharmonicity (docs/DECISIONS.md,
-    section 6)."""
+    probe of each H decides strict plurisubharmonicity, and the strict glue's
+    check of H's derivatives is the only one (docs/DECISIONS.md, section 6)."""
     f, g = problem.left, problem.right
     a1, b1 = f.interval.lo, f.interval.hi
     a2, b2 = g.interval.lo, g.interval.hi

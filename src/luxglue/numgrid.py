@@ -162,7 +162,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_panels(edges: np.ndarray, order: int) -> WeightedMeasure:
     """Gauss-Legendre rule of the given order on each panel between edges."""
-    if not 2 <= order <= 64:
+    if not (isinstance(order, (int, np.integer)) and 2 <= order <= 64):
         raise InvalidInput("order must lie in {2..64}")
     x, w = gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -184,10 +184,11 @@ def geometric_gauss_measure(interval: Interval, panels: int = 40,
     """Composite Gauss-Legendre with panel widths halving toward lo.
 
     Suited to integrands that vary on a logarithmic scale near the left
-    endpoint; the panel adjacent to lo has width ~ length / 2**panels.
+    endpoint; the panel adjacent to lo has width ~ length / 2**panels, so
+    panels stops at 1023, where 2**panels still fits a float.
     """
-    if not (isinstance(panels, (int, np.integer)) and panels >= 1):
-        raise InvalidInput(f"panels must be an integer >= 1, got {panels}")
+    if not (isinstance(panels, (int, np.integer)) and 1 <= panels <= 1023):
+        raise InvalidInput(f"panels must be an integer in {{1..1023}}, got {panels}")
     k = np.arange(panels + 1, dtype=float)
     return _gauss_panels(
         interval.lo + interval.length * (2.0**k - 1.0) / (2.0**panels - 1.0), order)

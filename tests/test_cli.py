@@ -402,7 +402,7 @@ _PINNED_TABLES = {
          "--right-coeffs", "0,0,1", "--right-interval", "3,4", "--h-points", "5",
          "--h-csv"],
         b"t,h,h1,h2\r\n-1.0,0.6956852485820728,-1.225,1.0\r\n0.5,0.25,1.0,2.0\r\n"
-        b"2.0,3.8277372816455872,4.000000000000001,3.520886524992318\r\n"
+        b"2.0,3.827737281645587,4.0,3.520886524992318\r\n"
         b"3.5,12.25,7.0,2.0\r\n5.0,24.695685248582073,9.225,1.0\r\n",
     ),
     "counterexample": (

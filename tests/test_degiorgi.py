@@ -328,7 +328,8 @@ def _square(interval) -> SmoothFn:
     *(pytest.param(lambda k=k: gauss_measure(Interval(0.0, 1.0), k, 8), id=f"panels-{k}")
       for k in (np.nan, 2.5, np.inf)),
     *(pytest.param(lambda k=k: geometric_gauss_measure(Interval(0.0, 1.0), k),
-                   id=f"geometric-panels-{k}") for k in (np.nan, 2.5, np.inf)),
+                   id=f"geometric-panels-{k}") for k in (np.nan, 2.5, np.inf, 1024)),
+    pytest.param(lambda: gauss_measure(Interval(0.0, 1.0), 2, 2.5), id="order-2.5"),
     *(pytest.param(lambda s=s: rng_from_seed(s), id=f"seed-{s}") for s in (np.nan, 2.5, -1)),
 ])
 def test_domain_guards_reject_nan_and_inf(build):

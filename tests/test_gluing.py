@@ -9,11 +9,12 @@ from luxglue.errors import (
     InvalidInput,
     NonPositiveEps,
     NotStrictlyConvexPiece,
+    VerificationFailed,
 )
 from luxglue.gluing import (
     GlueProblem,
+    MODES,
     MOLLIFIER_M,
-    _regularized,
     compatibility,
     delta_search,
     glue,
@@ -348,46 +349,53 @@ def test_internal_guards_raise_invalid_input():
     problem = radial_problem()
     with pytest.raises(InvalidInput):
         delta_search(problem, 1.0)
-    with pytest.raises(InvalidInput):
-        _regularized(problem.left, 0.75, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_glue_rejects_a_piece_that_breaks_the_derivative_contract(mode):
+    # the jet returns 2 f' for f = t^2; a radial glue's nested strict glue
+    # meets it as the log piece's H' = 2 t f'
+    bad = SmoothFn(Interval(0.5, 1.0), lambda t: (t * t, 4 * t, 2 + 0 * t))
+    with pytest.raises(VerificationFailed, match="derivative-consistency contract"):
+        glue(GlueProblem(bad, quad_piece((3, 4)), mode))
 
 
 # repr of (c, delta, eps, cert_sup_h2, det_cert), then of (h, h', h'') at each
-# probe, frozen from the glue built with per-table quadrature rules and
-# cutoffs.  The probes cover both pieces, the four cutoff bands (one of them
-# below a1), the bridge and both affine tails.
+# probe, frozen from the glue that extends each piece from its own
+# endpoints.  The probes cover both pieces, the four cutoff bands (one of
+# them below a1), the bridge and both affine tails.
 _LINEAR_PROBES = (-0.9, -0.2, 0.5, 1.2, 2.0, 2.7, 3.5, 4.3, 4.9)
 GLUE_BITS = {
     "strict": (_LINEAR_PROBES,
-               ("1.045", "0.5", "1.1081447961598314", "299.59698411601124", "None"),
-               (("1.333657261002217", "-0.8748556635490174", "1.045"),
-                ("0.980507153824137", "-0.09012047715409954", "1.6602075444741518"),
-                ("1.4118342427282833", "1.3485502728184846", "2.1045650818455455"),
+               ("1.045", "0.5", "1.1081447961598316", "299.59698411601124", "None"),
+               (("1.3336572610022166", "-0.8748556635490173", "1.045"),
+                ("0.9805071538241366", "-0.09012047715409957", "1.6602075444741518"),
+                ("1.411834242728283", "1.3485502728184848", "2.1045650818455455"),
                 ("2.8720241872058616", "2.8015635017922937", "1.6863840941640884"),
-                ("6.158810826819989", "6.339366295113311", "4.521250705691221"),
-                ("10.985761308505412", "7.287591521712303", "1.4100172900314227"),
-                ("17.557651118063163", "9.257295335418949", "2.657188600625685"),
-                ("25.809951289050733", "11.267012484490932", "1.439231361599989"),
+                ("6.158810826819988", "6.33936629511331", "4.521250705691229"),
+                ("10.985761308505413", "7.287591521712303", "1.4100172900314218"),
+                ("17.557651118063166", "9.257295335418949", "2.657188600625685"),
+                ("25.809951289050733", "11.267012484490932", "1.4392313615999879"),
                 ("32.76810397734964", "11.91134734140596", "1.045"))),
     "convex": (_LINEAR_PROBES,
                ("0.0", "0.5", "0.7896573757089635", "57.0", "None"),
-               (("0.3463704971641457", "-0.4500000000000002", "0.0"),
-                ("0.03758570843280662", "-0.34745101788501787", "1.1833658724068052"),
+               (("0.34637049716414553", "-0.45000000000000023", "0.0"),
+                ("0.037585708432806696", "-0.347451017885018", "1.1833658724068052"),
                 ("0.25", "1.0", "2.0"),
-                ("1.4375857084328065", "2.3474510178850183", "1.1833658724068052"),
-                ("4.195685248582073", "4.7749999999999995", "0.0"),
-                ("7.5385146642564", "4.785287042077198", "0.23438935546730705"),
+                ("1.4375857084328065", "2.3474510178850183", "1.1833658724068055"),
+                ("4.195685248582072", "4.7749999999999995", "0.0"),
+                ("7.5385146642564", "4.785287042077198", "0.2343893554673065"),
                 ("11.625", "5.5", "1.0"),
-                ("16.338514664256397", "6.214712957922802", "0.23438935546730705"),
-                ("20.073185248582075", "6.225", "0.0"))),
+                ("16.338514664256397", "6.214712957922802", "0.2343893554673065"),
+                ("20.073185248582075", "6.2250000000000005", "0.0"))),
     "radial": ((0.0125, 0.03, 0.07, 0.15, 0.3, 0.8, 2.0, 5.0, 8.0),
                ("0.001987411402653746", "0.34657359027997264", "0.18441767239499096",
                 "24.350459279799434", "3116.8587878143276"),
-               (("-0.23721318818948794", "0.9106439799732553", "-58.30429441040971"),
-                ("-0.22578369331013212", "0.5012364095773535", "-11.067868792889836"),
+               (("-0.23721318818948794", "0.9106439799732553", "-58.30429441040968"),
+                ("-0.22578369331013212", "0.5012364095773535", "-11.06786879288984"),
                 ("-0.2109826635550558", "0.28813424374886176", "-2.926564524886527"),
-                ("-0.15729007672478973", "1.7639832871058863", "26.055003978530543"),
-                ("0.13555603738239674", "1.5301453511189815", "-5.078402154811563"),
+                ("-0.1572900767247897", "1.7639832871058874", "26.055003978530532"),
+                ("0.1355560373823967", "1.5301453511189815", "-5.078402154811563"),
                 ("0.586773534576198", "0.5774916093174438", "-0.655070600932848"),
                 ("1.0986122886681098", "0.3333333333333333", "-0.1111111111111111"),
                 ("1.7911635310041694", "0.16463825495271206", "-0.03193682702545137"),
@@ -395,23 +403,40 @@ GLUE_BITS = {
 }
 
 
+GLUE_PROBLEMS = {
+    "strict": lambda: GlueProblem(exp_quad_piece((0, 1)), exp_quad_piece((3, 4), c=1.2),
+                                  "strict"),
+    "convex": lambda: GlueProblem(quad_piece((0, 1)),
+                                  quad_piece((3, 4), a=9 - 5 * 3 + 0.5 * 9, b=5 - 3.0, c=0.5),
+                                  "convex"),
+    # the README's radial glue
+    "radial": lambda: GlueProblem(
+        feps_smoothfn(2.0**-10, lo=1 / 64, hi=1 / 16),
+        SmoothFn(Interval(1.0, 4.0), fs_potential().jet, name="log1p"),
+        "radial", n=2),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(GLUE_BITS))
 def test_glue_keeps_its_bits(kind):
-    problem = {
-        "strict": lambda: GlueProblem(exp_quad_piece((0, 1)), exp_quad_piece((3, 4), c=1.2),
-                                      "strict"),
-        "convex": lambda: GlueProblem(quad_piece((0, 1)),
-                                      quad_piece((3, 4), a=9 - 5 * 3 + 0.5 * 9, b=5 - 3.0, c=0.5),
-                                      "convex"),
-        # the README's radial glue
-        "radial": lambda: GlueProblem(
-            feps_smoothfn(2.0**-10, lo=1 / 64, hi=1 / 16),
-            SmoothFn(Interval(1.0, 4.0), fs_potential().jet, name="log1p"),
-            "radial", n=2),
-    }[kind]()
     probes, scalars, jets = GLUE_BITS[kind]
-    res = glue(problem)
+    res = glue(GLUE_PROBLEMS[kind]())
     got = (res.c, res.delta, res.eps, res.cert_sup_h2, res.det_cert)
     assert tuple(repr(None if x is None else float(x)) for x in got) == scalars
     h = res.h.eval(np.array(probes))
     assert tuple(tuple(repr(float(v)) for v in col) for col in zip(*h)) == jets
+
+
+@pytest.mark.parametrize("kind", ["strict", "convex", "random"])
+def test_h_is_the_piece_on_its_interval(kind):
+    rng = rng_from_seed(103)
+    problems = ([random_compatible_strict_pair(rng) for _ in range(4)] if kind == "random"
+                else [GLUE_PROBLEMS[kind]()])
+    for problem in problems:
+        res = glue(problem)
+        for piece in (problem.left, problem.right):
+            t = np.linspace(piece.interval.lo, piece.interval.hi, 1001)
+            for got, want in zip(res.h.eval(t), piece.eval(t)):
+                assert np.array_equal(got, want)
+        match = [v.lhs for v in verify_glue(res).verdicts if v.name.startswith("restriction_match")]
+        assert match == [0.0, 0.0]

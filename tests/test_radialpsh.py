@@ -281,7 +281,7 @@ SWEEP_ROWS = {
          "0.04580876770187961"),
         ("2.9278959260112134", "3.2198145204501594", "0.3136540236472179",
          "0.10813381009209207")],
-    3: [("4.593481844137646", "4.91221000070008", "0.22564704811797964",
+    3: [("4.593481844137644", "4.912210000700078", "0.22564704811797964",
          "6.759832387618205e-07"),
         ("4.72432433125987", "5.083355781829553", "0.289871844025193",
          "0.053668060765271745"),
