@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -84,6 +85,20 @@ def build_family(name: str, interval: Interval, coeffs: list[float] | None,
 
 # ---------------------------------------------------------------------------
 # report plumbing
+
+
+@functools.cache
+def _numpy_build() -> dict:
+    """numpy's version and the SIMD target of its float64 exp, log, log1p and
+    power kernels, whose last bits the reports carry; numpy < 2.0 cannot tell
+    the targets, so there the version alone."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return {"version": np.__version__}
+    info = opt_func_info(func_name="^(exp|log|log1p|power)$", signature="float64")
+    return {"version": np.__version__, "kernels": {
+        name: target["current"] for name, sigs in sorted(info.items()) for target in sigs.values()}}
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -503,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
             inputs, results, verdicts = args.handler(args)
         meta = {"elapsed_s": time.monotonic() - t_start,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "rng": RNG_NAME, "version": __version__}
+                "rng": RNG_NAME, "version": __version__, "numpy": _numpy_build()}
         report = {"command": args.command, "inputs": inputs, "results": results,
                   "verdicts": [dataclasses.asdict(v) for v in verdicts], "meta": meta}
         emit_report(report, args.format, args.out)

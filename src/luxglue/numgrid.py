@@ -117,14 +117,6 @@ class WeightedMeasure:
         return pairwise_sum(self.weights)
 
 
-def merge_measures(*measures: WeightedMeasure) -> WeightedMeasure:
-    """Concatenate measures whose node ranges are disjoint and ordered."""
-    nodes = np.concatenate([m.nodes for m in measures])
-    weights = np.concatenate([m.weights for m in measures])
-    order = np.argsort(nodes, kind="stable")
-    return WeightedMeasure(nodes[order], weights[order])
-
-
 @dataclass(frozen=True)
 class GridFn:
     """Function sampled on the nodes of a weighted measure."""
@@ -137,10 +129,6 @@ class GridFn:
         object.__setattr__(self, "values", values)
         if values.shape != self.measure.nodes.shape:
             raise InvalidInput("one value per node required")
-
-    @classmethod
-    def from_callable(cls, measure: WeightedMeasure, fn: Callable) -> "GridFn":
-        return cls(measure, np.asarray(fn(measure.nodes), dtype=float))
 
 
 def integrate(f: GridFn) -> float:

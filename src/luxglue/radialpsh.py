@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInput, NonFinite, OutOfDomain
 from .gluing import GlueProblem, glue
 from .numgrid import (
+    INEQ_SLACK,
     GridFn,
     Interval,
     Jet,
@@ -25,11 +26,12 @@ from .numgrid import (
     WeightedMeasure,
     gauss_measure,
     geometric_gauss_measure,
-    merge_measures,
+    integrate,
     pairwise_sum,
     piecewise,
 )
 from .orlicz import EntropyParams, entropies, luxemburg_norm
+from .youngfn import phi
 
 # Example normalization of the quadruple-log potential; the raw family used
 # in the closed-form bounds drops it.
@@ -66,18 +68,20 @@ class CounterexampleParams:
 
 @dataclass(frozen=True)
 class HessianSpectrum:
-    lam_small: float  # multiplicity n - 1
-    lam_big: float
-    det: float
+    lam_small: np.ndarray  # multiplicity n - 1; each field is shaped like t
+    lam_big: np.ndarray
+    det: np.ndarray
 
 
-def hessian_spectrum(p: RadialProfile, t: float) -> HessianSpectrum:
-    """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t."""
-    if not (p.fn.interval.lo - 1e-12 <= t <= p.fn.interval.hi + 1e-12):
-        raise OutOfDomain(f"t={t} outside {p.fn.interval}")
-    _, f1, f2 = p.fn.eval(t)
-    lam_small = float(f1)
-    lam_big = lam_small + t * float(f2)
+def hessian_spectrum(p: RadialProfile, t) -> HessianSpectrum:
+    """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t,
+    a number or an array inside the profile's interval."""
+    t = np.asarray(t, dtype=float)
+    dom = p.fn.interval
+    if not np.all((dom.lo - 1e-12 <= t) & (t <= dom.hi + 1e-12)):
+        raise OutOfDomain(f"t in [{np.min(t)}, {np.max(t)}] is not inside {dom}")
+    _, lam_small, f2 = p.fn.eval(t)
+    lam_big = lam_small + t * f2
     return HessianSpectrum(lam_small, lam_big, lam_small ** (p.n - 1) * lam_big)
 
 
@@ -93,13 +97,10 @@ class PshReport:
 def psh_check(p: RadialProfile, grid: WeightedMeasure) -> PshReport:
     """Minimum eigenvalues over the grid; strictly psh iff both positive."""
     t = grid.nodes
-    _, small, f2 = p.fn.eval(t)
-    big = small + t * f2
-    i, j = int(np.argmin(small)), int(np.argmin(big))
-    return PshReport(
-        float(small[i]), float(t[i]), float(big[j]), float(t[j]),
-        bool(small[i] > 0 and big[j] > 0),
-    )
+    s = hessian_spectrum(p, t)
+    i, j = int(np.argmin(s.lam_small)), int(np.argmin(s.lam_big))
+    return PshReport(float(s.lam_small[i]), float(t[i]), float(s.lam_big[j]), float(t[j]),
+                     bool(s.lam_small[i] > 0 and s.lam_big[j] > 0))
 
 
 def fs_potential() -> SmoothFn:
@@ -192,13 +193,11 @@ def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):
             raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
-    t = np.linspace(0.125, 0.25, 4097)
-    _, f1, f2 = _feps_jet(t, eps, 1.0)
-    sup_big = float(np.max(f1 + t * f2))
+    raw = RadialProfile(n, SmoothFn(Interval(0.0, 0.25), lambda t: _feps_jet(t, eps, 1.0)))
+    sup_big = float(np.max(hessian_spectrum(raw, np.linspace(0.125, 0.25, 4097)).lam_big))
     m = geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
     tt = m.nodes
-    _, f1, f2 = _feps_jet(tt, eps, 1.0)
-    F = f1 ** (n - 1) * (f1 + tt * f2)
+    F = hessian_spectrum(raw, tt).det
     integrand = (
         tt ** (n - 1)
         * F
@@ -266,14 +265,13 @@ def chart_measure(n: int, eps: float = EPS_MAX) -> WeightedMeasure:
     eps past that.
     """
     K = math.pi**n / math.factorial(n - 1)
-    core1 = geometric_gauss_measure(Interval(0.0, 1.0 / 16.0),
-                                    panels=_eps_panels(eps, 4), order=16)
-    core2 = gauss_measure(Interval(1.0 / 16.0, 1.0), panels=24, order=16)
-    core = merge_measures(core1, core2)
-    w = K * core.nodes ** (n - 1) * (1.0 + core.nodes) ** (-(n + 1))
+    core = (geometric_gauss_measure(Interval(0.0, 1.0 / 16.0), _eps_panels(eps, 4), order=16),
+            gauss_measure(Interval(1.0 / 16.0, 1.0), panels=24, order=16))
+    t = np.concatenate([m.nodes for m in core])
+    w = np.concatenate([m.weights for m in core]) * (
+        K * t ** (n - 1) * (1.0 + t) ** (-(n + 1)))
     tail_mass = K * (1.0 - 2.0 ** (-n)) / n
-    tail = WeightedMeasure(np.array([2.0]), np.array([tail_mass]))
-    return merge_measures(WeightedMeasure(core.nodes, core.weights * w), tail)
+    return WeightedMeasure(np.append(t, 2.0), np.append(w, tail_mass))
 
 
 def chart_total_mass(n: int) -> float:
@@ -283,13 +281,9 @@ def chart_total_mass(n: int) -> float:
 def density_ratio(profile: RadialProfile, measure: WeightedMeasure) -> GridFn:
     """Determinant of the assembled potential against the reference
     determinant; identically 1 past t = 1."""
-    n = profile.n
     t = measure.nodes
-    _, lam1, f2 = profile.fn.eval(t)
-    lam2 = lam1 + t * f2
-    dens = lam1 ** (n - 1) * lam2 * (1.0 + t) ** (n + 1)
-    dens = np.where(t >= 1.0, 1.0, dens)
-    return GridFn(measure, dens)
+    dens = hessian_spectrum(profile, t).det * (1.0 + t) ** (profile.n + 1)
+    return GridFn(measure, np.where(t >= 1.0, 1.0, dens))
 
 
 def chart_density(n: int, eps: float) -> GridFn:
@@ -302,20 +296,24 @@ def chart_density(n: int, eps: float) -> GridFn:
 class SweepRow:
     eps: float
     ent: tuple[float, ...]  # one entry per r of the sweep
+    ent_bound: tuple[float, ...]  # max(1, integral of phi(density)) per r
     osc: float
     apx_integral: float  # appendix_c_bounds(...).integral
 
 
 def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
-    """For each eps: one chart density, its entropy at weight (1, n, r) for
-    every r in rs, the oscillation proxy |f(0)| of the family and the appendix
-    integral.  Every (eps, r) entropy is solved in one ``entropies`` call."""
+    """For each eps: one chart density, its entropy at weight (1, n, r) and
+    that entropy's upper bound max(1, integral of phi(density)) for every r in
+    rs, the oscillation proxy |f(0)| of the family and the appendix integral.
+    Every (eps, r) entropy is solved in one ``entropies`` call."""
     scales = [EntropyParams(n, r) for r in rs]
     eps_list = [float(eps) for eps in eps_list]
-    dens = [chart_density(n, eps) for eps in eps_list]
-    ents = entropies([d for d in dens for _ in scales], scales * len(dens))
+    pairs = [(d, ep) for d in (chart_density(n, eps) for eps in eps_list) for ep in scales]
+    ents = entropies([d for d, _ in pairs], [ep for _, ep in pairs])
+    bounds = [max(1.0, integrate(GridFn(d.measure, phi(ep.young, d.values)))) for d, ep in pairs]
     params = [CounterexampleParams(eps, n) for eps in eps_list]
-    return [SweepRow(p.eps, tuple(ents[i * len(scales):(i + 1) * len(scales)]),
+    k = len(scales)
+    return [SweepRow(p.eps, tuple(ents[i * k:(i + 1) * k]), tuple(bounds[i * k:(i + 1) * k]),
                      abs(f_eps_at_zero(p)), appendix_c_bounds(p).integral)
             for i, p in enumerate(params)]
 
@@ -323,14 +321,16 @@ def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
 def sweep_verdicts(rs: tuple[float, float], rows: list[SweepRow]) -> list[Verdict]:
     """The sweep's verdicts from ``entropy_sweep`` rows at rs = (r_low, r_high):
     max/min <= 10 at r_low, strict increase at r_high and of the oscillation,
-    and the appendix integrals finite with max/min <= 10, a ratio not promised
-    (docs/DECISIONS.md, sections 3c and 3d)."""
+    the appendix integrals finite with max/min <= 10, a ratio not promised
+    (docs/DECISIONS.md, sections 3c and 3d), and last every entropy at most
+    its bound max(1, integral of phi(density)): lhs the largest ratio."""
     ent_low = np.array([row.ent[0] for row in rows])
     ent_high = np.array([row.ent[1] for row in rows])
     osc = np.array([row.osc for row in rows])
     apx = np.array([row.apx_integral for row in rows])
     plateau = float(ent_low.max() / ent_low.min())
     apx_ratio = float(apx.max() / apx.min())
+    bound_ratio = max(e / b for row in rows for e, b in zip(row.ent, row.ent_bound))
     return [
         Verdict(f"ent_plateau_r_{rs[0]:g}", plateau <= 10.0, plateau, 10.0, 0),
         Verdict(f"ent_increasing_r_{rs[1]:g}", np.all(np.diff(ent_high) > 0),
@@ -338,6 +338,8 @@ def sweep_verdicts(rs: tuple[float, float], rows: list[SweepRow]) -> list[Verdic
         Verdict("osc_strictly_increasing", np.all(np.diff(osc) > 0), np.min(np.diff(osc)), 0.0, 0),
         Verdict("appendix_integral_uniform", np.isfinite(apx).all() and apx_ratio <= 10.0,
                 apx_ratio, 10.0, 0),
+        Verdict("ent_le_integral_bound", bound_ratio <= 1.0 + INEQ_SLACK, bound_ratio, 1.0,
+                INEQ_SLACK),
     ]
 
 

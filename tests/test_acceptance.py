@@ -243,10 +243,13 @@ def test_criterion_09_bounded_entropy_unbounded_oscillation():
         ent_high = np.array([r.ent[1] for r in rows])
         osc = np.array([r.osc for r in rows])
         # the fourth, appendix_integral_uniform, fails by design: criterion 10
-        plateau, high_incr, osc_incr, _ = sweep_verdicts((n - 1, n + 1), rows)
+        plateau, high_incr, osc_incr, _, ent_bound = sweep_verdicts((n - 1, n + 1), rows)
         all_ok &= _clause(
             f"criterion 9 (n={n}) entropy plateau at r={n - 1}",
             plateau.passed, f"max/min = {plateau.lhs:.4f} <= 10")
+        all_ok &= _clause(
+            f"criterion 9 (n={n}) entropy <= max(1, integral of phi(density))",
+            ent_bound.passed, f"max ratio {ent_bound.lhs:.4f} <= 1")
         all_ok &= _clause(
             f"criterion 9 (n={n}) oscillation strictly increasing",
             osc_incr.passed, f"min step {osc_incr.lhs:.3e}")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -139,7 +140,7 @@ _VERDICT_NAMES = {
                               "det_le_certified"]),
     "counterexample": (["counterexample", "--kmin", "5", "--kmax", "6"],
                        ["ent_plateau_r_1", "ent_increasing_r_3", "osc_strictly_increasing",
-                        "appendix_integral_uniform"]),
+                        "appendix_integral_uniform", "ent_le_integral_bound"]),
 }
 
 
@@ -168,6 +169,11 @@ _VIOLATIONS = {
     "vanishing_verified": (["degiorgi", "--mode", "simulate", "--nodes", "256"],
                            degiorgi.LevelSetFn, "value_at_first_node_geq",
                            lambda f: lambda self, t: (f(self, t)[0], f(self, t)[1] or 5e-324)),
+    # k >= 20, where appendix_integral_uniform holds
+    "ent_le_integral_bound": (["counterexample", "--kmin", "20", "--kmax", "21"], orlicz,
+                              "luxemburg_norms", lambda f: lambda fs, params: [
+                                  dataclasses.replace(res, norm=1000.0 * res.norm)
+                                  for res in f(fs, params)]),
 }
 
 

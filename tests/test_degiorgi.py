@@ -24,12 +24,14 @@ from luxglue.errors import (
     GridTooShort,
     HypothesisFails,
     InvalidInput,
+    OutOfDomain,
 )
 from luxglue.gluing import GlueProblem
 from luxglue.numgrid import (Interval, SmoothFn, WeightedMeasure, gauss_measure,
                              geometric_gauss_measure)
 from luxglue.orlicz import EntropyParams, norm_bound_from_integral, young_pair_check
-from luxglue.radialpsh import CounterexampleParams, RadialProfile, feps_smoothfn, fs_potential
+from luxglue.radialpsh import (CounterexampleParams, RadialProfile, feps_smoothfn, fs_potential,
+                               fs_profile, hessian_spectrum)
 from luxglue.sampling import rng_from_seed
 from luxglue.youngfn import YoungParams
 
@@ -282,6 +284,11 @@ def _square(interval) -> SmoothFn:
     return SmoothFn(Interval(*interval), lambda t: (t * t, 2 * t, 2 + 0 * t))
 
 
+# A point outside a function's domain raises OutOfDomain, not InvalidInput.
+_OUTSIDE = {f"hessian-spectrum-{name}": lambda t=t: hessian_spectrum(fs_profile(2), t)
+            for name, t in (("nan", [0.5, np.nan]), ("inf", np.inf), ("outside", [0.5, 2e6]))}
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: IterationHypothesis(np.inf, 1.0, 2.0), id="C-inf"),
     pytest.param(lambda: IterationHypothesis(np.nan, 1.0, 2.0), id="C-nan"),
@@ -331,9 +338,10 @@ def _square(interval) -> SmoothFn:
                    id=f"geometric-panels-{k}") for k in (np.nan, 2.5, np.inf, 1024)),
     pytest.param(lambda: gauss_measure(Interval(0.0, 1.0), 2, 2.5), id="order-2.5"),
     *(pytest.param(lambda s=s: rng_from_seed(s), id=f"seed-{s}") for s in (np.nan, 2.5, -1)),
+    *(pytest.param(build, id=name) for name, build in _OUTSIDE.items()),
 ])
 def test_domain_guards_reject_nan_and_inf(build):
-    with pytest.raises(InvalidInput):
+    with pytest.raises(OutOfDomain if build in _OUTSIDE.values() else InvalidInput):
         build()
 
 

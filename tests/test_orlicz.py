@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luxglue import orlicz
-from luxglue.errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
-                            VerificationFailed, ZeroMass)
+from luxglue.errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite, ZeroMass
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate
 from luxglue.orlicz import (
     EntropyParams,
@@ -362,17 +361,13 @@ def test_batch_reports_the_first_failing_function(monkeypatch):
         luxemburg_norms([finite], params)
 
 
-def test_entropies_check_each_density_against_its_integral(monkeypatch):
+def test_entropies_check_each_density_against_its_integral():
     m = unit_mass_measure()
     dens = [GridFn(m, np.ones(2)), GridFn(m, np.array([2.0, 3.0]))]
     scales = [EntropyParams(1), EntropyParams(2, 1.0)]
     assert entropies(dens, scales) == [entropy(d, ep) for d, ep in zip(dens, scales)]
     with pytest.raises(NegativeDensity):
         entropies(dens + [GridFn(m, np.array([1.0, -1.0]))], scales + [EntropyParams(1)])
-    inflated = [orlicz.LuxemburgResult(1e9, 1.0, (1e9, 1e9))] * 2
-    monkeypatch.setattr(orlicz, "luxemburg_norms", lambda fs, params: inflated)
-    with pytest.raises(VerificationFailed):
-        entropies(dens, scales)
 
 
 def test_holder_young_bounds_count_instead_of_raising(monkeypatch):

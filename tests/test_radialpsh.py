@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from luxglue.errors import NonFinite, OutOfDomain
-from luxglue.numgrid import Interval, gauss_measure
+from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
 from luxglue.orlicz import EntropyParams, entropy
 from luxglue.radialpsh import (
     AppendixReport,
@@ -53,6 +53,28 @@ def test_reference_potential_spectrum(n):
 def test_spectrum_out_of_domain():
     with pytest.raises(OutOfDomain):
         hessian_spectrum(fs_profile(2), -1.0)
+
+
+@pytest.mark.parametrize("build", [lambda: fs_profile(3),
+                                   lambda: build_v_eps(CounterexampleParams(2.0**-20, 3))],
+                         ids=["fs", "chart"])
+def test_spectrum_of_an_array_is_its_points_spectra(build):
+    profile = build()
+    t = np.concatenate([gauss_measure(Interval(0.0, 9.0), 16, 8).nodes, [0.0, 1 / 16, 1.0, 9.0]])
+    s = hessian_spectrum(profile, t)
+    for field in ("lam_small", "lam_big", "det"):
+        points = [getattr(hessian_spectrum(profile, x), field) for x in t]
+        assert getattr(s, field).shape == t.shape and all(np.shape(p) == () for p in points)
+        assert np.array_equal(getattr(s, field), points)
+
+
+def test_psh_check_and_density_ratio_read_inside_the_profile():
+    profile = build_v_eps(CounterexampleParams(2.0**-10, 2))
+    past = WeightedMeasure(np.array([1.0, 9.5]), np.array([1.0, 1.0]))
+    with pytest.raises(OutOfDomain):
+        psh_check(profile, past)
+    with pytest.raises(OutOfDomain):
+        density_ratio(profile, past)
 
 
 def test_det_product_consistency():
