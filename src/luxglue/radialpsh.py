@@ -73,7 +73,7 @@ class HessianSpectrum:
     det: np.ndarray
 
 
-def hessian_spectrum(p: RadialProfile, t) -> HessianSpectrum:
+def hessian_spectrum(p: RadialProfile, t: float | np.ndarray) -> HessianSpectrum:
     """Eigenvalues and determinant of the complex Hessian of f(|z|^2) at t,
     a number or an array inside the profile's interval."""
     t = np.asarray(t, dtype=float)
