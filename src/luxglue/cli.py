@@ -97,8 +97,9 @@ def _numpy_build() -> dict:
     except ImportError:
         return {"version": np.__version__}
     info = opt_func_info(func_name="^(exp|log|log1p|power)$", signature="float64")
-    return {"version": np.__version__, "kernels": {
-        name: target["current"] for name, sigs in sorted(info.items()) for target in sigs.values()}}
+    kernels = {name: target["current"] for name, sigs in sorted(info.items())
+               for target in sigs.values()}
+    return {"version": np.__version__, "kernels": kernels}
 
 
 def _write_atomic(path: str, text: str) -> None:
