@@ -245,6 +245,7 @@ def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
         "norm": res.norm,
         "objective_at_norm": res.objective_at_norm,
         "bracket": list(res.bracket),
+        "objective_evals": res.evals,
         "integral_lhs": bound.lhs,
         "integral_rhs": bound.rhs,
         "mass": f.measure.mass,

@@ -2,11 +2,16 @@
 
 The norm of f is the infimum of c > 0 with integral of phi(|f|/c) at most 1.
 On a discrete measure the objective is continuous and strictly decreasing in
-c for nonzero f, so plain bisection resolves the infimum.
+c for nonzero f.  The solver returns the upper endpoint of a bisection for
+that infimum, but it replays the bisection from a bracket narrowed by
+interpolation, so it evaluates the objective at a midpoint only when the
+points already evaluated leave that midpoint's side open (docs/DECISIONS.md,
+section 5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,12 +22,18 @@ from .numgrid import INEQ_SLACK, GridFn, Verdict, bisect_monotone, integrate, pa
 from .youngfn import YoungParams, _weight, phi
 
 _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
+# Relative band around the known sides of a crossing inside which the
+# bisection replay still evaluates its midpoint; the narrowing stops there.
+_GUARD = 1e-13
+_STEP_FLOOR = 0.3 * _GUARD  # least distance, in log c, of a narrowing point from a side
+_NARROW_STEPS = 64  # cap on narrowing steps; the replay evaluates whatever is left
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
 # functions of 4,096 nodes take 4 MiB each).  In-process `holder-young
-# --sweep 1000` took a median 0.29 s at 128, 0.30 s at 64, 0.32 s at 32 and
-# 256, and 0.34 s at 512 (9 runs each, 2 vCPUs, numpy 2.4.6).
+# --sweep 1000` took a median 0.34-0.35 s at 128 and at 256, 0.34-0.36 s at
+# 64 and 0.36-0.39 s at 32 (two rounds of 9 runs each, sizes interleaved,
+# 2 vCPUs, numpy 2.4.6).
 BLOCK_SIZE = 128
 
 
@@ -33,6 +44,7 @@ class LuxemburgResult:
     norm: float
     objective_at_norm: float
     bracket: tuple[float, float]
+    evals: int  # objective evaluations spent on this function
 
     @property
     def verdict(self) -> Verdict:
@@ -73,25 +85,87 @@ def _exponent(values: list[float]):
     return np.array(values, dtype=float)
 
 
+def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float,
+                  s: float) -> float:
+    """Next point to evaluate strictly inside the known sides a < b of one
+    crossing, given fa = log v(a) > 0 >= fb = log v(b) and ``last``, the
+    column's last three (c, log v) evaluations.
+
+    In x = log(c/a), log v has a slope between -s and -p, s = p + q + r.  A
+    bracket wider than e^2 steps to the middle of the range those slopes
+    leave for the crossing, or to the secant root of the last two points
+    when they are close and the root lies in that range.  A narrower one
+    steps to the inverse quadratic root of the last three points, or to the
+    regula falsi root when that is outside the bracket.  The point then
+    moves _STEP_FLOOR away from the nearer side, so that once the estimate
+    is that good the next evaluation lands on the far side of the crossing,
+    and it keeps _STEP_FLOOR from both sides.  The geometric midpoint stands
+    in for a point that comes out of range, as it does for an extreme
+    bracket or an infinite log v.
+    """
+    w = math.log(b / a)
+    if not (w < 700.0 and fa < math.inf and fb > -math.inf):
+        return math.sqrt(a) * math.sqrt(b)
+    (c0, f0), (c1, f1), (c2, f2) = last
+    x0, x1, x2 = math.log(c0 / a), math.log(c1 / a), math.log(c2 / a)
+    d = math.nan
+    if w > 2.0:
+        lo, hi = max(fa / s, w + fb / p, 0.0), min(fa / p, w + fb / s, w)
+        d = 0.5 * (lo + hi)
+        if abs(x2 - x1) < 2.0 and f1 != f2:
+            secant = x2 - f2 * (x2 - x1) / (f2 - f1)
+            if lo < secant < hi:
+                d = secant
+    else:
+        if f0 != f1 and f0 != f2 and f1 != f2:
+            d = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                 + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+        if not 0.0 <= d <= w:
+            d = w * fa / (fa - fb)
+    d += _STEP_FLOOR if d < 0.5 * w else -_STEP_FLOOR
+    c = a * math.exp(min(max(d, _STEP_FLOOR), w - _STEP_FLOOR))
+    return c if a < c < b else math.sqrt(a) * math.sqrt(b)
+
+
 def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Gauge norms of one block by the bracket search and bisection that
-    ``luxemburg_norms`` describes, with one column of the work arrays per
-    grid function.  Each step evaluates the objective of every open column
-    in one call; the brackets are Python floats, so a step costs little more
-    than that call even for a single column."""
-    x = np.zeros((max(f.values.size for f in fs), len(fs)))
+    """Gauge norms of one block by the bracket search, narrowing and
+    bisection replay that ``luxemburg_norms`` describes, with one column of
+    the work arrays per grid function.  Each step evaluates the objective of
+    every column that needs a value in one call; the brackets and the known
+    sides are Python floats, so a step costs little more than that call even
+    for a single column."""
+    n = len(fs)
+    x = np.zeros((max(f.values.size for f in fs), n))
     w = np.zeros_like(x)
     for i, f in enumerate(fs):
         x[:f.values.size, i] = np.abs(f.values)
         w[:f.values.size, i] = f.measure.weights
     exps = [_exponent([getattr(pr, a) for pr in params]) for a in "pqr"]
+    evals = [0] * n
+    # the known sides of each crossing: v(a) > 1 and v(b) <= 1, with log v
+    # there, and (c, log v) of the column's last three evaluations (NaN
+    # before there are three)
+    a, fa = [0.0] * n, [0.0] * n
+    b, fb = [math.inf] * n, [0.0] * n
+    last = [[(math.nan, math.nan)] * 3] * n
 
     def objective(cols: list[int], c: list[float]) -> list[float]:
-        if len(cols) == len(fs):  # every column: no copies
-            return _objective(x, w, exps, np.array(c)).tolist()
-        idx = np.array(cols, dtype=int)
-        return _objective(x[:, idx], w[:, idx], [e[idx] if isinstance(e, np.ndarray) else e
-                                                 for e in exps], np.array(c)).tolist()
+        if len(cols) == n:  # every column: no copies
+            vals = _objective(x, w, exps, np.array(c)).tolist()
+        else:
+            idx = np.array(cols, dtype=int)
+            vals = _objective(x[:, idx], w[:, idx], [e[idx] if isinstance(e, np.ndarray) else e
+                                                     for e in exps], np.array(c)).tolist()
+        for i, ci, v in zip(cols, c, vals):
+            evals[i] += 1
+            f = math.log(v) if v > 0.0 else -math.inf
+            last[i] = last[i][-2:] + [(ci, f)]
+            if v <= 1.0:
+                if ci < b[i]:
+                    b[i], fb[i] = ci, f
+            elif v > 1.0 and ci > a[i]:  # a NaN is on neither side
+                a[i], fa[i] = ci, f
+        return vals
 
     finite = np.isfinite(x).all(axis=0)
     vmax = x.max(axis=0)
@@ -126,28 +200,54 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     if failed:
         raise NonFinite(failed[min(failed)])
 
+    slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
+    widths = [[math.inf, math.inf] for _ in range(n)]  # b/a before the last two steps
+    open_ = cols
+    for _ in range(_NARROW_STEPS):  # narrow the known sides to a relative _GUARD
+        open_ = [i for i in open_ if 0.0 < a[i] and a[i] * (1.0 + _GUARD) < b[i] < math.inf]
+        if not open_:
+            break
+        points = []
+        for i in open_:
+            ratio = b[i] / a[i]
+            if ratio * ratio <= widths[i][0]:
+                points.append(_narrow_point(a[i], fa[i], b[i], fb[i], last[i], *slopes[i]))
+            else:  # the log width did not halve: bisect it
+                points.append(math.sqrt(a[i]) * math.sqrt(b[i]))
+            widths[i] = [widths[i][1], ratio]
+        objective(open_, points)
+
     open_ = cols
     while True:  # bisect until the bracket is narrow or its midpoint stops moving
         mid = {i: 0.5 * (lo[i] + hi[i]) for i in open_ if hi[i] - lo[i] > _NORM_TOL * hi[i]}
         open_ = [i for i, m in mid.items() if lo[i] < m < hi[i]]
         if not open_:
             break
-        for i, v in zip(open_, objective(open_, [mid[i] for i in open_])):
-            if v <= 1.0:
+        band = []  # a midpoint outside the guard band lies on a known side
+        for i in open_:
+            if mid[i] <= a[i] * (1.0 - _GUARD):
+                lo[i] = mid[i]
+            elif mid[i] >= b[i] * (1.0 + _GUARD):
                 hi[i] = mid[i]
             else:
-                lo[i] = mid[i]
+                band.append(i)
+        if band:
+            for i, v in zip(band, objective(band, [mid[i] for i in band])):
+                if v <= 1.0:
+                    hi[i] = mid[i]
+                else:
+                    lo[i] = mid[i]
 
-    out = [LuxemburgResult(0.0, 0.0, (0.0, 0.0))] * len(fs)
+    out = [LuxemburgResult(0.0, 0.0, (0.0, 0.0), 0)] * n
     for i, at_norm in zip(cols, objective(cols, [hi[i] for i in cols])):
-        out[i] = LuxemburgResult(hi[i], at_norm, (lo[i], hi[i]))
+        out[i] = LuxemburgResult(hi[i], at_norm, (lo[i], hi[i]), evals[i])
     return out
 
 
 def luxemburg_norms(fs: Sequence[GridFn],
                     params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Norm of each f at its own weight, by bisection on the normalization
-    objective, all solved together.
+    """Norm of each f at its own weight, by a bisection on the normalization
+    objective that is replayed rather than evaluated, all solved together.
 
     Each f is one column of the work arrays: |f| and its weights,
     zero-padded to the longest f, with its own exponent triple.  Work
@@ -155,10 +255,24 @@ def luxemburg_norms(fs: Sequence[GridFn],
     short-circuits to 0.  Otherwise hi starts at max(L1, max|f|) (1 + mass)
     and doubles until the objective there is <= 1, and lo starts at
     1e-12 max|f| and halves (pulling hi down to it) until the objective
-    there is >= 1.  Bisection then runs to a relative bracket width of
-    1e-10.  The returned norm is the upper bracket endpoint, so the
-    objective there is <= 1 by construction.  Zero padding moves no bit (see
-    ``pairwise_sums``), so each f gets the result it gets alone.  Raises
+    there is >= 1.
+
+    Every evaluation is kept: the largest c seen with objective > 1 and the
+    smallest with objective <= 1 are the two known sides of the crossing.
+    Interpolation in (log c, log objective) narrows them to a relative
+    width of 1e-13 (``_narrow_point``).  Bisection then runs from lo and hi
+    as before, with the same midpoints, comparisons and stop at a relative
+    bracket width of 1e-10, but a midpoint at least 1e-13 (relative) below
+    the lower known side moves lo, and one as far above the upper side
+    moves hi, without an evaluation; only a midpoint inside that guard band
+    is evaluated.  If the objective is monotone in c up to noise inside the
+    band, each decision is the one an evaluation would give, so the result
+    has the bits of plain bisection (docs/DECISIONS.md, section 5, fact 5).
+
+    The returned norm is the upper bracket endpoint, so the objective there
+    is <= 1 by construction; ``evals`` counts the objective evaluations of
+    each f, the final one at the norm included.  Zero padding moves no bit
+    (see ``pairwise_sums``), so each f gets the result it gets alone.  Raises
     NonFinite for the first f that fails.
     """
     if len(fs) != len(params):

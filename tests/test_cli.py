@@ -52,6 +52,21 @@ def test_orlicz_norm_pnorm_mode(tmp_path):
     assert report["results"]["norm"] == pytest.approx((1.0 / 3.0) ** 0.5, rel=1e-8)
 
 
+def test_orlicz_norm_reports_its_objective_evaluations(tmp_path, monkeypatch):
+    counted = []
+
+    def counting(x, w, exps, c):
+        counted.append(len(c))
+        return objective(x, w, exps, c)
+
+    objective = orlicz._objective
+    monkeypatch.setattr(orlicz, "_objective", counting)
+    out = tmp_path / "r.json"
+    assert run_cli(["orlicz-norm", "--builtin", "exp-exp", "--young", "1.5,2,1",
+                    "--interval", "0,1", "--out", str(out)]) == 0
+    assert load_without_meta(out)["results"]["objective_evals"] == sum(counted) > 0
+
+
 def test_orlicz_norm_zero_data(tmp_path):
     data = tmp_path / "zero.csv"
     data.write_text("t,weight,value\n0.0,0.5,0.0\n1.0,0.5,0.0\n", encoding="utf-8")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from luxglue import orlicz
 from luxglue.errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite, ZeroMass
-from luxglue.numgrid import GridFn, WeightedMeasure, integrate
+from luxglue.numgrid import GridFn, WeightedMeasure, integrate, pairwise_sums
 from luxglue.orlicz import (
     EntropyParams,
     entropies,
@@ -381,3 +381,161 @@ def test_holder_young_bounds_count_instead_of_raising(monkeypatch):
     broken = holder_young_bounds(fs, params)
     assert not any(b.passed for b in broken if b.lhs > 0)
     assert sweep_verdict(broken).lhs == sum(b.lhs > 0 for b in broken) > 0
+
+
+def _reference_norms(fs, params):
+    """(norm, objective at the norm, bracket) of each f by plain bisection:
+    the bracket search and bisection loop of the solver before the replay,
+    evaluating every midpoint."""
+    x = np.zeros((max(f.values.size for f in fs), len(fs)))
+    w = np.zeros_like(x)
+    for i, f in enumerate(fs):
+        x[:f.values.size, i] = np.abs(f.values)
+        w[:f.values.size, i] = f.measure.weights
+    exps = [orlicz._exponent([getattr(pr, a) for pr in params]) for a in "pqr"]
+
+    def objective(cols: list[int], c: list[float]) -> list[float]:
+        if len(cols) == len(fs):  # every column: no copies
+            return orlicz._objective(x, w, exps, np.array(c)).tolist()
+        idx = np.array(cols, dtype=int)
+        return orlicz._objective(x[:, idx], w[:, idx], [e[idx] if isinstance(e, np.ndarray) else e
+                                                        for e in exps], np.array(c)).tolist()
+
+    finite = np.isfinite(x).all(axis=0)
+    vmax = x.max(axis=0)
+    lo = (vmax * 1e-12).tolist()
+    hi = (np.maximum(pairwise_sums(w * x), vmax) * (1.0 + pairwise_sums(w))).tolist()
+    failed = {i: "grid function must have finite values"
+              for i in np.flatnonzero(~finite).tolist()}
+    cols = np.flatnonzero(finite & (vmax > 0.0)).tolist()  # the zero function has norm 0
+
+    open_ = cols
+    for _ in range(200):  # double hi until the objective there is <= 1
+        if not open_:
+            break
+        open_ = [i for i, v in zip(open_, objective(open_, [hi[i] for i in open_]))
+                 if not v <= 1.0]
+        for i in open_:
+            hi[i] *= 2.0
+    for i in open_:
+        failed[i] = "objective never dropped below 1; values too large"
+    cols = [i for i in cols if i not in failed]
+
+    open_ = cols
+    while open_:  # halve lo, pulling hi down to it, until the objective there is >= 1
+        open_ = [i for i, v in zip(open_, objective(open_, [lo[i] for i in open_]))
+                 if not v >= 1.0]
+        for i in open_:
+            hi[i] = min(hi[i], lo[i])
+            lo[i] *= 0.5
+            if lo[i] == 0.0:
+                failed[i] = "objective stayed below 1 down to c = 0"
+        open_ = [i for i in open_ if lo[i] != 0.0]
+    if failed:
+        raise NonFinite(failed[min(failed)])
+
+    open_ = cols
+    while True:  # bisect until the bracket is narrow or its midpoint stops moving
+        mid = {i: 0.5 * (lo[i] + hi[i]) for i in open_ if hi[i] - lo[i] > orlicz._NORM_TOL * hi[i]}
+        open_ = [i for i, m in mid.items() if lo[i] < m < hi[i]]
+        if not open_:
+            break
+        for i, v in zip(open_, objective(open_, [mid[i] for i in open_])):
+            if v <= 1.0:
+                hi[i] = mid[i]
+            else:
+                lo[i] = mid[i]
+
+    out = [(0.0, 0.0, (0.0, 0.0))] * len(fs)
+    for i, at_norm in zip(cols, objective(cols, [hi[i] for i in cols])):
+        out[i] = (hi[i], at_norm, (lo[i], hi[i]))
+    return out
+
+
+def _solved(results):
+    return [(r.norm, r.objective_at_norm, r.bracket) for r in results]
+
+
+_EXPONENTS = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0)
+
+
+@st.composite
+def _ragged_draw(draw):
+    """Up to six grid functions of 1-40 nodes, values across 16 decades
+    (some 0), weights across 4, and exponents that include 0, 0.5, 1 and 2."""
+    fs, params = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 40))
+        decades = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+        zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        weights = draw(st.lists(st.floats(-3.0, 1.0), min_size=n, max_size=n))
+        m = WeightedMeasure(np.arange(n) + 0.5, 10.0 ** np.array(weights))
+        fs.append(GridFn(m, 10.0 ** np.array(decades) * ~np.array(zeros)))
+        params.append(YoungParams(draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 3.0)),
+                                  draw(_EXPONENTS), draw(_EXPONENTS)))
+    return fs, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ragged_draw())
+def test_replay_gives_the_bits_of_plain_bisection(drawn):
+    fs, params = drawn
+    assert _solved(luxemburg_norms(fs, params)) == _reference_norms(fs, params)
+
+
+def test_evals_count_every_objective_evaluation(monkeypatch):
+    fs, params = _ragged_instances(rng_from_seed(59), 40)
+    counted = []
+
+    def counting(x, w, exps, c):
+        counted.append(len(c))
+        return objective(x, w, exps, c)
+
+    objective = orlicz._objective
+    monkeypatch.setattr(orlicz, "_objective", counting)
+    results = luxemburg_norms(fs, params)
+    assert sum(r.evals for r in results) == sum(counted)
+    assert all((r.evals == 0) == (r.norm == 0.0) for r in results)
+
+
+def test_replay_bits_and_evaluation_budget_on_ragged_blocks():
+    fs, params = _ragged_instances(rng_from_seed(41), 120)
+    results = luxemburg_norms(fs, params)
+    assert _solved(results) == _reference_norms(fs, params)
+    evals = [r.evals for r in results if r.norm > 0]
+    assert sum(evals) / len(evals) <= 14  # plain bisection spends about 48
+
+
+def test_replay_survives_an_ulp_wiggle(monkeypatch):
+    # non-monotone in c at the ulp scale: the objective moves by up to
+    # 1.5 * 2^-46 relative with the two low bits of c.  log v falls with
+    # slope >= p >= 1 in log c, so the crossing blurs over at most
+    # 3 * 2^-46 (4e-14) of c, inside the guard band.
+    def wiggly(x, w, exps, c):
+        return objective(x, w, exps, c) * (1.0 + 2.0**-46 * ((c.view(np.int64) & 3) - 1.5))
+
+    objective = orlicz._objective
+    monkeypatch.setattr(orlicz, "_objective", wiggly)
+    fs, params = _ragged_instances(rng_from_seed(61), 60)
+    assert _solved(luxemburg_norms(fs, params)) == _reference_norms(fs, params)
+
+
+def test_guard_band_evaluates_a_midpoint_next_to_a_known_side(monkeypatch):
+    # The objective dips to its true value <= 1 at the bisection's final hi
+    # alone and reads 2 on [lo, hi (1 + 4e-14)] around it, so the last
+    # crossing sits 4e-14 above a midpoint that plain bisection evaluates.
+    # The narrowing meets that crossing; only the guard band makes the
+    # replay evaluate the midpoint rather than read its side off a known
+    # point just above it.
+    f, params = GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0)
+    ((norm, _, (lo, hi)),) = _reference_norms([f], [params])
+
+    def dipped(x, w, exps, c):
+        window = (lo <= c) & (c <= hi * (1.0 + 4e-14)) & (c != hi)
+        return np.where(window, 2.0, objective(x, w, exps, c))
+
+    objective = orlicz._objective
+    monkeypatch.setattr(orlicz, "_objective", dipped)
+    reference = _reference_norms([f], [params])
+    assert reference[0][0] == norm and reference[0][2] == (lo, hi)  # plain bisection never sees the dip
+    assert _solved([luxemburg_norm(f, params)]) == reference
