@@ -95,6 +95,7 @@ class WeightedMeasure:
 
     nodes: np.ndarray
     weights: np.ndarray
+    mass: float = field(init=False, repr=False, compare=False)  # pairwise sum of the weights
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -109,12 +110,9 @@ class WeightedMeasure:
             raise InvalidInput("nodes must be strictly increasing")
         if not np.all(weights > 0):
             raise InvalidInput("weights must all be positive")
+        object.__setattr__(self, "mass", pairwise_sum(weights))
         if not np.isfinite(self.mass) or self.mass <= 0:
             raise NonFinite("total mass must be finite and positive")
-
-    @property
-    def mass(self) -> float:
-        return pairwise_sum(self.weights)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue import degiorgi, orlicz
+from luxglue import cli, degiorgi, orlicz
 from luxglue.cli import _write_csv_table, main, read_data_csv
 from luxglue.errors import BadConfig, FileFormat
 
@@ -242,6 +243,47 @@ def test_degiorgi_gamma_out_of_range_exit(capsys):
     assert "GammaOutOfRange" in capsys.readouterr().err
 
 
+def test_dispatch_reads_the_handler_at_call_time(tmp_path, monkeypatch):
+    # a span recorder or a test may rebind cli.cmd_* after the parser is cached
+    out = tmp_path / "r.json"
+    assert run_cli(["degiorgi", "--mode", "formula", "--out", str(out)]) == 0
+    calls = []
+
+    def patched(args):
+        calls.append(args.mode)
+        return {"patched": True}, {}, []
+
+    monkeypatch.setattr(cli, "cmd_degiorgi", patched)
+    assert run_cli(["degiorgi", "--mode", "sharpness", "--out", str(out)]) == 0
+    assert calls == ["sharpness"]
+    assert load_without_meta(out)["inputs"] == {"patched": True}
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_parser_is_built_on_first_use_only():
+    code = ("import luxglue.cli as c; assert c.build_parser.cache_info().misses == 0; "
+            "[c.main(['degiorgi', '--mode', 'formula']) for _ in range(3)]; "
+            "assert c.build_parser.cache_info().misses == 1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_parser_default_is_mutable():
+    # the one parser serves every parse, so a mutable default could carry
+    # state from one command line to the next
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["counterexample", "degiorgi", "glue", "holder-young",
+                                   "orlicz-norm"]
+    parsers = [parser, *sub.choices.values()]
+    mutable = [(p.prog, a.dest) for p in parsers for a in p._actions
+               if isinstance(a.default, (list, dict, set))]
+    mutable += [(p.prog, k) for p in parsers for k, v in p._defaults.items()
+                if isinstance(v, (list, dict, set))]
+    assert mutable == []
+
+
 def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(["degiorgi", "--mode", "simulate", "--k", "2", "--alpha", "1",
@@ -325,6 +367,15 @@ def test_degiorgi_simulate_reports_scan_counters(tmp_path):
     ["glue", "--mode", "convex", "--left-fn", "poly", "--left-coeffs", "20,-10,1",
      "--left-interval", "0,1", "--right-fn", "exp-exp", "--right-coeffs", "1",
      "--right-interval", "5,60"],
+    # --seed belongs to holder-young, the one command that draws random numbers
+    ["orlicz-norm", "--seed", "0"],
+    ["degiorgi", "--mode", "formula", "--seed", "0"],
+    ["glue", "--mode", "strict", "--left-fn", "poly", "--left-coeffs", "0,0,1",
+     "--left-interval", "0,1", "--right-fn", "poly", "--right-coeffs", "0,0,1",
+     "--right-interval", "3,4", "--seed", "0"],
+    ["counterexample", "--kmin", "5", "--kmax", "6", "--seed", "0"],
+    # a --detail-out that no --detail-k reads
+    ["counterexample", "--kmin", "5", "--kmax", "6", "--detail-out", "unread.csv"],
 ])
 def test_degiorgi_bad_input_exits_2_with_json(argv, capsys):
     # Named for its first inputs; it covers every subcommand's domain errors
@@ -568,7 +619,7 @@ def test_report_determinism_byte_identical(tmp_path):
               "--left-fn", "feps", "--left-interval", f"{1 / 64},{1 / 16}",
               "--right-fn", "log1p", "--right-interval", "1,4", "--n", "2"]
     sharpness = ["degiorgi", "--mode", "sharpness", "--alpha", "2",
-                 "--nodes", "256", "--seed", "7"]
+                 "--nodes", "256"]
     for name, argv in (("sharpness", sharpness), ("radial", radial)):
         blobs, side = [], []
         for i in range(2):
@@ -716,7 +767,7 @@ def test_module_entry_rejects_bad_input_with_json_only():
 _JUNK = ["", "abc", "1,", ",", "1,x,0", "0,1,2,3", "-1", "0", "bogus"]
 _EXTREME = ["nan", "inf", "-inf", "1e308", "-0.0"]
 _PATH = ["{tmp}/f.out", "{tmp}/missing/f.out"]
-_COMMON = {"--format": ["json", "csv"], "--out": _PATH, "--seed": ["0", "3"]}
+_COMMON = {"--format": ["json", "csv"], "--out": _PATH}
 _YOUNG = ["1,1,0", "2,0,0", "1,2,1", "0.5,0,0", "1,inf,0", "nan,1,0", "1e308,1,0", "1,1e308,0"]
 _FNS = ["poly", "log1p", "feps", "exp-exp"]
 _COEFFS = ["0,0,1", "1", "-1.5,2,0.5", "0,1", "0,nan,1", "1e308,0,1"]
@@ -725,7 +776,7 @@ _OPTIONS = {
                     "--builtin": _FNS, "--coeffs": _COEFFS, "--eps": ["0.01", "0.5", *_EXTREME],
                     "--interval": ["0,1", "0.001,0.25", "1,2", "0,inf", "-0.0,1e308"],
                     "--panels": ["1", "4"], "--order": ["2", "8"], "--emit-data": _PATH},
-    "holder-young": {"--sweep": ["0", "1", "3"], "--young": _YOUNG,
+    "holder-young": {"--seed": ["0", "3"], "--sweep": ["0", "1", "3"], "--young": _YOUNG,
                      "--indicator-mass": ["0.01", "0.5", "2", *_EXTREME],
                      "--space-mass": ["1", "0.5", *_EXTREME]},
     "degiorgi": {"--mode": ["formula", "simulate", "sharpness"], "--C": ["1", "2", *_EXTREME],
