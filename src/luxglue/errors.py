@@ -5,10 +5,6 @@ class LuxglueError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NoBracket(LuxglueError):
-    """Bisection endpoints do not bracket the target value."""
-
-
 class NonFinite(LuxglueError):
     """A NaN or infinity reached a numerical kernel that forbids it."""
 

@@ -1,5 +1,5 @@
-"""Quadrature grids, weighted measures, monotone bisection, the C^2 jet carrier
-and the verdict record every checked claim is reported as.
+"""Quadrature grids, weighted measures, the C^2 jet carrier and the verdict
+record every checked claim is reported as.
 
 Everything downstream works over two discrete stand-ins: a ``WeightedMeasure``
 (nodes + positive weights, the discrete measure space) and a ``SmoothFn``
@@ -18,11 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NoBracket, NonFinite
+from .errors import InvalidInput, NonFinite
 
 ArrayLike = Sequence[float] | np.ndarray
 
-_MAX_BISECT_ITERS = 500
 _FD_RTOL = 1e-5  # finite-difference agreement check_derivative_consistency asks
 
 # Multiplicative slack absorbing quadrature and bisection error in all
@@ -178,46 +177,6 @@ def geometric_gauss_measure(interval: Interval, panels: int = 40,
     k = np.arange(panels + 1, dtype=float)
     return _gauss_panels(
         interval.lo + interval.length * (2.0**k - 1.0) / (2.0**panels - 1.0), order)
-
-
-def bisect_monotone(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    target: float = 0.0,
-    tol: float = 1e-10,
-) -> float:
-    """Solve g(c) = target on [lo, hi] for increasing g by plain bisection
-    (negate g and target to solve for a decreasing g).
-
-    Returns the bracket midpoint once the bracket width is <= tol.  Raises
-    NoBracket when the endpoints do not straddle the target and NonFinite when
-    g produces NaN inside the bracket.
-    """
-    if not (lo < hi):
-        raise InvalidInput("need lo < hi")
-
-    def shifted(c: float) -> float:
-        v = g(c)
-        if np.isnan(v):
-            raise NonFinite(f"g({c}) is NaN")
-        return v - target
-
-    flo, fhi = shifted(lo), shifted(hi)
-    if flo > 0 or fhi < 0:
-        raise NoBracket(f"g does not bracket target {target} on [{lo}, {hi}]")
-    for _ in range(_MAX_BISECT_ITERS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if shifted(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 Jet = tuple[np.ndarray, np.ndarray, np.ndarray]

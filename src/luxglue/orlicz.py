@@ -3,10 +3,11 @@
 The norm of f is the infimum of c > 0 with integral of phi(|f|/c) at most 1.
 On a discrete measure the objective is continuous and strictly decreasing in
 c for nonzero f.  The solver returns the upper endpoint of a bisection for
-that infimum, but it replays the bisection from a bracket narrowed by
-interpolation, so it evaluates the objective at a midpoint only when the
-points already evaluated leave that midpoint's side open (docs/DECISIONS.md,
-section 5).
+that infimum.  The bracket's upper end is a closed-form scale where the
+objective is at most 1/2, and the bisection is replayed from a bracket
+narrowed by interpolation, so it evaluates the objective at a midpoint only
+when the points already evaluated leave that midpoint's side open
+(docs/DECISIONS.md, section 5).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite, ZeroMass
-from .numgrid import INEQ_SLACK, GridFn, Verdict, bisect_monotone, integrate, pairwise_sums
+from .errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite
+from .numgrid import INEQ_SLACK, GridFn, Verdict, integrate, pairwise_sums
 from .youngfn import YoungParams, _weight, phi
 
 _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
@@ -175,18 +176,9 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
               for i in np.flatnonzero(~finite).tolist()}
     cols = np.flatnonzero(finite & (vmax > 0.0)).tolist()  # the zero function has norm 0
 
-    open_ = cols
-    for _ in range(200):  # double hi until the objective there is <= 1
-        if not open_:
-            break
-        open_ = [i for i, v in zip(open_, objective(open_, [hi[i] for i in open_]))
-                 if not v <= 1.0]
-        for i in open_:
-            hi[i] *= 2.0
-    for i in open_:
-        failed[i] = "objective never dropped below 1; values too large"
-    cols = [i for i in cols if i not in failed]
-
+    # the objective at hi is at most 1/2 (docs/DECISIONS.md, section 5, fact 4);
+    # its one evaluation there is the first known side of each crossing
+    objective(cols, [hi[i] for i in cols])
     open_ = cols
     while open_:  # halve lo, pulling hi down to it, until the objective there is >= 1
         open_ = [i for i, v in zip(open_, objective(open_, [lo[i] for i in open_]))
@@ -252,10 +244,10 @@ def luxemburg_norms(fs: Sequence[GridFn],
     Each f is one column of the work arrays: |f| and its weights,
     zero-padded to the longest f, with its own exponent triple.  Work
     proceeds in blocks of BLOCK_SIZE functions.  The zero function
-    short-circuits to 0.  Otherwise hi starts at max(L1, max|f|) (1 + mass)
-    and doubles until the objective there is <= 1, and lo starts at
-    1e-12 max|f| and halves (pulling hi down to it) until the objective
-    there is >= 1.
+    short-circuits to 0.  Otherwise hi is max(L1, max|f|) (1 + mass), where
+    the objective is at most 1/2 (docs/DECISIONS.md, section 5, fact 4) and
+    is evaluated once, and lo starts at 1e-12 max|f| and halves (pulling hi
+    down to it) until the objective there is >= 1.
 
     Every evaluation is kept: the largest c seen with objective > 1 and the
     smallest with objective <= 1 are the two known sides of the crossing.
@@ -294,12 +286,6 @@ def entropies(densities: Sequence[GridFn], scales: Sequence[EntropyParams]) -> l
     return [res.norm for res in luxemburg_norms(densities, [ep.young for ep in scales])]
 
 
-def entropy(density: GridFn, ep: EntropyParams) -> float:
-    """Gauge norm of a nonnegative density at weight (1, n, r): entropies of
-    the density alone."""
-    return entropies([density], [ep])[0]
-
-
 def norm_bound_from_integral(c: float, M: float, params: YoungParams) -> float:
     """Norm bound c * max(1, M^(1/p)) given that the scaled weighted integral
     at scale c is at most M."""
@@ -334,12 +320,11 @@ def holder_young_bounds(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> 
     (log-factor corrections) (rhs), C the ``holder_young_constant``, with
     every norm solved in one ``luxemburg_norms`` call.
 
-    Returns one record per f, passed iff lhs <= rhs up to slack.  Masses and
-    constants are checked before any norm is solved.
+    Returns one record per f, passed iff lhs <= rhs up to slack.  The
+    constants are checked before any norm is solved; each measure's mass is
+    finite and positive by construction.
     """
     masses = [f.measure.mass for f in fs]
-    if not all(0 < mass < np.inf for mass in masses):
-        raise ZeroMass("measure mass must be positive and finite")
     consts = [holder_young_constant(pr) for pr in params]
     out = []
     for f, pr, mass, C, res in zip(fs, params, masses, consts, luxemburg_norms(fs, params)):
@@ -360,35 +345,23 @@ def sweep_verdict(bounds: Sequence[Verdict]) -> Verdict:
 
 
 def young_pair_check(a: float, b: float, params: YoungParams) -> bool:
-    """Pointwise product inequality a*b <= phi(a) + PsiInv(b).
+    """Pointwise product inequality a*b <= phi(a) + PsiInv(b), up to slack.
 
-    Psi(t) = eta(t)^(1/p) / C with eta(t) = t^(p-1) log^q(1+t) log^r(1+log(1+t));
-    its inverse is computed by bisection on [0, hi], hi the first of 1, 2, 4,
-    ..., 2^1023 and the largest float where Psi reaches b.  If Psi stays below b
-    there, PsiInv(b) exceeds every float and is taken as inf.
+    Psi(t) = eta(t)^(1/p) / C with eta(t) = t^(p-1) log^q(1+t) log^r(1+log(1+t))
+    increases from Psi(0) = 0, so with x = a*b / (1 + slack) - phi(a) the
+    inequality reads x <= 0 or Psi(x) <= b, and Psi is never inverted.  An x
+    past the largest float is evaluated there; a NaN x (a*b and phi(a) both
+    overflow) passes, as inf <= inf does.
     """
     if not (0 <= a < np.inf and 0 <= b < np.inf):
         raise InvalidInput("need finite a, b >= 0")
     if params.degenerate:
         raise DegenerateParams("Psi is constant for (1, 0, 0); nothing to invert")
-    lhs = a * b
-    if lhs == 0.0:
+    x = a * b / (1.0 + INEQ_SLACK) - float(phi(params, np.asarray(a)))
+    if not x > 0.0:
         return True
-    C = holder_young_constant(params)
-
-    def psi(t: float) -> float:
-        eta = _weight(np.asarray(t), params.p - 1.0, params.q, params.r)
-        return float(eta) ** (1.0 / params.p) / C
-
-    hi = 1.0
-    while psi(hi) < b and hi < _FLOAT_MAX:
-        hi = min(2.0 * hi, _FLOAT_MAX)
-    if psi(hi) < b:
-        psi_inv = np.inf
-    else:
-        psi_inv = bisect_monotone(psi, 0.0, hi, target=b, tol=1e-12 * max(1.0, hi))
-    rhs = float(phi(params, np.asarray(a))) + psi_inv
-    return lhs <= rhs * (1.0 + INEQ_SLACK)
+    eta = _weight(np.asarray(min(x, _FLOAT_MAX)), params.p - 1.0, params.q, params.r)
+    return float(eta) ** (1.0 / params.p) / holder_young_constant(params) <= b
 
 
 def entropy_domination_factor(mass: float, r: float) -> float:

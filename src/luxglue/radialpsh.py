@@ -30,7 +30,7 @@ from .numgrid import (
     pairwise_sum,
     piecewise,
 )
-from .orlicz import EntropyParams, entropies, luxemburg_norm
+from .orlicz import EntropyParams, entropies
 from .youngfn import phi
 
 # Example normalization of the quadruple-log potential; the raw family used
@@ -83,24 +83,6 @@ def hessian_spectrum(p: RadialProfile, t: float | np.ndarray) -> HessianSpectrum
     _, lam_small, f2 = p.fn.eval(t)
     lam_big = lam_small + t * f2
     return HessianSpectrum(lam_small, lam_big, lam_small ** (p.n - 1) * lam_big)
-
-
-@dataclass(frozen=True)
-class PshReport:
-    min_small: float
-    arg_small: float
-    min_big: float
-    arg_big: float
-    strict: bool
-
-
-def psh_check(p: RadialProfile, grid: WeightedMeasure) -> PshReport:
-    """Minimum eigenvalues over the grid; strictly psh iff both positive."""
-    t = grid.nodes
-    s = hessian_spectrum(p, t)
-    i, j = int(np.argmin(s.lam_small)), int(np.argmin(s.lam_big))
-    return PshReport(float(s.lam_small[i]), float(t[i]), float(s.lam_big[j]), float(t[j]),
-                     bool(s.lam_small[i] > 0 and s.lam_big[j] > 0))
 
 
 def fs_potential() -> SmoothFn:
@@ -342,9 +324,3 @@ def sweep_verdicts(rs: tuple[float, float], rows: list[SweepRow]) -> list[Verdic
                 INEQ_SLACK),
     ]
 
-
-def fs_constant_density_norm(n: int, r: float) -> float:
-    """Entropy of the unit density on the chart measure (the trivial solution
-    whose density is identically 1); scalar cross-check for the sweep."""
-    m = chart_measure(n)
-    return luxemburg_norm(GridFn(m, np.ones_like(m.nodes)), EntropyParams(n, r).young).norm

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luxglue.errors import InvalidInput, NoBracket, NonFinite
+from luxglue.errors import InvalidInput, NonFinite
 from luxglue.numgrid import (
     GridFn,
     Interval,
     SmoothFn,
     WeightedMeasure,
-    bisect_monotone,
     check_derivative_consistency,
     gauss_measure,
     geometric_gauss_measure,
@@ -103,44 +102,6 @@ def test_geometric_measure_refines_toward_lo():
     assert m.nodes[-1] > 0.5
 
 
-def test_bisect_square():
-    c = bisect_monotone(lambda c: c * c, 0.0, 3.0, target=4.0, tol=1e-10)
-    assert abs(c - 2.0) <= 1e-9
-
-
-def test_bisect_decreasing():
-    # a decreasing g is solved as the increasing -g
-    c = bisect_monotone(lambda c: -1.0 / c, 0.1, 10.0, target=-1.0, tol=1e-10)
-    assert abs(c - 1.0) <= 1e-9
-
-
-def test_bisect_integral_form():
-    m = gauss_measure(Interval(0.0, 1.0), 2, 4)
-
-    def g(c):
-        return integrate(GridFn(m, np.full_like(m.nodes, 1.0 / c)))
-
-    c = bisect_monotone(lambda c: -g(c), 0.01, 50.0, target=-1.0, tol=1e-11)
-    assert abs(c - 1.0) <= 1e-10
-
-
-def test_bisect_tol_invariance():
-    g = lambda c: c**3
-    base = bisect_monotone(g, 0.0, 4.0, target=8.0, tol=1e-8)
-    finer = bisect_monotone(g, 0.0, 4.0, target=8.0, tol=5e-9)
-    assert abs(base - finer) <= 2e-8
-
-
-def test_bisect_no_bracket():
-    with pytest.raises(NoBracket):
-        bisect_monotone(lambda c: c, 0.0, 1.0, target=5.0, tol=1e-8)
-
-
-def test_bisect_nan_detected():
-    with pytest.raises(NonFinite):
-        bisect_monotone(lambda c: np.nan, 0.0, 1.0, target=0.5, tol=1e-8)
-
-
 def test_pairwise_sum_matches_fsum():
     import math
 
@@ -196,5 +157,3 @@ def test_gridfn_and_bisect_raise_invalid_input():
     m = WeightedMeasure(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
     with pytest.raises(InvalidInput):
         GridFn(m, np.array([1.0]))
-    with pytest.raises(InvalidInput):
-        bisect_monotone(lambda x: x, 1.0, 1.0)

@@ -1,6 +1,8 @@
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxglue import orlicz
@@ -9,7 +11,6 @@ from luxglue.numgrid import GridFn, WeightedMeasure, integrate, pairwise_sums
 from luxglue.orlicz import (
     EntropyParams,
     entropies,
-    entropy,
     entropy_domination_factor,
     holder_young_bounds,
     holder_young_constant,
@@ -102,15 +103,15 @@ def test_triangle_inequality():
 
 def test_entropy_zero_and_scalar():
     m = unit_mass_measure()
-    assert entropy(GridFn(m, np.zeros(2)), EntropyParams(1, 0.0)) == 0.0
-    val = entropy(GridFn(m, np.ones(2)), EntropyParams(1, 0.0))
+    assert entropies([GridFn(m, np.zeros(2))], [EntropyParams(1, 0.0)]) == [0.0]
+    (val,) = entropies([GridFn(m, np.ones(2))], [EntropyParams(1, 0.0)])
     assert abs(val - UNIT_DENSITY_NORM_110) <= 1e-8
 
 
 def test_entropy_rejects_negative():
     for bad in (-1.0, np.nan):  # a NaN density value is not >= 0 either
         with pytest.raises(NegativeDensity):
-            entropy(GridFn(unit_mass_measure(), np.array([1.0, bad])), EntropyParams(1))
+            entropies([GridFn(unit_mass_measure(), np.array([1.0, bad]))], [EntropyParams(1)])
 
 
 def test_entropy_integral_upper_bound():
@@ -214,28 +215,30 @@ def test_young_pair_grid():
 @pytest.mark.parametrize("p, b", [(1.01, 100.0), (1.01, 0.5), (1.5, 100.0), (3.0, 1e-3),
                                   (1.001, 1.1)])
 def test_young_pair_inverse_matches_closed_form(monkeypatch, p, b):
-    # at q = r = 0, Psi(t) = t^((p-1)/p) and C = 1, so PsiInv(b) = b^(p/(p-1));
-    # (1.01, 100) needs a bracket past 2^400: PsiInv = 1e202
-    solved = []
-
-    def recorded(*args, **kwargs):
-        solved.append(bisect(*args, **kwargs))
-        return solved[-1]
-
-    bisect = orlicz.bisect_monotone
-    monkeypatch.setattr(orlicz, "bisect_monotone", recorded)
-    assert young_pair_check(1.0, b, YoungParams(p))
-    exact = b ** (p / (p - 1.0))
-    # the bisection stops at a width of 1e-12 max(1, hi), with hi < 2 max(1, exact)
-    assert abs(solved[0] - exact) <= 4e-12 * max(1.0, exact)
+    # at q = r = 0, Psi(t) = t^((p-1)/p) and C = 1, so PsiInv(b) = b^(p/(p-1))
+    # (1e202 at (1.01, 100)).  With phi read as 0 the check is
+    # a*b <= PsiInv(b) (1 + slack), so it flips between a = PsiInv(b)/b times
+    # 1 - 1e-6 and 1 + 1e-6, where Psi(a*b) moves by (p-1)/p * 1e-6 >= 1e-9.
+    monkeypatch.setattr(orlicz, "phi", lambda params, t: np.zeros_like(t, dtype=float))
+    edge = b ** (p / (p - 1.0)) / b
+    assert young_pair_check(edge * (1.0 - 1e-6), b, YoungParams(p))
+    assert not young_pair_check(edge * (1.0 + 1e-6), b, YoungParams(p))
 
 
-def test_young_pair_inverse_past_the_float_range(monkeypatch):
-    # PsiInv(100) = 100^1001 at p = 1.001: Psi stays below 100 on every float,
-    # so the inverse is taken as inf and the inequality holds without a solve
-    monkeypatch.setattr(orlicz, "bisect_monotone", None)
+def test_young_pair_inverse_past_the_float_range():
+    # PsiInv(100) = 100^1001 at p = 1.001: Psi stays below 100 on every float
     assert young_pair_check(1.0, 100.0, YoungParams(1.001))
     assert young_pair_check(1e300, 1e10, YoungParams(1.0, 0.5, 0.0))
+
+
+def test_young_pair_when_phi_overflows():
+    # the past-the-float-range test above covers a*b = inf alone: Psi is read
+    # at the largest float there
+    with np.errstate(over="ignore"):
+        # phi(a) = inf with a*b finite: a*b - phi(a) = -inf
+        assert young_pair_check(1e200, 1e-100, YoungParams(2.0))
+        # both overflow: inf - inf is NaN, and inf <= inf
+        assert young_pair_check(1e300, 1e10, YoungParams(2.0))
 
 
 def test_young_pair_degenerate():
@@ -266,6 +269,49 @@ def test_pointwise_weight_ordering_above_unit_logs():
     lo = phi(YoungParams(1, 2, 0.5), t_r)
     hi = phi(YoungParams(1, 2, 1.5), t_r)
     assert np.all(hi >= lo * (1 - 1e-12))
+
+
+@st.composite
+def _extreme_draw(draw):
+    """Up to four grid functions of 1-20 nodes, with masses from 1e-300 to
+    1e300 and values over 16 decades anywhere from 1e-300 to 1e300, so that
+    some L1 sums overflow to inf."""
+    fs, params = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 20))
+        top, first = draw(st.floats(-300.0, 298.0)), draw(st.floats(-300.0, 284.0))
+        weights = draw(st.lists(st.floats(top - 2.0, top), min_size=n, max_size=n))
+        decades = draw(st.lists(st.floats(first, first + 16.0), min_size=n, max_size=n))
+        fs.append(GridFn(WeightedMeasure(np.arange(n) + 0.5, 10.0 ** np.array(weights)),
+                         10.0 ** np.array(decades)))
+        params.append(YoungParams(draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 3.0)),
+                                  draw(_EXPONENTS), draw(_EXPONENTS)))
+    return fs, params
+
+
+@settings(max_examples=100, deadline=None)
+@given(_extreme_draw())
+@example(([GridFn(unit_mass_measure(), np.ones(2))], [YoungParams(1, 0, 0)]))  # exactly 1/2
+@example(([GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e300, 1e300])),
+                  np.array([1e300, 1e10]))], [YoungParams(2, 1, 1)]))  # L1 = inf, hi = inf
+def test_objective_at_the_upper_bracket_end_is_at_most_half(drawn):
+    # hi = max(L1, max|f|) (1 + mass) and phi(t) <= t on [0, 1] bound the
+    # objective there by min(1, mass) / (1 + mass) <= 1/2 (docs/DECISIONS.md,
+    # section 5, fact 4), up to rounding: equal values on weights that sum
+    # to 1 can read 1/2 + 2^-53.  The solver's first evaluation is at hi.
+    fs, params = drawn
+    values = []
+
+    def recording(x, w, exps, c):
+        values.append(objective(x, w, exps, c))
+        return values[-1]
+
+    objective = orlicz._objective
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(orlicz, "_objective", recording)
+        with contextlib.suppress(NonFinite):  # a norm below 5e-324 fails the lower search
+            luxemburg_norms(fs, params)
+    assert values[0].shape == (len(fs),) and np.all(values[0] <= 0.5 * (1.0 + 1e-12))
 
 
 def test_lower_bracket_search_runs_past_200_halvings():
@@ -365,7 +411,7 @@ def test_entropies_check_each_density_against_its_integral():
     m = unit_mass_measure()
     dens = [GridFn(m, np.ones(2)), GridFn(m, np.array([2.0, 3.0]))]
     scales = [EntropyParams(1), EntropyParams(2, 1.0)]
-    assert entropies(dens, scales) == [entropy(d, ep) for d, ep in zip(dens, scales)]
+    assert entropies(dens, scales) == [entropies([d], [ep])[0] for d, ep in zip(dens, scales)]
     with pytest.raises(NegativeDensity):
         entropies(dens + [GridFn(m, np.array([1.0, -1.0]))], scales + [EntropyParams(1)])
 

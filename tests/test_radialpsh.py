@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from luxglue.errors import NonFinite, OutOfDomain
-from luxglue.numgrid import Interval, WeightedMeasure, gauss_measure
-from luxglue.orlicz import EntropyParams, entropy
+from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
+from luxglue.orlicz import EntropyParams, entropies, luxemburg_norm
 from luxglue.radialpsh import (
     AppendixReport,
     CounterexampleParams,
@@ -24,12 +24,21 @@ from luxglue.radialpsh import (
     feps_profile,
     feps_smoothfn,
     fs_background_det,
-    fs_constant_density_norm,
     fs_profile,
     hessian_spectrum,
-    psh_check,
 )
 from luxglue.sampling import rng_from_seed
+from luxglue.youngfn import phi
+
+
+def _minima(profile, nodes):
+    """Least lambda_small and least lambda_big of the profile over the nodes."""
+    s = hessian_spectrum(profile, nodes)
+    return float(s.lam_small.min()), float(s.lam_big.min())
+
+
+def _strictly_psh(profile, nodes):
+    return min(_minima(profile, nodes)) > 0
 
 
 def test_flat_potential_spectrum():
@@ -72,7 +81,7 @@ def test_psh_check_and_density_ratio_read_inside_the_profile():
     profile = build_v_eps(CounterexampleParams(2.0**-10, 2))
     past = WeightedMeasure(np.array([1.0, 9.5]), np.array([1.0, 1.0]))
     with pytest.raises(OutOfDomain):
-        psh_check(profile, past)
+        hessian_spectrum(profile, past.nodes)
     with pytest.raises(OutOfDomain):
         density_ratio(profile, past)
 
@@ -90,20 +99,19 @@ def test_det_product_consistency():
 
 def test_psh_check_reference_and_failure():
     grid = gauss_measure(Interval(1e-6, 4.0), 32, 8)
-    assert psh_check(fs_profile(2), grid).strict
+    assert _strictly_psh(fs_profile(2), grid.nodes)
     from luxglue.numgrid import SmoothFn
 
     bad = RadialProfile(2, SmoothFn(Interval(0.0, 5.0),
                                     lambda t: (-t, -1.0 + 0 * t, 0 * t)))
-    rep = psh_check(bad, grid)
-    assert not rep.strict and rep.min_small == -1.0
+    assert not _strictly_psh(bad, grid.nodes) and _minima(bad, grid.nodes)[0] == -1.0
 
 
 @pytest.mark.parametrize("k", [5, 10, 20, 40])
 def test_feps_strictly_psh_on_quarter_disc(k):
     params = CounterexampleParams(2.0**-k, 2)
     grid = gauss_measure(Interval(1e-8, 0.25), 64, 8)
-    assert psh_check(feps_profile(params), grid).strict
+    assert _strictly_psh(feps_profile(params), grid.nodes)
 
 
 def test_feps_value_at_zero_formula():
@@ -217,7 +225,7 @@ def test_build_v_eps_branches_and_seams():
 def test_build_v_eps_strictly_psh(k):
     profile = build_v_eps(CounterexampleParams(2.0**-k, 2))
     grid = gauss_measure(Interval(1e-9, 9.0), 64, 8)
-    assert psh_check(profile, grid).strict
+    assert _strictly_psh(profile, grid.nodes)
 
 
 def test_density_ratio_tail_is_unit():
@@ -230,19 +238,17 @@ def test_density_ratio_tail_is_unit():
 
 
 def test_constant_density_norm_matches_scalar_equation():
-    # density identically 1: the norm solves mass * phi(1/c) = 1 directly
-    from luxglue.numgrid import bisect_monotone
-    from luxglue.youngfn import YoungParams, phi
-
+    # density identically 1 on the chart measure: the norm solves
+    # mass * phi(1/c) = 1, with the closed-form mass pi^n / n!
     n, r = 2, 1.0
-    mass = chart_total_mass(n)
-    params = YoungParams(1, n, r)
-    oracle = bisect_monotone(
-        lambda c: -mass * float(phi(params, np.asarray(1.0 / c))),
-        1e-6, 1e6, target=-1.0, tol=1e-13,
-    )
-    val = fs_constant_density_norm(n, r)
-    assert abs(val - oracle) <= 1e-8 * oracle
+    m = chart_measure(n)
+    params = EntropyParams(n, r).young
+    norm = luxemburg_norm(GridFn(m, np.ones_like(m.nodes)), params).norm
+
+    def equation(c):
+        return chart_total_mass(n) * float(phi(params, np.asarray(1.0 / c)))
+
+    assert equation(norm * (1.0 - 1e-8)) > 1.0 >= equation(norm * (1.0 + 1e-8))
 
 
 def test_entropy_sweep_small():
@@ -269,7 +275,7 @@ def test_entropy_sweep_shares_one_density_across_r():
         assert np.array_equal(shared.values, dens.values)
         for j, r in enumerate((2.0, 4.0)):
             ep = EntropyParams(n, r)
-            assert row.ent[j] == entropy(dens, ep)
+            assert row.ent[j] == entropies([dens], [ep])[0]
 
 
 def test_chart_sweep_builds_without_verifying(monkeypatch):
