@@ -12,8 +12,9 @@ Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
   bridge band.
 
 ``glue()`` checks each piece's derivatives, probes its curvature with one jet
-evaluation on 2,049 points (a radial glue's pieces in log coordinates), then
-builds h with closed-form certificates and never samples h;
+evaluation on 2,049 points (a radial glue's pieces in log coordinates),
+taken once per problem and read by every demand and by ``delta_search``,
+then builds h with closed-form certificates and never samples h;
 ``verify_glue()`` samples h'' (a radial glue's H'' and H', and its bridge
 determinant) on 16,385 points on request, so its extremes (and the glue's
 verdicts) are not enclosures.
@@ -22,7 +23,9 @@ The construction: extend each piece from both ends of its interval, damping
 the second derivative down to a floor c through a smooth cutoff (on its
 interval the extension is the piece's own jet, bit for bit), then bridge the
 two extended functions with a regularized max built from a mollified
-absolute value.
+absolute value.  Each end's cumulative tables are built the first time h is
+evaluated past that end, so a radial density, which reads h only on the
+bridge, builds two of the four.
 """
 
 from __future__ import annotations
@@ -188,6 +191,12 @@ class GlueProblem:
         if not (1 <= self.n < np.inf and int(self.n) == self.n):
             raise InvalidInput("n must be an integer >= 1")
 
+    @functools.cached_property
+    def probes(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """``_probe`` of the left and the right piece at margin 0, taken on
+        first use and kept: the curvature demands and ``delta_search`` read it."""
+        return _probe(self.left), _probe(self.right)
+
 
 @dataclass(frozen=True)
 class CompatReport:
@@ -253,7 +262,7 @@ def delta_search(problem: GlueProblem, c: float) -> float:
     compat = compatibility(problem)
     if not compat.ok:
         raise DeltaSearchFailed("compatibility chain fails; conditions unsatisfiable")
-    sup_f, sup_g = _probe(f)[2], _probe(g)[2]
+    (_, _, sup_f), (_, _, sup_g) = problem.probes
     mid = compat.mid
     f1b, g1a = compat.lhs, compat.rhs
     f_b1, g_a2 = float(f.d0(b1)), float(g.d0(a2))
@@ -301,7 +310,9 @@ def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarra
     At d = t - e and x = |d| / ds, the band x < 1 reads
     f(e) + f'(e) d + c d^2/2 + ds^2 J(x), where I and J integrate
     cutoff*(f''-c) once and twice outward from e; past the band, J goes on
-    linearly and the curvature is c.
+    linearly and the curvature is c.  The tables of I and J beyond e cost
+    one evaluation of f'' on the fixed nodes, and are built the first time
+    the jet is evaluated beyond e.
     """
     A, B = piece.interval.lo, piece.interval.hi
     ds = 0.9 * delta
@@ -309,18 +320,23 @@ def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarra
 
     def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
         """The band and tail jets beyond e, on the side sign points to."""
-        I, J, g = _tables(fx.cutoff * (piece.d2(e + sign * fx.nodes * ds) - c))
+
+        @functools.cache
+        def tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return _tables(fx.cutoff * (piece.d2(e + sign * fx.nodes * ds) - c))
 
         def extended(t: np.ndarray, Jx, Ix, d2) -> Jet:
             d = t - e
             return f0 + f1 * d + 0.5 * c * d * d + ds * ds * Jx, f1 + c * d + sign * ds * Ix, d2
 
         def band(t: np.ndarray) -> Jet:
+            I, J, g = tables()
             x = np.abs(t - e) / ds
             return extended(t, _hermite(x, J, I), _hermite(x, I, g),
                             smoothstep(1.0 - x) * (piece.d2(t) - c) + c)
 
         def tail(t: np.ndarray) -> Jet:
+            I, J, _ = tables()
             return extended(t, J[-1] + I[-1] * (np.abs(t - e) / ds - 1.0), I[-1], c)
 
         return band, tail
@@ -368,7 +384,7 @@ def glue(problem: GlueProblem) -> GlueResult:
             f"slope chain must increase strictly: {compat.lhs} < {compat.mid} "
             f"< {compat.rhs} fails"
         )
-    (_, alpha1, sup_f), (_, alpha2, sup_g) = _probe(problem.left), _probe(problem.right)
+    (_, alpha1, sup_f), (_, alpha2, sup_g) = problem.probes
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
     gap = a2 - b1
@@ -448,13 +464,12 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     a1, b1 = f.interval.lo, f.interval.hi
     a2, b2 = g.interval.lo, g.interval.hi
     n = problem.n
-    logs = _log_piece(f), _log_piece(g)
-    for H, label in zip(logs, ("left", "right")):
-        min_h1, min_h2, _ = _probe(H)
+    log_problem = GlueProblem(_log_piece(f), _log_piece(g), "strict", n=n)
+    for (min_h1, min_h2, _), label in zip(log_problem.probes, ("left", "right")):
         if not (min_h1 > 0 and min_h2 > 0):
             raise NotStrictlyConvexPiece(f"{label} piece is not strictly "
                                          "plurisubharmonic in t = |z|^2")
-    log_res = glue(GlueProblem(*logs, "strict", n=n))
+    log_res = glue(log_problem)
     H = log_res.h
 
     def jet(t: np.ndarray) -> Jet:

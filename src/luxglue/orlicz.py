@@ -4,10 +4,12 @@ The norm of f is the infimum of c > 0 with integral of phi(|f|/c) at most 1.
 On a discrete measure the objective is continuous and strictly decreasing in
 c for nonzero f.  The solver returns the upper endpoint of a bisection for
 that infimum.  The bracket's upper end is a closed-form scale where the
-objective is at most 1/2, and the bisection is replayed from a bracket
-narrowed by interpolation, so it evaluates the objective at a midpoint only
-when the points already evaluated leave that midpoint's side open
-(docs/DECISIONS.md, section 5).
+objective is at most 1/2.  The halving search for its lower end and the
+bisection are both replayed: the halving search evaluates only the halvings
+that the points already evaluated and the slope bounds of the objective
+leave open, and the bisection, from a bracket narrowed by interpolation,
+evaluates a midpoint only when the points already evaluated leave its side
+open (docs/DECISIONS.md, section 5).
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
 _GUARD = 1e-13
 _STEP_FLOOR = 0.3 * _GUARD  # least distance, in log c, of a narrowing point from a side
 _NARROW_STEPS = 64  # cap on narrowing steps; the replay evaluates whatever is left
+# Band, in log c, past the bound that a halving with v >= 1 puts on the
+# crossing, inside which the lower search still evaluates a halving.  It
+# holds the rounding of log v and of the bound, about 1e-13 at most.
+_SLOPE_GUARD = 1e-9
+_LN2 = math.log(2.0)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
@@ -128,6 +135,43 @@ def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float
     return c if a < c < b else math.sqrt(a) * math.sqrt(b)
 
 
+def _halved(lo: float, j: int) -> float:
+    """lo halved j times, rounded after each halving: one exact ldexp while
+    the result stays a normal float, then one subnormal halving at a time."""
+    k = min(j, max(0, math.frexp(lo)[1] + 1021))
+    c = math.ldexp(lo, -k)
+    for _ in range(j - k):
+        c *= 0.5
+    return c
+
+
+def _zero_index(lo: float) -> int:
+    """The least j >= 1 with _halved(lo, j) == 0."""
+    if lo == 0.0:
+        return 1
+    j = max(0, math.frexp(lo)[1] + 1021)
+    c = math.ldexp(lo, -j)
+    while c != 0.0:
+        c *= 0.5
+        j += 1
+    return j
+
+
+def _halving_pick(jn: int, js: int, below: tuple[int, float] | None, p: float) -> int:
+    """Next halving index to evaluate strictly inside jn < j < js, given the
+    (j, log v) of the last evaluated halving with 0 < v < 1, if any: the
+    halving at which log v, rising from there at its least slope p per
+    log 2, reaches 0, where v reaches 1 at the latest; bisection when there
+    is no such point or that halving is outside the window."""
+    if below is not None:
+        jb, fb = below
+        j = math.ceil(jb - fb / (p * _LN2))
+        if jn < j < js:
+            return j
+    return (jn + js) // 2
+
+
+@np.errstate(over="ignore")  # an L1 sum or a term w phi(|f|/c) may overflow to inf
 def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[LuxemburgResult]:
     """Gauge norms of one block by the bracket search, narrowing and
     bisection replay that ``luxemburg_norms`` describes, with one column of
@@ -179,20 +223,47 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     # the objective at hi is at most 1/2 (docs/DECISIONS.md, section 5, fact 4);
     # its one evaluation there is the first known side of each crossing
     objective(cols, [hi[i] for i in cols])
-    open_ = cols
-    while open_:  # halve lo, pulling hi down to it, until the objective there is >= 1
-        open_ = [i for i, v in zip(open_, objective(open_, [lo[i] for i in open_]))
-                 if not v >= 1.0]
-        for i in open_:
-            hi[i] = min(hi[i], lo[i])
-            lo[i] *= 0.5
-            if lo[i] == 0.0:
-                failed[i] = "objective stayed below 1 down to c = 0"
-        open_ = [i for i in open_ if lo[i] != 0.0]
+
+    # The lower search finds the least j with v(lo 2^-j) >= 1, the halving at
+    # which the halving loop stopped, evaluating some halvings and replaying
+    # the rest (docs/DECISIONS.md, section 5, fact 5).  Each column keeps a
+    # window jn < j <= js: v < 1 at jn, and v >= 1 at js, evaluated, unless js
+    # is the halving where lo reaches 0.  Since log v falls at least at slope
+    # p in log c, a halving with v >= 1 decides v < 1 at every halving more
+    # than log(v)/p + _SLOPE_GUARD above it in log c.
+    slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
+    ends = {i: _zero_index(lo[i]) for i in cols}
+    window = {i: [-1, ends[i]] for i in cols}
+    below = dict.fromkeys(cols)
+    picks = dict.fromkeys(cols, 0)  # every search evaluates lo itself first
+    while picks:
+        vals = objective(list(picks), [_halved(lo[i], j) for i, j in picks.items()])
+        for (i, j), v in zip(picks.items(), vals):
+            f = math.log(v) if 0.0 < v < math.inf else None
+            if v >= 1.0:
+                window[i][1] = j
+                if f is not None:
+                    window[i][0] = max(window[i][0],
+                                       j - math.floor((f / slopes[i][0] + _SLOPE_GUARD) / _LN2) - 1)
+            else:  # a NaN reads below 1, as the halving loop read it
+                window[i][0] = j
+                if f is not None:
+                    below[i] = j, f
+        picks = {i: _halving_pick(jn, js, below[i], slopes[i][0])
+                 for i, (jn, js) in window.items() if js - jn > 1}
+    for i, (_, js) in window.items():
+        if js == ends[i]:
+            failed[i] = "objective stayed below 1 down to c = 0"
+            continue
+        if js > 0:
+            hi[i] = min(hi[i], _halved(lo[i], js - 1))
+        lo[i] = _halved(lo[i], js)
+        if hi[i] == math.inf:  # the bisection would return it
+            failed[i] = ("the norm came out infinite: its upper bracket end "
+                         "max(L1, max|f|) (1 + mass) overflows")
     if failed:
         raise NonFinite(failed[min(failed)])
 
-    slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
     widths = [[math.inf, math.inf] for _ in range(n)]  # b/a before the last two steps
     open_ = cols
     for _ in range(_NARROW_STEPS):  # narrow the known sides to a relative _GUARD
@@ -247,7 +318,12 @@ def luxemburg_norms(fs: Sequence[GridFn],
     short-circuits to 0.  Otherwise hi is max(L1, max|f|) (1 + mass), where
     the objective is at most 1/2 (docs/DECISIONS.md, section 5, fact 4) and
     is evaluated once, and lo starts at 1e-12 max|f| and halves (pulling hi
-    down to it) until the objective there is >= 1.
+    down to it) until the objective there is >= 1.  That search is replayed
+    too: it evaluates lo itself, then the halving where the objective,
+    rising at its least slope p in log c, reaches 1, then bisects; a halving
+    with objective v >= 1 decides that every halving more than
+    log(v)/p + 1e-9 above it in log c reads < 1.  The final lo is always
+    evaluated.
 
     Every evaluation is kept: the largest c seen with objective > 1 and the
     smallest with objective <= 1 are the two known sides of the crossing.
@@ -265,7 +341,8 @@ def luxemburg_norms(fs: Sequence[GridFn],
     is <= 1 by construction; ``evals`` counts the objective evaluations of
     each f, the final one at the norm included.  Zero padding moves no bit
     (see ``pairwise_sums``), so each f gets the result it gets alone.  Raises
-    NonFinite for the first f that fails.
+    NonFinite for the first f that fails, whose objective stays below 1 down
+    to c = 0 or whose norm comes out infinite (hi overflows and lo reads >= 1).
     """
     if len(fs) != len(params):
         raise InvalidInput(f"{len(fs)} grid functions but {len(params)} weights")

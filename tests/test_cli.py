@@ -428,6 +428,20 @@ def test_overflowing_bounds_exit_2_with_json(argv, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_orlicz_norm_that_overflows_exits_2_with_json(tmp_path, capsys):
+    # L1 = 1e600: a norm past the largest float is a domain error, not
+    # "norm": Infinity in the report
+    data = tmp_path / "overflow.csv"
+    data.write_text("t,weight,value\n0.1,1e300,1e300\n0.2,1e300,1e10\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["orlicz-norm", "--data", str(data)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["command"] == "orlicz-norm" and payload["error"] == "NonFinite"
+
+
 def _csv_module_bytes(header, columns):
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -15,6 +15,7 @@ from luxglue.gluing import (
     GlueProblem,
     MODES,
     MOLLIFIER_M,
+    _regularized,
     compatibility,
     delta_search,
     glue,
@@ -440,3 +441,25 @@ def test_h_is_the_piece_on_its_interval(kind):
                 assert np.array_equal(got, want)
         match = [v.lhs for v in verify_glue(res).verdicts if v.name.startswith("restriction_match")]
         assert match == [0.0, 0.0]
+
+
+def test_tables_touched_in_any_order_give_the_same_glue():
+    # Each end's cumulative tables are built on first use.  Building the
+    # glue reads F past b1 and G before a2; below a1 and past b2, touched in
+    # either order or together, h must read what a fresh regularized piece
+    # reads when that end is the first it touches.
+    problem = GLUE_PROBLEMS["strict"]()
+    t = np.linspace(-1.0, 5.0, 4097)
+    below, above = t < 0.0, t > 4.0
+    res = glue(problem)
+    want = [_regularized(problem.left, res.c, res.delta)(t[below]),
+            _regularized(problem.right, res.c, res.delta)(t[above])]
+    jets = []
+    for order in ([below, above], [above, below], []):
+        h = glue(problem).h
+        for mask in order:
+            h.eval(t[mask])
+        jets.append(h.eval(t))
+        for mask, ref in zip((below, above), want):
+            assert all(np.array_equal(got[mask], w) for got, w in zip(jets[-1], ref))
+    assert all(np.array_equal(a, b) for jet in jets[1:] for a, b in zip(jet, jets[0]))

@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from luxglue.errors import DegenerateParams, InvalidInput, NegativeDensity, NonF
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate, pairwise_sums
 from luxglue.orlicz import (
     EntropyParams,
+    _halved,
     entropies,
     entropy_domination_factor,
     holder_young_bounds,
@@ -21,6 +23,7 @@ from luxglue.orlicz import (
     sweep_verdict,
     young_pair_check,
 )
+from luxglue.radialpsh import chart_density
 from luxglue.sampling import random_measure, random_step_fn, random_young_params, rng_from_seed
 from luxglue.youngfn import YoungParams, phi
 
@@ -307,7 +310,7 @@ def test_objective_at_the_upper_bracket_end_is_at_most_half(drawn):
         return values[-1]
 
     objective = orlicz._objective
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orlicz, "_objective", recording)
         with contextlib.suppress(NonFinite):  # a norm below 5e-324 fails the lower search
             luxemburg_norms(fs, params)
@@ -321,6 +324,7 @@ def test_lower_bracket_search_runs_past_200_halvings():
                np.array([1e90, 1.0]))
     res = luxemburg_norm(f, YoungParams(1, 0, 0))
     assert abs(res.norm - 1.00001) <= 1e-9 * 1.00001
+    assert _solved([res]) == _reference_norms([f], [YoungParams(1, 0, 0)])
 
 
 def test_lower_bracket_search_stops_at_zero(monkeypatch):
@@ -328,6 +332,17 @@ def test_lower_bracket_search_stops_at_zero(monkeypatch):
     monkeypatch.setattr(orlicz, "_objective", lambda x, w, exps, c: np.full(len(c), 0.5))
     with pytest.raises(NonFinite, match="down to c = 0"):
         luxemburg_norm(GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0))
+
+
+def test_an_overflowing_norm_raises_nonfinite():
+    # L1 = 1e600 overflows, so hi = inf, and the lower search stops at once;
+    # the bisection would return hi = inf as the norm
+    f = GridFn(WeightedMeasure(np.array([0.1, 0.2]), np.array([1e300, 1e300])),
+               np.array([1e300, 1e10]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflows by design raise no RuntimeWarning
+        with pytest.raises(NonFinite, match="norm came out infinite"):
+            luxemburg_norm(f, YoungParams(1, 0, 0))
 
 
 def test_bound_helpers_raise_invalid_input():
@@ -550,6 +565,39 @@ def test_replay_bits_and_evaluation_budget_on_ragged_blocks():
     assert _solved(results) == _reference_norms(fs, params)
     evals = [r.evals for r in results if r.norm > 0]
     assert sum(evals) / len(evals) <= 14  # plain bisection spends about 48
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lower_search_replay_on_chart_densities(n):
+    # the sweep's densities at both of its r columns, from eps = 2^-5, where
+    # the search stops at lo itself, to 2^-40, where it stops 19 (n = 2) or
+    # 48 (n = 3) halvings below lo
+    dens = [chart_density(n, 2.0 ** -k) for k in (5, 12, 20, 40)]
+    fs = [d for d in dens for _ in (n - 1, n + 1)]
+    params = [EntropyParams(n, float(r)).young for _ in dens for r in (n - 1, n + 1)]
+    results = luxemburg_norms(fs, params)
+    assert _solved(results) == _reference_norms(fs, params)
+    # the halving loop spent 18.5 on these; 17.49 on the 1,224 columns of the
+    # chart-sweep op sets at seeds 301-302
+    assert sum(r.evals for r in results) / len(results) <= 13
+
+
+def test_lower_search_evaluates_a_halving_where_the_objective_is_1(monkeypatch):
+    # v = (C/c)^2 above C = lo 2^-9, exactly 1 at C, and (C/c)(1 - 2^-48)
+    # below, so the plain search stops at halving 9.  The search evaluates a
+    # halving j > 9 first, where log v = (j - 9) log 2 - 3.6e-15: the bound
+    # at slope p = 1 puts halving 9 a hair past the crossing.  Only the guard
+    # band makes the search evaluate halving 9 rather than decide v < 1 there.
+    f, params = GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0)
+    C = _halved(1e-12, 9)
+
+    def exactly_one(x, w, exps, c):
+        return np.where(c > C, (C / c) ** 2, np.where(c == C, 1.0, C / c * (1.0 - 2.0**-48)))
+
+    monkeypatch.setattr(orlicz, "_objective", exactly_one)
+    reference = _reference_norms([f], [params])
+    assert reference[0][2][0] == C  # the plain search's final lo
+    assert _solved([luxemburg_norm(f, params)]) == reference
 
 
 def test_replay_survives_an_ulp_wiggle(monkeypatch):

@@ -290,6 +290,23 @@ def test_chart_sweep_builds_without_verifying(monkeypatch):
     assert all(np.isfinite(row.ent).all() for row in rows)
 
 
+@pytest.mark.parametrize("k", [5, 20, 40])
+def test_chart_density_evaluates_the_family_on_17237_points(k, monkeypatch):
+    # 10,241 table nodes past the left piece's upper end (of the four cutoff
+    # tables, the one a density reads), one probe at margin 0 and two at
+    # delta_search's margins of 2,049 points each, 640 density nodes,
+    # 3 x 64 derivative-contract points and 17 single points.  A table or a
+    # probe that nothing reads would add 10,241 or 2,049.
+    from luxglue import radialpsh
+
+    points = []
+    jet = radialpsh._feps_jet
+    monkeypatch.setattr(radialpsh, "_feps_jet",
+                        lambda t, eps, coeff: points.append(np.size(t)) or jet(t, eps, coeff))
+    chart_density(2, 2.0**-k)
+    assert sum(points) == 17_237
+
+
 def test_chart_measure_resolves_small_eps():
     # the density varies on the scale t ~ eps (docs/DECISIONS.md section 4)
     assert np.array_equal(chart_measure(2, 2.0**-44).nodes, chart_measure(2).nodes)
