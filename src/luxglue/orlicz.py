@@ -2,14 +2,14 @@
 
 The norm of f is the infimum of c > 0 with integral of phi(|f|/c) at most 1.
 On a discrete measure the objective is continuous and strictly decreasing in
-c for nonzero f.  The solver returns the upper endpoint of a bisection for
-that infimum.  The bracket's upper end is a closed-form scale where the
-objective is at most 1/2.  The halving search for its lower end and the
-bisection are both replayed: the halving search evaluates only the halvings
-that the points already evaluated and the slope bounds of the objective
-leave open, and the bisection, from a bracket narrowed by interpolation,
-evaluates a midpoint only when the points already evaluated leave its side
-open (docs/DECISIONS.md, section 5).
+c for nonzero f.  The solver runs the plain algorithm: lo halves (pulling hi
+down to it) until the objective there is at least 1, then the bracket
+bisects, and the norm is its upper endpoint.  The bracket's upper end is a
+closed-form scale where the objective is at most 1/2.  Both loops read every
+comparison through one rule over the known sides of the crossing, the
+nearest points evaluated on each side: a scale outside a guard band around
+them is decided by monotonicity or by the slope bound of the objective, and
+only a scale inside it is evaluated (docs/DECISIONS.md, section 5).
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ from .youngfn import YoungParams, _weight, phi
 
 _NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
 # Relative band around the known sides of a crossing inside which the
-# bisection replay still evaluates its midpoint; the narrowing stops there.
+# halving loop and the bisection still evaluate the objective; the
+# narrowing stops there.
 _GUARD = 1e-13
 _STEP_FLOOR = 0.3 * _GUARD  # least distance, in log c, of a narrowing point from a side
 _NARROW_STEPS = 64  # cap on narrowing steps; the replay evaluates whatever is left
-# Band, in log c, past the bound that a halving with v >= 1 puts on the
-# crossing, inside which the lower search still evaluates a halving.  It
-# holds the rounding of log v and of the bound, about 1e-13 at most.
-_SLOPE_GUARD = 1e-9
-_LN2 = math.log(2.0)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
@@ -107,13 +103,14 @@ def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float
     regula falsi root when that is outside the bracket.  The point then
     moves _STEP_FLOOR away from the nearer side, so that once the estimate
     is that good the next evaluation lands on the far side of the crossing,
-    and it keeps _STEP_FLOOR from both sides.  The geometric midpoint stands
-    in for a point that comes out of range, as it does for an extreme
-    bracket or an infinite log v.
+    and it keeps _STEP_FLOOR from both sides.  Below the normal range, where
+    floats are coarser than that, a point that rounds onto a side moves to
+    the float next to it.  An extreme bracket or an infinite log v gives
+    NaN, which the caller reads as out of range.
     """
     w = math.log(b / a)
     if not (w < 700.0 and fa < math.inf and fb > -math.inf):
-        return math.sqrt(a) * math.sqrt(b)
+        return math.nan
     (c0, f0), (c1, f1), (c2, f2) = last
     x0, x1, x2 = math.log(c0 / a), math.log(c1 / a), math.log(c2 / a)
     d = math.nan
@@ -132,50 +129,24 @@ def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float
             d = w * fa / (fa - fb)
     d += _STEP_FLOOR if d < 0.5 * w else -_STEP_FLOOR
     c = a * math.exp(min(max(d, _STEP_FLOOR), w - _STEP_FLOOR))
-    return c if a < c < b else math.sqrt(a) * math.sqrt(b)
+    return min(max(c, math.nextafter(a, b)), math.nextafter(b, a))
 
 
-def _halved(lo: float, j: int) -> float:
-    """lo halved j times, rounded after each halving: one exact ldexp while
-    the result stays a normal float, then one subnormal halving at a time."""
-    k = min(j, max(0, math.frexp(lo)[1] + 1021))
-    c = math.ldexp(lo, -k)
-    for _ in range(j - k):
+def _last_halving(lo: float) -> float:
+    """The last positive value of lo halved over and over, rounded after
+    each halving: one exact ldexp while it stays a normal float, then one
+    subnormal halving at a time (0 for lo = 0)."""
+    c = math.ldexp(lo, -max(0, math.frexp(lo)[1] + 1021))
+    while c * 0.5 != 0.0:
         c *= 0.5
     return c
 
 
-def _zero_index(lo: float) -> int:
-    """The least j >= 1 with _halved(lo, j) == 0."""
-    if lo == 0.0:
-        return 1
-    j = max(0, math.frexp(lo)[1] + 1021)
-    c = math.ldexp(lo, -j)
-    while c != 0.0:
-        c *= 0.5
-        j += 1
-    return j
-
-
-def _halving_pick(jn: int, js: int, below: tuple[int, float] | None, p: float) -> int:
-    """Next halving index to evaluate strictly inside jn < j < js, given the
-    (j, log v) of the last evaluated halving with 0 < v < 1, if any: the
-    halving at which log v, rising from there at its least slope p per
-    log 2, reaches 0, where v reaches 1 at the latest; bisection when there
-    is no such point or that halving is outside the window."""
-    if below is not None:
-        jb, fb = below
-        j = math.ceil(jb - fb / (p * _LN2))
-        if jn < j < js:
-            return j
-    return (jn + js) // 2
-
-
 @np.errstate(over="ignore")  # an L1 sum or a term w phi(|f|/c) may overflow to inf
 def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Gauge norms of one block by the bracket search, narrowing and
-    bisection replay that ``luxemburg_norms`` describes, with one column of
-    the work arrays per grid function.  Each step evaluates the objective of
+    """Gauge norms of one block by the known sides, halving loop and
+    bisection that ``luxemburg_norms`` describes, with one column of the
+    work arrays per grid function.  Each step evaluates the objective of
     every column that needs a value in one call; the brackets and the known
     sides are Python floats, so a step costs little more than that call even
     for a single column."""
@@ -186,6 +157,7 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
         x[:f.values.size, i] = np.abs(f.values)
         w[:f.values.size, i] = f.measure.weights
     exps = [_exponent([getattr(pr, a) for pr in params]) for a in "pqr"]
+    slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
     evals = [0] * n
     # the known sides of each crossing: v(a) > 1 and v(b) <= 1, with log v
     # there, and (c, log v) of the column's last three evaluations (NaN
@@ -212,94 +184,101 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
                 a[i], fa[i] = ci, f
         return vals
 
+    def read(points: dict[int, float]) -> dict[int, float]:
+        """The objective at each column's point as the known sides decide
+        it (docs/DECISIONS.md, section 5, fact 5): inf (v > 1) at or below
+        a (1 - _GUARD), 0 (v < 1) at or above b (1 + _GUARD) and past b,
+        and evaluated, in one call, inside that guard band."""
+        vals, band = {}, []
+        for i, c in points.items():
+            if c <= a[i] * (1.0 - _GUARD):
+                vals[i] = math.inf
+            elif c >= b[i] * (1.0 + _GUARD) and c > b[i]:
+                vals[i] = 0.0
+            else:
+                band.append(i)
+        if band:
+            vals.update(zip(band, objective(band, [points[i] for i in band])))
+        return vals
+
     finite = np.isfinite(x).all(axis=0)
     vmax = x.max(axis=0)
+    l1 = pairwise_sums(w * x)
+    hi = np.maximum(l1, vmax) * (1.0 + pairwise_sums(w))
+    hi = np.where(hi < math.inf, hi, np.maximum(2.0 * l1, vmax)).tolist()
     lo = (vmax * 1e-12).tolist()
-    hi = (np.maximum(pairwise_sums(w * x), vmax) * (1.0 + pairwise_sums(w))).tolist()
     failed = {i: "grid function must have finite values"
               for i in np.flatnonzero(~finite).tolist()}
     cols = np.flatnonzero(finite & (vmax > 0.0)).tolist()  # the zero function has norm 0
 
-    # the objective at hi is at most 1/2 (docs/DECISIONS.md, section 5, fact 4);
-    # its one evaluation there is the first known side of each crossing
+    # The known sides come first (docs/DECISIONS.md, section 5, facts 4 and
+    # 5): v(hi) <= 1/2, then lo and, while v < 1 there, c v^(1/p) / 2, where
+    # v >= 2^p unless rounding says otherwise, but never below the last
+    # positive halving of lo, where the halving loop would fail at v < 1.
     objective(cols, [hi[i] for i in cols])
-
-    # The lower search finds the least j with v(lo 2^-j) >= 1, the halving at
-    # which the halving loop stopped, evaluating some halvings and replaying
-    # the rest (docs/DECISIONS.md, section 5, fact 5).  Each column keeps a
-    # window jn < j <= js: v < 1 at jn, and v >= 1 at js, evaluated, unless js
-    # is the halving where lo reaches 0.  Since log v falls at least at slope
-    # p in log c, a halving with v >= 1 decides v < 1 at every halving more
-    # than log(v)/p + _SLOPE_GUARD above it in log c.
-    slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
-    ends = {i: _zero_index(lo[i]) for i in cols}
-    window = {i: [-1, ends[i]] for i in cols}
-    below = dict.fromkeys(cols)
-    picks = dict.fromkeys(cols, 0)  # every search evaluates lo itself first
-    while picks:
-        vals = objective(list(picks), [_halved(lo[i], j) for i, j in picks.items()])
-        for (i, j), v in zip(picks.items(), vals):
-            f = math.log(v) if 0.0 < v < math.inf else None
+    floor = {i: _last_halving(lo[i]) for i in cols}
+    steps = {i: lo[i] for i in cols}
+    while steps:
+        below = {}
+        for (i, c), v in zip(steps.items(), objective(list(steps), list(steps.values()))):
             if v >= 1.0:
-                window[i][1] = j
-                if f is not None:
-                    window[i][0] = max(window[i][0],
-                                       j - math.floor((f / slopes[i][0] + _SLOPE_GUARD) / _LN2) - 1)
-            else:  # a NaN reads below 1, as the halving loop read it
-                window[i][0] = j
-                if f is not None:
-                    below[i] = j, f
-        picks = {i: _halving_pick(jn, js, below[i], slopes[i][0])
-                 for i, (jn, js) in window.items() if js - jn > 1}
-    for i, (_, js) in window.items():
-        if js == ends[i]:
-            failed[i] = "objective stayed below 1 down to c = 0"
-            continue
-        if js > 0:
-            hi[i] = min(hi[i], _halved(lo[i], js - 1))
-        lo[i] = _halved(lo[i], js)
-        if hi[i] == math.inf:  # the bisection would return it
-            failed[i] = ("the norm came out infinite: its upper bracket end "
-                         "max(L1, max|f|) (1 + mass) overflows")
-    if failed:
-        raise NonFinite(failed[min(failed)])
+                continue
+            if c == floor[i]:  # a NaN reads below 1, as the halving loop read it
+                failed[i] = "objective stayed below 1 down to c = 0"
+            else:
+                c = 0.5 * c * v ** (1.0 / slopes[i][0])
+                below[i] = c if c > floor[i] else floor[i]
+        steps = below
+    cols = [i for i in cols if i not in failed]
 
     widths = [[math.inf, math.inf] for _ in range(n)]  # b/a before the last two steps
     open_ = cols
     for _ in range(_NARROW_STEPS):  # narrow the known sides to a relative _GUARD
-        open_ = [i for i in open_ if 0.0 < a[i] and a[i] * (1.0 + _GUARD) < b[i] < math.inf]
-        if not open_:
-            break
-        points = []
+        points = {}
         for i in open_:
+            if not (0.0 < a[i] and a[i] * (1.0 + _GUARD) < b[i] < math.inf):
+                continue
             ratio = b[i] / a[i]
             if ratio * ratio <= widths[i][0]:
-                points.append(_narrow_point(a[i], fa[i], b[i], fb[i], last[i], *slopes[i]))
-            else:  # the log width did not halve: bisect it
-                points.append(math.sqrt(a[i]) * math.sqrt(b[i]))
+                c = _narrow_point(a[i], fa[i], b[i], fb[i], last[i], *slopes[i])
+            else:  # the log width did not halve: step to where the slope bound gives v <= 1
+                c = max(a[i] * math.exp(fa[i] / slopes[i][0]), math.nextafter(a[i], b[i]))
             widths[i] = [widths[i][1], ratio]
-        objective(open_, points)
+            if not a[i] < c < b[i]:
+                c = math.sqrt(a[i]) * math.sqrt(b[i])
+            if a[i] < c < b[i]:  # else no float lies strictly between the sides
+                points[i] = c
+        if not points:
+            break
+        open_ = list(points)
+        objective(open_, list(points.values()))
+
+    open_ = cols
+    while open_:  # halve lo, pulling hi down to it, until the objective there is >= 1
+        vals = read({i: lo[i] for i in open_})
+        open_ = [i for i in open_ if not vals[i] >= 1.0]
+        for i in open_:
+            hi[i] = min(hi[i], lo[i])
+            lo[i] *= 0.5
+    for i in cols:
+        if hi[i] == math.inf:  # the bisection would return it
+            failed[i] = ("the norm came out infinite: its upper bracket end "
+                         "max(2 L1, max|f|) overflows")
+    if failed:
+        raise NonFinite(failed[min(failed)])
 
     open_ = cols
     while True:  # bisect until the bracket is narrow or its midpoint stops moving
         mid = {i: 0.5 * (lo[i] + hi[i]) for i in open_ if hi[i] - lo[i] > _NORM_TOL * hi[i]}
-        open_ = [i for i, m in mid.items() if lo[i] < m < hi[i]]
-        if not open_:
+        mid = {i: m for i, m in mid.items() if lo[i] < m < hi[i]}
+        if not mid:
             break
-        band = []  # a midpoint outside the guard band lies on a known side
-        for i in open_:
-            if mid[i] <= a[i] * (1.0 - _GUARD):
-                lo[i] = mid[i]
-            elif mid[i] >= b[i] * (1.0 + _GUARD):
+        for i, v in read(mid).items():
+            if v <= 1.0:
                 hi[i] = mid[i]
             else:
-                band.append(i)
-        if band:
-            for i, v in zip(band, objective(band, [mid[i] for i in band])):
-                if v <= 1.0:
-                    hi[i] = mid[i]
-                else:
-                    lo[i] = mid[i]
+                lo[i] = mid[i]
+        open_ = list(mid)
 
     out = [LuxemburgResult(0.0, 0.0, (0.0, 0.0), 0)] * n
     for i, at_norm in zip(cols, objective(cols, [hi[i] for i in cols])):
@@ -309,32 +288,31 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
 
 def luxemburg_norms(fs: Sequence[GridFn],
                     params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Norm of each f at its own weight, by a bisection on the normalization
-    objective that is replayed rather than evaluated, all solved together.
+    """Norm of each f at its own weight, by plain bisection on the
+    normalization objective, replayed from a few evaluations, all solved
+    together.
 
     Each f is one column of the work arrays: |f| and its weights,
     zero-padded to the longest f, with its own exponent triple.  Work
     proceeds in blocks of BLOCK_SIZE functions.  The zero function
-    short-circuits to 0.  Otherwise hi is max(L1, max|f|) (1 + mass), where
-    the objective is at most 1/2 (docs/DECISIONS.md, section 5, fact 4) and
-    is evaluated once, and lo starts at 1e-12 max|f| and halves (pulling hi
-    down to it) until the objective there is >= 1.  That search is replayed
-    too: it evaluates lo itself, then the halving where the objective,
-    rising at its least slope p in log c, reaches 1, then bisects; a halving
-    with objective v >= 1 decides that every halving more than
-    log(v)/p + 1e-9 above it in log c reads < 1.  The final lo is always
-    evaluated.
+    short-circuits to 0.  Otherwise hi is max(L1, max|f|) (1 + mass), or
+    max(2 L1, max|f|) where that overflows, and the objective there is at
+    most 1/2 (docs/DECISIONS.md, section 5, fact 4).  lo starts at
+    1e-12 max|f| and halves (pulling hi down to it) until the objective
+    there is >= 1, and then the bracket bisects to a relative width of 1e-10.
 
     Every evaluation is kept: the largest c seen with objective > 1 and the
-    smallest with objective <= 1 are the two known sides of the crossing.
-    Interpolation in (log c, log objective) narrows them to a relative
-    width of 1e-13 (``_narrow_point``).  Bisection then runs from lo and hi
-    as before, with the same midpoints, comparisons and stop at a relative
-    bracket width of 1e-10, but a midpoint at least 1e-13 (relative) below
-    the lower known side moves lo, and one as far above the upper side
-    moves hi, without an evaluation; only a midpoint inside that guard band
-    is evaluated.  If the objective is monotone in c up to noise inside the
-    band, each decision is the one an evaluation would give, so the result
+    smallest with objective <= 1 are the known sides a and b of the
+    crossing.  They come first: the objective is evaluated at hi, at lo and,
+    while it reads v < 1, at c v^(1/p) / 2, never below the last positive
+    halving of lo.  Interpolation in (log c, log objective) then narrows
+    them to a relative width of 1e-13 (``_narrow_point``).  The halving loop
+    and the bisection read each comparison by one rule: a scale at most
+    a (1 - 1e-13) reads > 1, one at least b (1 + 1e-13) and above b reads
+    < 1, and only a scale inside that guard band is evaluated.  Monotonicity
+    gives the first reading and the slope bound v(c) <= v(b) (b/c)^p the
+    second, so if the objective is monotone in c up to noise inside the
+    band, each decision is the one an evaluation would give, and the result
     has the bits of plain bisection (docs/DECISIONS.md, section 5, fact 5).
 
     The returned norm is the upper bracket endpoint, so the objective there
@@ -342,7 +320,8 @@ def luxemburg_norms(fs: Sequence[GridFn],
     each f, the final one at the norm included.  Zero padding moves no bit
     (see ``pairwise_sums``), so each f gets the result it gets alone.  Raises
     NonFinite for the first f that fails, whose objective stays below 1 down
-    to c = 0 or whose norm comes out infinite (hi overflows and lo reads >= 1).
+    to c = 0 or whose norm comes out infinite (2 L1 overflows and lo reads
+    >= 1).
     """
     if len(fs) != len(params):
         raise InvalidInput(f"{len(fs)} grid functions but {len(params)} weights")

@@ -442,6 +442,17 @@ def test_orlicz_norm_that_overflows_exits_2_with_json(tmp_path, capsys):
     assert payload["command"] == "orlicz-norm" and payload["error"] == "NonFinite"
 
 
+def test_orlicz_norm_with_an_overflowing_mass_is_finite(tmp_path):
+    # mass 2e300: max(L1, max|f|) (1 + mass) overflows, but the norm at
+    # weight (1, 0, 0) is L1 = 2e10
+    data, out = tmp_path / "big_mass.csv", tmp_path / "r.json"
+    data.write_text("t,weight,value\n0.1,1e300,1e-290\n0.2,1e300,1e-290\n", encoding="utf-8")
+    assert run_cli(["orlicz-norm", "--young", "1,0,0", "--data", str(data), "--out", str(out)]) == 0
+    report = load_without_meta(out)
+    assert abs(report["results"]["norm"] - 2e10) <= 1e-9 * 2e10
+    assert all(v["passed"] for v in report["verdicts"])
+
+
 def _csv_module_bytes(header, columns):
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from luxglue.errors import DegenerateParams, InvalidInput, NegativeDensity, NonF
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate, pairwise_sums
 from luxglue.orlicz import (
     EntropyParams,
-    _halved,
     entropies,
     entropy_domination_factor,
     holder_young_bounds,
@@ -297,11 +297,15 @@ def _extreme_draw(draw):
 @example(([GridFn(unit_mass_measure(), np.ones(2))], [YoungParams(1, 0, 0)]))  # exactly 1/2
 @example(([GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e300, 1e300])),
                   np.array([1e300, 1e10]))], [YoungParams(2, 1, 1)]))  # L1 = inf, hi = inf
+@example(([GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e300, 1e300])),
+                  np.array([1e-290, 1e-290]))], [YoungParams(1, 0, 0)]))  # hi = 2 L1
 def test_objective_at_the_upper_bracket_end_is_at_most_half(drawn):
     # hi = max(L1, max|f|) (1 + mass) and phi(t) <= t on [0, 1] bound the
     # objective there by min(1, mass) / (1 + mass) <= 1/2 (docs/DECISIONS.md,
     # section 5, fact 4), up to rounding: equal values on weights that sum
-    # to 1 can read 1/2 + 2^-53.  The solver's first evaluation is at hi.
+    # to 1 can read 1/2 + 2^-53.  Where that product overflows, hi =
+    # max(2 L1, max|f|) bounds it by L1 / hi <= 1/2.  The solver's first
+    # evaluation is at hi.
     fs, params = drawn
     values = []
 
@@ -343,6 +347,19 @@ def test_an_overflowing_norm_raises_nonfinite():
         warnings.simplefilter("error")  # the overflows by design raise no RuntimeWarning
         with pytest.raises(NonFinite, match="norm came out infinite"):
             luxemburg_norm(f, YoungParams(1, 0, 0))
+
+
+@pytest.mark.parametrize("p, exact", [(1.0, 2e10), (2.0, math.sqrt(2.0) * 1e-140)])
+def test_a_norm_whose_upper_bracket_end_overflows_comes_out_finite(p, exact):
+    # mass 2e300 makes max(L1, max|f|) (1 + mass) overflow, though the norm
+    # at weight (p, 0, 0) is the L^p norm (sum w |f|^p)^(1/p); hi =
+    # max(2 L1, max|f|) = 4e10 takes its place (docs/DECISIONS.md, section
+    # 5, fact 4)
+    f = GridFn(WeightedMeasure(np.array([0.1, 0.2]), np.array([1e300, 1e300])),
+               np.array([1e-290, 1e-290]))
+    res = luxemburg_norm(f, YoungParams(p))
+    assert abs(res.norm - exact) <= 1e-9 * exact and res.verdict.passed
+    assert integral_bound_from_norm(f, YoungParams(p), res.norm).passed
 
 
 def test_bound_helpers_raise_invalid_input():
@@ -567,6 +584,55 @@ def test_replay_bits_and_evaluation_budget_on_ragged_blocks():
     assert sum(evals) / len(evals) <= 14  # plain bisection spends about 48
 
 
+def _deep_instances(rng, count):
+    """Grid functions of 1-30 nodes with weights across 10^-252..1 and
+    values across 10^-250..10^250, each with a finite
+    hi = max(L1, max|f|) (1 + mass) and a norm in the normal float range.
+    The norm lies up to hundreds of halvings below lo = 1e-12 max|f|."""
+    fs, params = [], []
+    while len(fs) < count:
+        n = int(rng.integers(1, 31))
+        m = WeightedMeasure(np.arange(n) + 0.5,
+                            10.0 ** rng.uniform(-250.0, 0.0) * 10.0 ** rng.uniform(-2.0, 0.0, n))
+        f = GridFn(m, 10.0 ** rng.uniform(-250.0, 234.0) * 10.0 ** rng.uniform(0.0, 16.0, n))
+        young = random_young_params(rng)
+        with np.errstate(over="ignore"):
+            hi = max(float(pairwise_sums(m.weights * f.values)), f.values.max()) * (1.0 + m.mass)
+        with contextlib.suppress(NonFinite):  # a norm below 5e-324 fails the lower search
+            if hi < np.inf and luxemburg_norm(f, young).norm >= np.finfo(float).tiny:
+                fs.append(f)
+                params.append(young)
+    return fs, params
+
+
+def test_evaluation_budget_for_deep_crossings():
+    # the plain search halves lo 161 times on the median function here; the
+    # known sides reach the crossing in a few evaluations.  9.01 evaluations
+    # per norm; 12.56 with the geometric midpoint in place of a v(a)^(1/p)
+    # where the narrowing's log width does not halve
+    fs, params = _deep_instances(rng_from_seed(61), 120)
+    results = luxemburg_norms(fs, params)
+    assert _solved(results) == _reference_norms(fs, params)
+    assert sum(r.evals for r in results) / len(results) <= 10.5
+
+
+@pytest.mark.parametrize("weight, value, young", [(2e-24, 1e-290, (1, 0, 0)),
+                                                  (2e-24, 1e-290, (1, 0, 2.35)),
+                                                  (1e-30, 1e-285, (1, 0, 2.35)),
+                                                  (3e-20, 1e-294, (1, 1, 0))])
+def test_narrowing_stops_where_no_float_lies_between_the_sides(weight, value, young):
+    # norms from 2.3e-314 to 1.4e-312, where floats lie 2e-10 to 4e-12 apart
+    # (relative), coarser than the narrowing's 1e-13: it steps to the float
+    # next to a side and stops once the sides are adjacent, in 7-9
+    # evaluations; evaluating a side again until the step cap took 68-69
+    m = WeightedMeasure(np.array([0.5, 1.5]), np.array([weight, 0.5 * weight]))
+    f, params = GridFn(m, np.array([value, 0.3 * value])), YoungParams(*young)
+    res = luxemburg_norm(f, params)
+    assert res.norm < np.finfo(float).tiny
+    assert _solved([res]) == _reference_norms([f], [params])
+    assert res.evals <= 12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_lower_search_replay_on_chart_densities(n):
     # the sweep's densities at both of its r columns, from eps = 2^-5, where
@@ -582,14 +648,18 @@ def test_lower_search_replay_on_chart_densities(n):
     assert sum(r.evals for r in results) / len(results) <= 13
 
 
-def test_lower_search_evaluates_a_halving_where_the_objective_is_1(monkeypatch):
-    # v = (C/c)^2 above C = lo 2^-9, exactly 1 at C, and (C/c)(1 - 2^-48)
-    # below, so the plain search stops at halving 9.  The search evaluates a
-    # halving j > 9 first, where log v = (j - 9) log 2 - 3.6e-15: the bound
-    # at slope p = 1 puts halving 9 a hair past the crossing.  Only the guard
-    # band makes the search evaluate halving 9 rather than decide v < 1 there.
-    f, params = GridFn(unit_mass_measure(), np.ones(2)), YoungParams(1, 1, 0)
-    C = _halved(1e-12, 9)
+@pytest.mark.parametrize("scale, j", [(1.0, 9), (1.0, 0), (1e-300, 0)])
+def test_lower_search_evaluates_a_halving_where_the_objective_is_1(monkeypatch, scale, j):
+    # v = (C/c)^2 above C = lo 2^-j, exactly 1 at C, and (C/c)(1 - 2^-48)
+    # below, so the plain search stops at halving j, which it must read as
+    # v >= 1 where the slope bound from the known side b gives only v <= 1.
+    # At j = 9 the narrowing leaves b 4e-15 below C, where v rounds to 1;
+    # at j = 0, lo itself reads v = 1 and is b.  Only the guard band around
+    # b makes the search evaluate C rather than read it as < 1.  At scale
+    # 1e-300, lo = 1e-312 is subnormal and b (1 + 1e-13) rounds to b, so the
+    # band's hold on b itself does.
+    f, params = GridFn(unit_mass_measure(), scale * np.ones(2)), YoungParams(1, 1, 0)
+    C = math.ldexp(1e-12 * scale, -j)
 
     def exactly_one(x, w, exps, c):
         return np.where(c > C, (C / c) ** 2, np.where(c == C, 1.0, C / c * (1.0 - 2.0**-48)))
