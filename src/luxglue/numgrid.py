@@ -90,7 +90,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Finite positive measure: strictly increasing nodes with positive weights."""
+    """Finite positive measure: finite, strictly increasing nodes with positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -105,8 +105,8 @@ class WeightedMeasure:
             raise InvalidInput("nodes and weights must be 1-D arrays of equal length")
         if nodes.size == 0:
             raise InvalidInput("measure needs at least one node")
-        if not np.all(np.diff(nodes) > 0):
-            raise InvalidInput("nodes must be strictly increasing")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise InvalidInput("nodes must be finite and strictly increasing")
         if not np.all(weights > 0):
             raise InvalidInput("weights must all be positive")
         object.__setattr__(self, "mass", pairwise_sum(weights))

@@ -95,38 +95,29 @@ def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float
     crossing, given fa = log v(a) > 0 >= fb = log v(b) and ``last``, the
     column's last three (c, log v) evaluations.
 
-    In x = log(c/a), log v has a slope between -s and -p, s = p + q + r.  A
-    bracket wider than e^2 steps to the middle of the range those slopes
-    leave for the crossing, or to the secant root of the last two points
-    when they are close and the root lies in that range.  A narrower one
-    steps to the inverse quadratic root of the last three points, or to the
-    regula falsi root when that is outside the bracket.  The point then
-    moves _STEP_FLOOR away from the nearer side, so that once the estimate
-    is that good the next evaluation lands on the far side of the crossing,
-    and it keeps _STEP_FLOOR from both sides.  Below the normal range, where
-    floats are coarser than that, a point that rounds onto a side moves to
-    the float next to it.  An extreme bracket or an infinite log v gives
-    NaN, which the caller reads as out of range.
+    In x = log(c/a), log v has a slope between -s and -p, s = p + q + r, so
+    the crossing lies in [max(fa/s, w + fb/p, 0), min(fa/p, w + fb/s, w)],
+    w = log(b/a).  The point is the inverse quadratic root of the last three
+    points where it lies strictly inside that range, and the middle of the
+    range otherwise.  It then moves _STEP_FLOOR away from the nearer side,
+    so that once the estimate is that good the next evaluation lands on the
+    far side of the crossing, and it keeps _STEP_FLOOR from both sides.
+    Below the normal range, where floats are coarser than that, a point that
+    rounds onto a side moves to the float next to it.  An extreme bracket or
+    an infinite log v gives NaN, which the caller reads as out of range.
     """
     w = math.log(b / a)
     if not (w < 700.0 and fa < math.inf and fb > -math.inf):
         return math.nan
+    lo, hi = max(fa / s, w + fb / p, 0.0), min(fa / p, w + fb / s, w)
+    d = 0.5 * (lo + hi)
     (c0, f0), (c1, f1), (c2, f2) = last
-    x0, x1, x2 = math.log(c0 / a), math.log(c1 / a), math.log(c2 / a)
-    d = math.nan
-    if w > 2.0:
-        lo, hi = max(fa / s, w + fb / p, 0.0), min(fa / p, w + fb / s, w)
-        d = 0.5 * (lo + hi)
-        if abs(x2 - x1) < 2.0 and f1 != f2:
-            secant = x2 - f2 * (x2 - x1) / (f2 - f1)
-            if lo < secant < hi:
-                d = secant
-    else:
-        if f0 != f1 and f0 != f2 and f1 != f2:
-            d = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                 + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
-        if not 0.0 <= d <= w:
-            d = w * fa / (fa - fb)
+    if f0 != f1 and f0 != f2 and f1 != f2:
+        x0, x1, x2 = math.log(c0 / a), math.log(c1 / a), math.log(c2 / a)
+        root = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+        if lo < root < hi:
+            d = root
     d += _STEP_FLOOR if d < 0.5 * w else -_STEP_FLOOR
     c = a * math.exp(min(max(d, _STEP_FLOOR), w - _STEP_FLOOR))
     return min(max(c, math.nextafter(a, b)), math.nextafter(b, a))
@@ -215,9 +206,11 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     # 5): v(hi) <= 1/2, then lo and, while v < 1 there, c v^(1/p) / 2, where
     # v >= 2^p unless rounding says otherwise, but never below the last
     # positive halving of lo, where the halving loop would fail at v < 1.
+    # A lo that underflowed to 0 is not evaluated: the halving loop reads
+    # v(0) as > 1, where a node of value 0 would give 0/0.
     objective(cols, [hi[i] for i in cols])
     floor = {i: _last_halving(lo[i]) for i in cols}
-    steps = {i: lo[i] for i in cols}
+    steps = {i: lo[i] for i in cols if lo[i] > 0.0}
     while steps:
         below = {}
         for (i, c), v in zip(steps.items(), objective(list(steps), list(steps.values()))):
@@ -303,17 +296,20 @@ def luxemburg_norms(fs: Sequence[GridFn],
 
     Every evaluation is kept: the largest c seen with objective > 1 and the
     smallest with objective <= 1 are the known sides a and b of the
-    crossing.  They come first: the objective is evaluated at hi, at lo and,
-    while it reads v < 1, at c v^(1/p) / 2, never below the last positive
-    halving of lo.  Interpolation in (log c, log objective) then narrows
-    them to a relative width of 1e-13 (``_narrow_point``).  The halving loop
-    and the bisection read each comparison by one rule: a scale at most
-    a (1 - 1e-13) reads > 1, one at least b (1 + 1e-13) and above b reads
-    < 1, and only a scale inside that guard band is evaluated.  Monotonicity
-    gives the first reading and the slope bound v(c) <= v(b) (b/c)^p the
-    second, so if the objective is monotone in c up to noise inside the
-    band, each decision is the one an evaluation would give, and the result
-    has the bits of plain bisection (docs/DECISIONS.md, section 5, fact 5).
+    crossing.  They come first: the objective is evaluated at hi, at lo
+    unless lo underflowed to 0 and, while it reads v < 1, at c v^(1/p) / 2,
+    never below the last positive halving of lo.  Inverse quadratic
+    interpolation in (log c, log objective), kept inside the range that the
+    objective's slopes leave for the crossing, then narrows them to a
+    relative width of 1e-13 (``_narrow_point``).  The halving loop and the
+    bisection read each comparison by one rule: a scale at most
+    a (1 - 1e-13) reads > 1 (c = 0 among them: v(0) = inf), one at least
+    b (1 + 1e-13) and above b reads < 1, and only a scale inside that guard
+    band is evaluated.  Monotonicity gives the first reading and the slope
+    bound v(c) <= v(b) (b/c)^p the second, so if the objective is monotone
+    in c up to noise inside the band, each decision is the one an
+    evaluation would give, and the result has the bits of plain bisection
+    (docs/DECISIONS.md, section 5, fact 5).
 
     The returned norm is the upper bracket endpoint, so the objective there
     is <= 1 by construction; ``evals`` counts the objective evaluations of

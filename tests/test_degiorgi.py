@@ -337,6 +337,8 @@ _OUTSIDE = {f"hessian-spectrum-{name}": lambda t=t: hessian_spectrum(fs_profile(
     *(pytest.param(lambda k=k: geometric_gauss_measure(Interval(0.0, 1.0), k),
                    id=f"geometric-panels-{k}") for k in (np.nan, 2.5, np.inf, 1024)),
     pytest.param(lambda: gauss_measure(Interval(0.0, 1.0), 2, 2.5), id="order-2.5"),
+    pytest.param(lambda: WeightedMeasure([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]), id="node-inf"),
+    pytest.param(lambda: WeightedMeasure([-np.inf, 0.0, 1.0], [1.0, 1.0, 1.0]), id="node-neginf"),
     *(pytest.param(lambda s=s: rng_from_seed(s), id=f"seed-{s}") for s in (np.nan, 2.5, -1)),
     *(pytest.param(build, id=name) for name, build in _OUTSIDE.items()),
 ])

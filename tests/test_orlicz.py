@@ -633,6 +633,35 @@ def test_narrowing_stops_where_no_float_lies_between_the_sides(weight, value, yo
     assert res.evals <= 12
 
 
+def test_an_underflowing_lower_bracket_end_reads_the_objective_as_infinite():
+    # max|f| = 2e-315, so lo = 1e-12 max|f| underflows to 0, where a node of
+    # value 0 (in f or in a block's zero padding) would give 0/0.  The lower
+    # search skips lo = 0, and the halving loop reads c = 0 as v > 1 without
+    # evaluating it, so a block, a zero node and a solve alone agree.
+    m = WeightedMeasure(np.array([0.5, 1.5]), np.array([1.0, 1.0]))
+    three = WeightedMeasure(np.array([0.5, 1.5, 2.5]), np.ones(3))
+    f, g = GridFn(m, np.array([1e-315, 2e-315])), GridFn(three, np.array([1.0, 2.0, 3.0]))
+    zero_node = GridFn(three, np.array([1e-315, 2e-315, 0.0]))
+    params = YoungParams(1, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [luxemburg_norm(f, params), luxemburg_norm(g, params)]
+        assert luxemburg_norms([f, g], [params] * 2) == alone
+        assert alone[0].norm == luxemburg_norm(zero_node, params).norm == 3e-315
+
+
+def test_narrowing_halves_its_log_width_on_a_far_known_side():
+    # hi takes the max(2 L1, max|f|) end here, so plain bisection has another
+    # bracket and _reference_norms does not apply.  Stepping to a v(a)^(1/p)
+    # where the log width does not halve takes 8 evaluations; interpolation
+    # alone stalls on the far side b until the 64-step cap, 268 evaluations.
+    f = GridFn(WeightedMeasure(np.array([0.5]), np.array([7.428533515761995e65])),
+               np.array([1.4101438535498882e182]))
+    res = luxemburg_norm(f, YoungParams(1.6634702654621885, 0.5947119417388589,
+                                        2.5828071525198832))
+    assert res.verdict.passed and res.evals <= 12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_lower_search_replay_on_chart_densities(n):
     # the sweep's densities at both of its r columns, from eps = 2^-5, where
