@@ -24,7 +24,7 @@ ArrayLike = Sequence[float] | np.ndarray
 
 _FD_RTOL = 1e-5  # finite-difference agreement check_derivative_consistency asks
 
-# Multiplicative slack absorbing quadrature and bisection error in all
+# Multiplicative slack absorbing quadrature and gauge-norm error in all
 # inequality verdicts.
 INEQ_SLACK = 1e-8
 

@@ -2,14 +2,11 @@
 
 The norm of f is the infimum of c > 0 with integral of phi(|f|/c) at most 1.
 On a discrete measure the objective is continuous and strictly decreasing in
-c for nonzero f.  The solver runs the plain algorithm: lo halves (pulling hi
-down to it) until the objective there is at least 1, then the bracket
-bisects, and the norm is its upper endpoint.  The bracket's upper end is a
-closed-form scale where the objective is at most 1/2.  Both loops read every
-comparison through one rule over the known sides of the crossing, the
-nearest points evaluated on each side: a scale outside a guard band around
-them is decided by monotonicity or by the slope bound of the objective, and
-only a scale inside it is evaluated (docs/DECISIONS.md, section 5).
+c for nonzero f.  The solver keeps the known sides of the crossing, the
+nearest scales evaluated on each side, and narrows them to a relative 1e-13
+by interpolation inside the range the objective's slope bounds leave; the
+norm is the upper side, where the objective is evaluated and at most 1
+(docs/DECISIONS.md, section 5).
 """
 
 from __future__ import annotations
@@ -24,13 +21,9 @@ from .errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite
 from .numgrid import INEQ_SLACK, GridFn, Verdict, integrate, pairwise_sums
 from .youngfn import YoungParams, _weight, phi
 
-_NORM_TOL = 1e-10  # relative bisection tolerance for the gauge norm
-# Relative band around the known sides of a crossing inside which the
-# halving loop and the bisection still evaluate the objective; the
-# narrowing stops there.
-_GUARD = 1e-13
+_GUARD = 1e-13  # relative width to which the known sides of a crossing are narrowed
 _STEP_FLOOR = 0.3 * _GUARD  # least distance, in log c, of a narrowing point from a side
-_NARROW_STEPS = 64  # cap on narrowing steps; the replay evaluates whatever is left
+_NARROW_STEPS = 64  # cap on narrowing steps; a column that reaches it keeps its wider sides
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
@@ -43,7 +36,8 @@ BLOCK_SIZE = 128
 
 @dataclass(frozen=True)
 class LuxemburgResult:
-    """Gauge norm plus the objective value it achieves and the final bracket."""
+    """Gauge norm b, the objective value there (<= 1), and the known sides
+    (a, b) of the crossing, with the objective > 1 at a."""
 
     norm: float
     objective_at_norm: float
@@ -123,24 +117,13 @@ def _narrow_point(a: float, fa: float, b: float, fb: float, last: list, p: float
     return min(max(c, math.nextafter(a, b)), math.nextafter(b, a))
 
 
-def _last_halving(lo: float) -> float:
-    """The last positive value of lo halved over and over, rounded after
-    each halving: one exact ldexp while it stays a normal float, then one
-    subnormal halving at a time (0 for lo = 0)."""
-    c = math.ldexp(lo, -max(0, math.frexp(lo)[1] + 1021))
-    while c * 0.5 != 0.0:
-        c *= 0.5
-    return c
-
-
 @np.errstate(over="ignore")  # an L1 sum or a term w phi(|f|/c) may overflow to inf
 def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Gauge norms of one block by the known sides, halving loop and
-    bisection that ``luxemburg_norms`` describes, with one column of the
-    work arrays per grid function.  Each step evaluates the objective of
-    every column that needs a value in one call; the brackets and the known
-    sides are Python floats, so a step costs little more than that call even
-    for a single column."""
+    """Gauge norms of one block by the known sides that ``luxemburg_norms``
+    describes, with one column of the work arrays per grid function.  Each
+    step evaluates the objective of every column that needs a value in one
+    call; the known sides are Python floats, so a step costs little more
+    than that call even for a single column."""
     n = len(fs)
     x = np.zeros((max(f.values.size for f in fs), n))
     w = np.zeros_like(x)
@@ -151,10 +134,10 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     slopes = [(float(pr.p), float(pr.p + pr.q + pr.r)) for pr in params]
     evals = [0] * n
     # the known sides of each crossing: v(a) > 1 and v(b) <= 1, with log v
-    # there, and (c, log v) of the column's last three evaluations (NaN
-    # before there are three)
+    # there and v(b) itself, and (c, log v) of the column's last three
+    # evaluations (NaN before there are three)
     a, fa = [0.0] * n, [0.0] * n
-    b, fb = [math.inf] * n, [0.0] * n
+    b, fb, vb = [math.inf] * n, [0.0] * n, [0.0] * n
     last = [[(math.nan, math.nan)] * 3] * n
 
     def objective(cols: list[int], c: list[float]) -> list[float]:
@@ -170,26 +153,9 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
             last[i] = last[i][-2:] + [(ci, f)]
             if v <= 1.0:
                 if ci < b[i]:
-                    b[i], fb[i] = ci, f
+                    b[i], fb[i], vb[i] = ci, f, v
             elif v > 1.0 and ci > a[i]:  # a NaN is on neither side
                 a[i], fa[i] = ci, f
-        return vals
-
-    def read(points: dict[int, float]) -> dict[int, float]:
-        """The objective at each column's point as the known sides decide
-        it (docs/DECISIONS.md, section 5, fact 5): inf (v > 1) at or below
-        a (1 - _GUARD), 0 (v < 1) at or above b (1 + _GUARD) and past b,
-        and evaluated, in one call, inside that guard band."""
-        vals, band = {}, []
-        for i, c in points.items():
-            if c <= a[i] * (1.0 - _GUARD):
-                vals[i] = math.inf
-            elif c >= b[i] * (1.0 + _GUARD) and c > b[i]:
-                vals[i] = 0.0
-            else:
-                band.append(i)
-        if band:
-            vals.update(zip(band, objective(band, [points[i] for i in band])))
         return vals
 
     finite = np.isfinite(x).all(axis=0)
@@ -203,25 +169,25 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     cols = np.flatnonzero(finite & (vmax > 0.0)).tolist()  # the zero function has norm 0
 
     # The known sides come first (docs/DECISIONS.md, section 5, facts 4 and
-    # 5): v(hi) <= 1/2, then lo and, while v < 1 there, c v^(1/p) / 2, where
-    # v >= 2^p unless rounding says otherwise, but never below the last
-    # positive halving of lo, where the halving loop would fail at v < 1.
-    # A lo that underflowed to 0 is not evaluated: the halving loop reads
-    # v(0) as > 1, where a node of value 0 would give 0/0.
-    objective(cols, [hi[i] for i in cols])
-    floor = {i: _last_halving(lo[i]) for i in cols}
-    steps = {i: lo[i] for i in cols if lo[i] > 0.0}
+    # 5): v(hi) <= 1/2, then lo and, while v <= 1 there, c v^(1/p) / 2, where
+    # v >= 2^p unless rounding says otherwise, but never below the least
+    # positive float.  Where lo underflows to 0, the step from hi takes its
+    # place: evaluated, c = 0 would give 0/0 at a node of value 0.
+    least = math.ulp(0.0)
+    steps = {i: hi[i] for i in cols}
     while steps:
-        below = {}
+        points = {}
         for (i, c), v in zip(steps.items(), objective(list(steps), list(steps.values()))):
-            if v >= 1.0:
+            if v > 1.0:  # a NaN reads at most 1
                 continue
-            if c == floor[i]:  # a NaN reads below 1, as the halving loop read it
+            if c == least:
                 failed[i] = "objective stayed below 1 down to c = 0"
+            elif c == hi[i] and lo[i] > 0.0:
+                points[i] = lo[i]
             else:
                 c = 0.5 * c * v ** (1.0 / slopes[i][0])
-                below[i] = c if c > floor[i] else floor[i]
-        steps = below
+                points[i] = c if c > least else least
+        steps = points
     cols = [i for i in cols if i not in failed]
 
     widths = [[math.inf, math.inf] for _ in range(n)]  # b/a before the last two steps
@@ -229,7 +195,7 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     for _ in range(_NARROW_STEPS):  # narrow the known sides to a relative _GUARD
         points = {}
         for i in open_:
-            if not (0.0 < a[i] and a[i] * (1.0 + _GUARD) < b[i] < math.inf):
+            if not a[i] * (1.0 + _GUARD) < b[i] < math.inf:
                 continue
             ratio = b[i] / a[i]
             if ratio * ratio <= widths[i][0]:
@@ -246,78 +212,47 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
         open_ = list(points)
         objective(open_, list(points.values()))
 
-    open_ = cols
-    while open_:  # halve lo, pulling hi down to it, until the objective there is >= 1
-        vals = read({i: lo[i] for i in open_})
-        open_ = [i for i in open_ if not vals[i] >= 1.0]
-        for i in open_:
-            hi[i] = min(hi[i], lo[i])
-            lo[i] *= 0.5
     for i in cols:
-        if hi[i] == math.inf:  # the bisection would return it
+        if b[i] == math.inf:  # lo read v > 1 and hi = inf
             failed[i] = ("the norm came out infinite: its upper bracket end "
                          "max(2 L1, max|f|) overflows")
     if failed:
         raise NonFinite(failed[min(failed)])
-
-    open_ = cols
-    while True:  # bisect until the bracket is narrow or its midpoint stops moving
-        mid = {i: 0.5 * (lo[i] + hi[i]) for i in open_ if hi[i] - lo[i] > _NORM_TOL * hi[i]}
-        mid = {i: m for i, m in mid.items() if lo[i] < m < hi[i]}
-        if not mid:
-            break
-        for i, v in read(mid).items():
-            if v <= 1.0:
-                hi[i] = mid[i]
-            else:
-                lo[i] = mid[i]
-        open_ = list(mid)
-
     out = [LuxemburgResult(0.0, 0.0, (0.0, 0.0), 0)] * n
-    for i, at_norm in zip(cols, objective(cols, [hi[i] for i in cols])):
-        out[i] = LuxemburgResult(hi[i], at_norm, (lo[i], hi[i]), evals[i])
+    for i in cols:
+        out[i] = LuxemburgResult(b[i], vb[i], (a[i], b[i]), evals[i])
     return out
 
 
 def luxemburg_norms(fs: Sequence[GridFn],
                     params: Sequence[YoungParams]) -> list[LuxemburgResult]:
-    """Norm of each f at its own weight, by plain bisection on the
-    normalization objective, replayed from a few evaluations, all solved
-    together.
+    """Norm of each f at its own weight, all solved together.
 
     Each f is one column of the work arrays: |f| and its weights,
     zero-padded to the longest f, with its own exponent triple.  Work
     proceeds in blocks of BLOCK_SIZE functions.  The zero function
-    short-circuits to 0.  Otherwise hi is max(L1, max|f|) (1 + mass), or
-    max(2 L1, max|f|) where that overflows, and the objective there is at
-    most 1/2 (docs/DECISIONS.md, section 5, fact 4).  lo starts at
-    1e-12 max|f| and halves (pulling hi down to it) until the objective
-    there is >= 1, and then the bracket bisects to a relative width of 1e-10.
+    short-circuits to 0.
 
     Every evaluation is kept: the largest c seen with objective > 1 and the
     smallest with objective <= 1 are the known sides a and b of the
-    crossing.  They come first: the objective is evaluated at hi, at lo
-    unless lo underflowed to 0 and, while it reads v < 1, at c v^(1/p) / 2,
-    never below the last positive halving of lo.  Inverse quadratic
-    interpolation in (log c, log objective), kept inside the range that the
-    objective's slopes leave for the crossing, then narrows them to a
-    relative width of 1e-13 (``_narrow_point``).  The halving loop and the
-    bisection read each comparison by one rule: a scale at most
-    a (1 - 1e-13) reads > 1 (c = 0 among them: v(0) = inf), one at least
-    b (1 + 1e-13) and above b reads < 1, and only a scale inside that guard
-    band is evaluated.  Monotonicity gives the first reading and the slope
-    bound v(c) <= v(b) (b/c)^p the second, so if the objective is monotone
-    in c up to noise inside the band, each decision is the one an
-    evaluation would give, and the result has the bits of plain bisection
-    (docs/DECISIONS.md, section 5, fact 5).
+    crossing.  The objective is evaluated at hi = max(L1, max|f|) (1 + mass),
+    or max(2 L1, max|f|) where that overflows, where it is at most 1/2
+    (docs/DECISIONS.md, section 5, fact 4).  It is then evaluated at
+    lo = 1e-12 max|f|, or, where lo underflows to 0, at hi v^(1/p) / 2, and
+    while it reads at most 1, at c v^(1/p) / 2, never below the least
+    positive float.  Inverse quadratic interpolation in (log c,
+    log objective), kept inside the range that the objective's slopes leave
+    for the crossing, then narrows a and b to a relative width of 1e-13
+    (``_narrow_point``; docs/DECISIONS.md, section 5, fact 5).
 
-    The returned norm is the upper bracket endpoint, so the objective there
-    is <= 1 by construction; ``evals`` counts the objective evaluations of
-    each f, the final one at the norm included.  Zero padding moves no bit
-    (see ``pairwise_sums``), so each f gets the result it gets alone.  Raises
-    NonFinite for the first f that fails, whose objective stays below 1 down
-    to c = 0 or whose norm comes out infinite (2 L1 overflows and lo reads
-    >= 1).
+    The returned norm is b, with bracket (a, b): the objective at the norm
+    was evaluated there and is <= 1 by construction, and it is > 1 at a.
+    ``evals`` counts the objective evaluations of each f.  Zero padding
+    moves no bit (see ``pairwise_sums``), so each f gets the result it gets
+    alone.  Raises NonFinite for the first f that fails: one with a
+    non-finite value, one whose objective stays at most 1 down to the least
+    positive float, or one whose norm comes out infinite (2 L1 overflows
+    and lo reads > 1).
     """
     if len(fs) != len(params):
         raise InvalidInput(f"{len(fs)} grid functions but {len(params)} weights")
