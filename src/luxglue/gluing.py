@@ -251,15 +251,15 @@ def _probe(fn: SmoothFn, margin: float = 0.0) -> tuple[float, float, float]:
     return float(np.min(f1)), float(np.min(f2)), float(np.max(f2))
 
 
-def delta_search(problem: GlueProblem, c: float) -> float:
+def delta_search(problem: GlueProblem, c: float, compat: CompatReport) -> float:
     """Largest dyadic margin delta = (a2-b1)/2^j, j = 2..60, satisfying the
-    side conditions of the construction at probe-grid resolution."""
+    side conditions of the construction at probe-grid resolution, given the
+    problem's ``compatibility`` chain."""
     if problem.mode == "radial":
         raise InvalidInput("delta search runs on the log-coordinate problem")
     f, g = problem.left, problem.right
     b1, a2 = f.interval.hi, g.interval.lo
     gap = a2 - b1
-    compat = compatibility(problem)
     if not compat.ok:
         raise DeltaSearchFailed("compatibility chain fails; conditions unsatisfiable")
     (_, _, sup_f), (_, _, sup_g) = problem.probes
@@ -400,7 +400,7 @@ def glue(problem: GlueProblem) -> GlueResult:
         if not (alpha1 >= floor and alpha2 >= floor):
             raise NotStrictlyConvexPiece("convex mode needs convex pieces")
         c = 0.0
-    delta = delta_search(problem, c)
+    delta = delta_search(problem, c, compat)
     F_jet = _regularized(problem.left, c, delta)
     G_jet = _regularized(problem.right, c, delta)
     seams = np.array([b1, a2], dtype=float)

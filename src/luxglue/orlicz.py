@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite
+from .errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
+                     VerificationFailed)
 from .numgrid import INEQ_SLACK, GridFn, Verdict, integrate, pairwise_sums
 from .youngfn import YoungParams, _weight, phi
 
 _GUARD = 1e-13  # relative width to which the known sides of a crossing are narrowed
 _STEP_FLOOR = 0.3 * _GUARD  # least distance, in log c, of a narrowing point from a side
-_NARROW_STEPS = 64  # cap on narrowing steps; a column that reaches it keeps its wider sides
+_NARROW_STEPS = 64  # cap on narrowing steps; a column that reaches it fails
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Grid functions solved together; it bounds the solver's work arrays (128
@@ -162,17 +163,18 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
     vmax = x.max(axis=0)
     l1 = pairwise_sums(w * x)
     hi = np.maximum(l1, vmax) * (1.0 + pairwise_sums(w))
-    hi = np.where(hi < math.inf, hi, np.maximum(2.0 * l1, vmax)).tolist()
+    hi = np.where(hi < math.inf, hi, np.minimum(np.maximum(2.0 * l1, vmax), _FLOAT_MAX)).tolist()
     lo = (vmax * 1e-12).tolist()
-    failed = {i: "grid function must have finite values"
+    failed = {i: NonFinite("grid function must have finite values")
               for i in np.flatnonzero(~finite).tolist()}
     cols = np.flatnonzero(finite & (vmax > 0.0)).tolist()  # the zero function has norm 0
 
     # The known sides come first (docs/DECISIONS.md, section 5, facts 4 and
-    # 5): v(hi) <= 1/2, then lo and, while v <= 1 there, c v^(1/p) / 2, where
-    # v >= 2^p unless rounding says otherwise, but never below the least
-    # positive float.  Where lo underflows to 0, the step from hi takes its
-    # place: evaluated, c = 0 would give 0/0 at a node of value 0.
+    # 5): v(hi) <= 1/2 below the largest float, then lo and, while v <= 1
+    # there, c v^(1/p) / 2, where v >= 2^p unless rounding says otherwise,
+    # but never below the least positive float.  Where lo underflows to 0,
+    # the step from hi takes its place: evaluated, c = 0 would give 0/0 at a
+    # node of value 0.
     least = math.ulp(0.0)
     steps = {i: hi[i] for i in cols}
     while steps:
@@ -181,7 +183,7 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
             if v > 1.0:  # a NaN reads at most 1
                 continue
             if c == least:
-                failed[i] = "objective stayed below 1 down to c = 0"
+                failed[i] = NonFinite("objective stayed below 1 down to c = 0")
             elif c == hi[i] and lo[i] > 0.0:
                 points[i] = lo[i]
             else:
@@ -192,7 +194,7 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
 
     widths = [[math.inf, math.inf] for _ in range(n)]  # b/a before the last two steps
     open_ = cols
-    for _ in range(_NARROW_STEPS):  # narrow the known sides to a relative _GUARD
+    for step in range(_NARROW_STEPS + 1):  # narrow the known sides to a relative _GUARD
         points = {}
         for i in open_:
             if not a[i] * (1.0 + _GUARD) < b[i] < math.inf:
@@ -209,15 +211,19 @@ def _solve_block(fs: Sequence[GridFn], params: Sequence[YoungParams]) -> list[Lu
                 points[i] = c
         if not points:
             break
+        if step == _NARROW_STEPS:  # a column still has a point to evaluate
+            failed.update((i, VerificationFailed(
+                f"the known sides a = {a[i]!r}, b = {b[i]!r} are still apart "
+                f"after {_NARROW_STEPS} narrowing steps")) for i in points)
+            break
         open_ = list(points)
         objective(open_, list(points.values()))
 
     for i in cols:
-        if b[i] == math.inf:  # lo read v > 1 and hi = inf
-            failed[i] = ("the norm came out infinite: its upper bracket end "
-                         "max(2 L1, max|f|) overflows")
+        if b[i] == math.inf:  # v > 1 at the largest float
+            failed[i] = NonFinite("the norm exceeds the largest float")
     if failed:
-        raise NonFinite(failed[min(failed)])
+        raise failed[min(failed)]
     out = [LuxemburgResult(0.0, 0.0, (0.0, 0.0), 0)] * n
     for i in cols:
         out[i] = LuxemburgResult(b[i], vb[i], (a[i], b[i]), evals[i])
@@ -236,23 +242,25 @@ def luxemburg_norms(fs: Sequence[GridFn],
     Every evaluation is kept: the largest c seen with objective > 1 and the
     smallest with objective <= 1 are the known sides a and b of the
     crossing.  The objective is evaluated at hi = max(L1, max|f|) (1 + mass),
-    or max(2 L1, max|f|) where that overflows, where it is at most 1/2
-    (docs/DECISIONS.md, section 5, fact 4).  It is then evaluated at
-    lo = 1e-12 max|f|, or, where lo underflows to 0, at hi v^(1/p) / 2, and
-    while it reads at most 1, at c v^(1/p) / 2, never below the least
-    positive float.  Inverse quadratic interpolation in (log c,
-    log objective), kept inside the range that the objective's slopes leave
-    for the crossing, then narrows a and b to a relative width of 1e-13
-    (``_narrow_point``; docs/DECISIONS.md, section 5, fact 5).
+    or max(2 L1, max|f|) where that overflows, where it is at most 1/2, or
+    at the largest float where both overflow (docs/DECISIONS.md, section 5,
+    fact 4).  It is then evaluated at lo = 1e-12 max|f|, or, where lo
+    underflows to 0, at hi v^(1/p) / 2, and while it reads at most 1, at
+    c v^(1/p) / 2, never below the least positive float.  Inverse quadratic
+    interpolation in (log c, log objective), kept inside the range that the
+    objective's slopes leave for the crossing, then narrows a and b to a
+    relative width of 1e-13 (``_narrow_point``; docs/DECISIONS.md, section
+    5, fact 5).
 
     The returned norm is b, with bracket (a, b): the objective at the norm
     was evaluated there and is <= 1 by construction, and it is > 1 at a.
     ``evals`` counts the objective evaluations of each f.  Zero padding
     moves no bit (see ``pairwise_sums``), so each f gets the result it gets
-    alone.  Raises NonFinite for the first f that fails: one with a
+    alone.  Raises for the first f that fails: NonFinite for one with a
     non-finite value, one whose objective stays at most 1 down to the least
-    positive float, or one whose norm comes out infinite (2 L1 overflows
-    and lo reads > 1).
+    positive float, or one whose objective exceeds 1 at the largest float,
+    and VerificationFailed, naming a and b, for one whose sides are still
+    apart when the cap of _NARROW_STEPS narrowing steps is reached.
     """
     if len(fs) != len(params):
         raise InvalidInput(f"{len(fs)} grid functions but {len(params)} weights")

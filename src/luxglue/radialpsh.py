@@ -94,10 +94,6 @@ def fs_potential() -> SmoothFn:
     )
 
 
-def fs_profile(n: int) -> RadialProfile:
-    return RadialProfile(n, fs_potential())
-
-
 def fs_background_det(n: int, t: np.ndarray) -> np.ndarray:
     """Complex-Hessian determinant of the reference potential: (1+t)^-(n+1)."""
     return (1.0 + np.asarray(t, dtype=float)) ** (-(n + 1))
@@ -118,18 +114,6 @@ def _feps_jet(t: np.ndarray, eps: float, coeff: float) -> Jet:
             coeff * u**3 * (u * S - 2.0 * D) / D**2)
 
 
-def f_eps_jet(params: CounterexampleParams, t) -> Jet:
-    """(f, f', f'') of the normalized quadruple-log family on [0, 1/4]."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t <= 0.25 + 1e-12)):
-        raise OutOfDomain("the quadruple-log family lives on [0, 1/4]")
-    return _feps_jet(t, params.eps, FEPS_COEFF)
-
-
-def f_eps_at_zero(params: CounterexampleParams) -> float:
-    return float(f_eps_jet(params, 0.0)[0])
-
-
 def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25) -> SmoothFn:
     """Carrier of the normalized family on the nominal interval [lo, hi],
     lo >= 0 since the family is a function of t = |z|^2; the jet takes any
@@ -142,10 +126,6 @@ def feps_smoothfn(eps: float, lo: float = 0.0, hi: float = 0.25) -> SmoothFn:
                     name=f"feps[{eps:g}]")
 
 
-def feps_profile(params: CounterexampleParams) -> RadialProfile:
-    return RadialProfile(params.n, feps_smoothfn(params.eps))
-
-
 def _eps_panels(eps: float, h: int) -> int:
     """Panels of a ratio-2 geometric rule on [0, 2^-h] whose finest panel,
     of width ~ 2^-(h+panels), is at most ~4 eps wide; never fewer than 40."""
@@ -154,7 +134,6 @@ def _eps_panels(eps: float, h: int) -> int:
 
 @dataclass(frozen=True)
 class AppendixReport:
-    sup_big_eigen: float
     integral: float
     # Quadrature of t^(n-1) F on the same nodes; its exact value is
     # ((1/4) f'(1/4))^n / n, so the gap is the rule's error.
@@ -162,9 +141,8 @@ class AppendixReport:
 
 
 def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
-    """Sup of the big eigenvalue on [1/8, 1/4] and the chart-weighted entropy
-    integral of the determinant F on [0, 1/4], both for the raw
-    (coefficient-1) family.
+    """The chart-weighted entropy integral of the determinant F on [0, 1/4]
+    for the raw (coefficient-1) family.
 
     The integrand varies on the scale t ~ eps, so the geometric rule follows
     eps (see ``_eps_panels``): 40 panels down to eps = 2^-44, one more per
@@ -172,11 +150,10 @@ def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
     2^-250) that the family's second derivative overflows.
     """
     eps, n = params.eps, params.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(_feps_jet(np.asarray(0.0), eps, 1.0)[2]):
-            raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
     raw = RadialProfile(n, SmoothFn(Interval(0.0, 0.25), lambda t: _feps_jet(t, eps, 1.0)))
-    sup_big = float(np.max(hessian_spectrum(raw, np.linspace(0.125, 0.25, 4097)).lam_big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(raw.fn.d2(0.0)):
+            raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
     m = geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
     tt = m.nodes
     F = hessian_spectrum(raw, tt).det
@@ -188,7 +165,7 @@ def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
     )
     integral = pairwise_sum(m.weights * integrand)
     mass = pairwise_sum(m.weights * tt ** (n - 1) * F)
-    return AppendixReport(sup_big, integral, mass)
+    return AppendixReport(integral, mass)
 
 
 def appendix_bound(n: int) -> float:
@@ -296,7 +273,7 @@ def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     params = [CounterexampleParams(eps, n) for eps in eps_list]
     k = len(scales)
     return [SweepRow(p.eps, tuple(ents[i * k:(i + 1) * k]), tuple(bounds[i * k:(i + 1) * k]),
-                     abs(f_eps_at_zero(p)), appendix_c_bounds(p).integral)
+                     abs(float(feps_smoothfn(p.eps).d0(0.0))), appendix_c_bounds(p).integral)
             for i, p in enumerate(params)]
 
 

@@ -22,7 +22,7 @@ from luxglue.radialpsh import (
     appendix_bound,
     appendix_c_bounds,
     entropy_sweep,
-    f_eps_jet,
+    feps_smoothfn,
     sweep_verdicts,
 )
 from luxglue.sampling import random_step_fn, random_young_params, rng_from_seed
@@ -213,8 +213,7 @@ def test_criterion_08_example_chain_values():
     worst_lhs = 0.0
     mids = []
     for k in EPS_KS:
-        params = CounterexampleParams(2.0**-k, 2)
-        f, f1, _ = f_eps_jet(params, 1.0 / 16.0)
+        f, f1, _ = feps_smoothfn(2.0**-k).eval(1.0 / 16.0)
         lhs = (1.0 / 16.0) * float(f1)
         mid = (np.log(2.0) - float(f)) / np.log(16.0)
         worst_lhs = max(worst_lhs, lhs)

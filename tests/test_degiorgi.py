@@ -31,7 +31,7 @@ from luxglue.numgrid import (Interval, SmoothFn, WeightedMeasure, gauss_measure,
                              geometric_gauss_measure)
 from luxglue.orlicz import EntropyParams, norm_bound_from_integral, young_pair_check
 from luxglue.radialpsh import (CounterexampleParams, RadialProfile, feps_smoothfn, fs_potential,
-                               fs_profile, hessian_spectrum)
+                               hessian_spectrum)
 from luxglue.sampling import rng_from_seed
 from luxglue.youngfn import YoungParams
 
@@ -284,9 +284,13 @@ def _square(interval) -> SmoothFn:
     return SmoothFn(Interval(*interval), lambda t: (t * t, 2 * t, 2 + 0 * t))
 
 
-# A point outside a function's domain raises OutOfDomain, not InvalidInput.
-_OUTSIDE = {f"hessian-spectrum-{name}": lambda t=t: hessian_spectrum(fs_profile(2), t)
-            for name, t in (("nan", [0.5, np.nan]), ("inf", np.inf), ("outside", [0.5, 2e6]))}
+# A point outside a function's domain raises OutOfDomain, not InvalidInput:
+# the reference potential on [0, 1e6] and the quadruple-log family on [0, 1/4].
+_OUTSIDE = {f"hessian-spectrum{label}-{name}":
+            lambda fn=fn, t=t: hessian_spectrum(RadialProfile(2, fn), t)
+            for label, fn in (("", fs_potential()), ("-feps", feps_smoothfn(2.0**-8)))
+            for name, t in (("nan", [0.1, np.nan]), ("inf", np.inf), ("outside", [0.1, 2e6]),
+                            ("negative", -1e-9))}
 
 
 @pytest.mark.parametrize("build", [

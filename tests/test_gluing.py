@@ -116,7 +116,7 @@ def test_compatibility_radial_feps_reference_chain():
 
 def test_delta_search_generous():
     prob = GlueProblem(quad_piece((0, 1)), quad_piece((3, 4)), "strict")
-    delta = delta_search(prob, 1.0)
+    delta = delta_search(prob, 1.0, compatibility(prob))
     assert delta == (3.0 - 1.0) / 4.0  # accepted at the largest dyadic margin
 
 
@@ -129,7 +129,7 @@ def test_delta_search_near_degenerate():
     rep = compatibility(prob)
     assert rep.ok and rep.mid - rep.lhs < 0.2
     c = min(1.0, 0.05, (rep.mid - rep.lhs) / 2, (rep.rhs - rep.mid) / 2)
-    delta = delta_search(prob, c)
+    delta = delta_search(prob, c, rep)
     assert 0 < delta < (3 - 1) / 4
     assert all(v.passed for v in verify_glue(glue(prob)).verdicts)
 
@@ -138,7 +138,7 @@ def test_delta_search_incompatible():
     mk = lambda dom, a: SmoothFn(Interval(*dom), lambda t: (a + t, 1.0 + 0 * t, 0 * t))
     prob = GlueProblem(mk((0, 1), 0.0), mk((3, 4), 2.0), "convex")
     with pytest.raises(DeltaSearchFailed):
-        delta_search(prob, 0.0)
+        delta_search(prob, 0.0, compatibility(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,27 @@ def test_radial_glue_keeps_its_log_chain():
         glue(problem)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GlueProblem(quad_piece((0, 1)), quad_piece((3, 4)), "strict"),
+    radial_problem,
+], ids=["strict", "radial"])
+def test_a_glue_reads_its_slope_chain_once(build, monkeypatch):
+    # delta_search takes the chain that glue computed; a radial glue's chain
+    # is its log glue's
+    from luxglue import gluing
+
+    calls = []
+    chain = gluing.compatibility
+
+    def counted(problem):
+        calls.append(problem.mode)
+        return chain(problem)
+
+    monkeypatch.setattr(gluing, "compatibility", counted)
+    glue(build())
+    assert calls == ["strict"]
+
+
 def _flip_h1(log):
     def jet(tau):
         H0, H1, H2 = log.h.jet(tau)
@@ -349,7 +370,7 @@ def test_glue_idempotent_on_restriction():
 def test_internal_guards_raise_invalid_input():
     problem = radial_problem()
     with pytest.raises(InvalidInput):
-        delta_search(problem, 1.0)
+        delta_search(problem, 1.0, compatibility(problem))
 
 
 @pytest.mark.parametrize("mode", MODES)

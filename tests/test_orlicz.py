@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxglue import orlicz
-from luxglue.errors import DegenerateParams, InvalidInput, NegativeDensity, NonFinite, ZeroMass
+from luxglue.errors import (DegenerateParams, InvalidInput, NegativeDensity, NonFinite,
+                            VerificationFailed, ZeroMass)
 from luxglue.numgrid import GridFn, WeightedMeasure, integrate, pairwise_sums
 from luxglue.orlicz import (
     EntropyParams,
@@ -296,7 +297,7 @@ def _extreme_draw(draw):
 @given(_extreme_draw())
 @example(([GridFn(unit_mass_measure(), np.ones(2))], [YoungParams(1, 0, 0)]))  # exactly 1/2
 @example(([GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e300, 1e300])),
-                  np.array([1e300, 1e10]))], [YoungParams(2, 1, 1)]))  # L1 = inf, hi = inf
+                  np.array([1e300, 1e10]))], [YoungParams(2, 1, 1)]))  # L1 = inf, v(hi) > 1
 @example(([GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e300, 1e300])),
                   np.array([1e-290, 1e-290]))], [YoungParams(1, 0, 0)]))  # hi = 2 L1
 def test_objective_at_the_upper_bracket_end_is_at_most_half(drawn):
@@ -304,21 +305,32 @@ def test_objective_at_the_upper_bracket_end_is_at_most_half(drawn):
     # objective there by min(1, mass) / (1 + mass) <= 1/2 (docs/DECISIONS.md,
     # section 5, fact 4), up to rounding: equal values on weights that sum
     # to 1 can read 1/2 + 2^-53.  Where that product overflows, hi =
-    # max(2 L1, max|f|) bounds it by L1 / hi <= 1/2.  The solver's first
-    # evaluation is at hi.
+    # max(2 L1, max|f|) bounds it by L1 / hi <= 1/2.  Where that overflows
+    # too, hi is the largest float, where no bound holds: the column either
+    # solves with v <= 1 there or its norm exceeds the largest float.  The
+    # solver's first evaluation is at hi.
     fs, params = drawn
-    values = []
+    calls = []
 
     def recording(x, w, exps, c):
-        values.append(objective(x, w, exps, c))
-        return values[-1]
+        calls.append((c, objective(x, w, exps, c)))
+        return calls[-1][1]
 
     objective = orlicz._objective
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orlicz, "_objective", recording)
         with contextlib.suppress(NonFinite):  # a norm below 5e-324 fails the lower search
             luxemburg_norms(fs, params)
-    assert values[0].shape == (len(fs),) and np.all(values[0] <= 0.5 * (1.0 + 1e-12))
+    hi, values = calls[0]
+    assert values.shape == (len(fs),)
+    below = hi < orlicz._FLOAT_MAX
+    assert np.all(values[below] <= 0.5 * (1.0 + 1e-12))
+    for i in np.flatnonzero(~below):
+        if values[i] <= 1.0:
+            assert luxemburg_norm(fs[i], params[i]).verdict.passed
+        else:
+            with pytest.raises(NonFinite, match="exceeds the largest float"):
+                luxemburg_norm(fs[i], params[i])
 
 
 def test_lower_bracket_search_runs_past_200_halvings():
@@ -339,14 +351,59 @@ def test_lower_bracket_search_stops_at_zero(monkeypatch):
 
 
 def test_an_overflowing_norm_raises_nonfinite():
-    # L1 = 1e600 overflows, so hi = inf, and the lower search stops at once;
-    # the bisection would return hi = inf as the norm
+    # L1 = 1e600 overflows, so hi is the largest float, where the objective
+    # reads about 5.6e291 > 1: the norm, L1, lies past every float
     f = GridFn(WeightedMeasure(np.array([0.1, 0.2]), np.array([1e300, 1e300])),
                np.array([1e300, 1e10]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflows by design raise no RuntimeWarning
-        with pytest.raises(NonFinite, match="norm came out infinite"):
+        with pytest.raises(NonFinite, match="the norm exceeds the largest float"):
             luxemburg_norm(f, YoungParams(1, 0, 0))
+
+
+@pytest.mark.parametrize("weights, values, p, exact",
+                         [((1.0, 1.0), (1e308, 5e307), 1.0, 1.5e308),
+                          ((1e300, 1e300), (1e10, 1e10), 2.0, math.sqrt(2.0) * 1e160)])
+def test_a_norm_whose_upper_bracket_ends_both_overflow_comes_out_finite(weights, values, p,
+                                                                        exact):
+    # max(L1, max|f|) (1 + mass) and max(2 L1, max|f|) both overflow, yet the
+    # norm at weight (p, 0, 0), the L^p norm, is finite: the objective at the
+    # largest float reads at most 1, a known side (docs/DECISIONS.md,
+    # section 5, fact 4)
+    f = GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array(weights)), np.array(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = luxemburg_norm(f, YoungParams(p))
+    assert abs(res.norm - exact) <= 1e-12 * exact and res.verdict.passed
+    assert res.bracket[0] < exact <= res.bracket[1] <= res.bracket[0] * (1.0 + 1e-13)
+
+
+def test_a_column_still_open_at_the_narrowing_cap_fails(monkeypatch):
+    # a column with a point left to evaluate when the cap ends the narrowing
+    # raises, naming its known sides, rather than return its wide b
+    # (docs/DECISIONS.md, section 5, fact 5); a capped solve either raises
+    # so or returns the uncapped result, the subnormal norm, whose sides end
+    # adjacent floats, included
+    f = GridFn(WeightedMeasure(np.arange(3) + 0.5, np.array([1.0, 2.0, 3.0])),
+               np.array([2.0, 3.0, 3.0]))
+    tiny = GridFn(WeightedMeasure(np.array([0.5, 1.5]), np.array([1e-30, 5e-31])),
+                  np.array([1e-285, 3e-286]))
+    cases = [(f, YoungParams(1.5, 1, 1)), (tiny, YoungParams(1, 0, 2.35))]
+    uncapped = [luxemburg_norm(g, params) for g, params in cases]
+    monkeypatch.setattr(orlicz, "_NARROW_STEPS", 1)
+    with pytest.raises(VerificationFailed, match=r"a = \S+, b = 119\.0 are still apart"):
+        luxemburg_norm(f, YoungParams(1.5, 1, 1))  # hi = L1 (1 + mass) = 119
+    for (g, params), want in zip(cases, uncapped):
+        for cap in range(1, 13):
+            monkeypatch.setattr(orlicz, "_NARROW_STEPS", cap)
+            try:
+                res = luxemburg_norm(g, params)
+            except VerificationFailed:
+                continue
+            assert res == want
+            break
+        else:
+            raise AssertionError("no cap up to 12 let the column finish")
 
 
 @pytest.mark.parametrize("p, exact", [(1.0, 2e10), (2.0, math.sqrt(2.0) * 1e-140)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from luxglue.errors import NonFinite, OutOfDomain
-from luxglue.numgrid import GridFn, Interval, WeightedMeasure, gauss_measure
+from luxglue.numgrid import GridFn, Interval, SmoothFn, WeightedMeasure, gauss_measure
 from luxglue.orlicz import EntropyParams, entropies, luxemburg_norm
 from luxglue.radialpsh import (
     AppendixReport,
@@ -19,12 +19,9 @@ from luxglue.radialpsh import (
     chart_total_mass,
     density_ratio,
     entropy_sweep,
-    f_eps_at_zero,
-    f_eps_jet,
-    feps_profile,
     feps_smoothfn,
     fs_background_det,
-    fs_profile,
+    fs_potential,
     hessian_spectrum,
 )
 from luxglue.sampling import rng_from_seed
@@ -42,15 +39,14 @@ def _strictly_psh(profile, nodes):
 
 
 def test_flat_potential_spectrum():
-    flat = RadialProfile(3, fs_profile(3).fn.__class__(
-        Interval(0.0, 10.0), lambda t: (t, 1.0 + 0 * t, 0 * t)))
+    flat = RadialProfile(3, SmoothFn(Interval(0.0, 10.0), lambda t: (t, 1.0 + 0 * t, 0 * t)))
     s = hessian_spectrum(flat, 2.0)
     assert s.lam_small == 1.0 and s.lam_big == 1.0 and s.det == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_reference_potential_spectrum(n):
-    p = fs_profile(n)
+    p = RadialProfile(n, fs_potential())
     for t in (0.1, 1.0, 3.5):
         s = hessian_spectrum(p, t)
         assert abs(s.lam_small - 1 / (1 + t)) < 1e-14
@@ -61,10 +57,10 @@ def test_reference_potential_spectrum(n):
 
 def test_spectrum_out_of_domain():
     with pytest.raises(OutOfDomain):
-        hessian_spectrum(fs_profile(2), -1.0)
+        hessian_spectrum(RadialProfile(2, fs_potential()), -1.0)
 
 
-@pytest.mark.parametrize("build", [lambda: fs_profile(3),
+@pytest.mark.parametrize("build", [lambda: RadialProfile(3, fs_potential()),
                                    lambda: build_v_eps(CounterexampleParams(2.0**-20, 3))],
                          ids=["fs", "chart"])
 def test_spectrum_of_an_array_is_its_points_spectra(build):
@@ -99,9 +95,7 @@ def test_det_product_consistency():
 
 def test_psh_check_reference_and_failure():
     grid = gauss_measure(Interval(1e-6, 4.0), 32, 8)
-    assert _strictly_psh(fs_profile(2), grid.nodes)
-    from luxglue.numgrid import SmoothFn
-
+    assert _strictly_psh(RadialProfile(2, fs_potential()), grid.nodes)
     bad = RadialProfile(2, SmoothFn(Interval(0.0, 5.0),
                                     lambda t: (-t, -1.0 + 0 * t, 0 * t)))
     assert not _strictly_psh(bad, grid.nodes) and _minima(bad, grid.nodes)[0] == -1.0
@@ -111,63 +105,41 @@ def test_psh_check_reference_and_failure():
 def test_feps_strictly_psh_on_quarter_disc(k):
     params = CounterexampleParams(2.0**-k, 2)
     grid = gauss_measure(Interval(1e-8, 0.25), 64, 8)
-    assert _strictly_psh(feps_profile(params), grid.nodes)
+    assert _strictly_psh(RadialProfile(params.n, feps_smoothfn(params.eps)), grid.nodes)
 
 
 def test_feps_value_at_zero_formula():
-    params = CounterexampleParams(2.0**-8, 2)
-    eps = params.eps
+    eps = 2.0**-8
     expected = -FEPS_COEFF * np.log(1 + np.log(1 + np.log(1 + np.log(1 + 1 / eps))))
-    assert abs(f_eps_at_zero(params) - expected) < 1e-14
+    assert abs(float(feps_smoothfn(eps).d0(0.0)) - expected) < 1e-14
 
 
 def test_feps_monotone_blowup():
-    vals = [f_eps_at_zero(CounterexampleParams(2.0**-k, 2)) for k in range(5, 41)]
+    vals = [float(feps_smoothfn(2.0**-k).d0(0.0)) for k in range(5, 41)]
     assert np.all(np.diff(vals) < 0)  # more negative as eps shrinks
 
 
 @pytest.mark.parametrize("t", [1e-3, 1.0 / 32.0, 1.0 / 8.0])
 def test_feps_derivatives_match_finite_differences(t):
-    params = CounterexampleParams(2.0**-12, 2)
+    fn = feps_smoothfn(2.0**-12)
     h = 1e-6 * max(t, 1e-3)
-    (f_lo, d1_lo, _), (f_hi, d1_hi, _) = (f_eps_jet(params, t - h), f_eps_jet(params, t + h))
-    _, d1, d2 = f_eps_jet(params, t)
+    (f_lo, d1_lo, _), (f_hi, d1_hi, _) = fn.eval(t - h), fn.eval(t + h)
+    _, d1, d2 = fn.eval(t)
     fd1 = (f_hi - f_lo) / (2 * h)
     assert abs(fd1 - d1) <= 1e-5 * abs(fd1)
     fd2 = (d1_hi - d1_lo) / (2 * h)
     assert abs(fd2 - d2) <= 1e-5 * abs(fd2)
 
 
-def test_feps_out_of_domain():
-    params = CounterexampleParams(2.0**-8, 2)
-    with pytest.raises(OutOfDomain):
-        f_eps_jet(params, 0.3)
-
-
-@pytest.mark.parametrize("t", [-1e-9, np.nan, [0.1, np.nan]])
-def test_feps_jet_rejects_negative_and_nan(t):
-    with pytest.raises(OutOfDomain):
-        f_eps_jet(CounterexampleParams(2.0**-8, 2), t)
-
-
-def test_feps_jet_is_the_unguarded_jet_on_the_quarter():
-    params = CounterexampleParams(2.0**-12, 2)
-    t = np.linspace(0.0, 0.25, 1001)
-    for got, want in zip(f_eps_jet(params, t), feps_smoothfn(params.eps).jet(t)):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def test_feps_slope_bound_at_sixteenth():
     for k in range(5, 41):
-        params = CounterexampleParams(2.0**-k, 2)
-        assert (1.0 / 16.0) * f_eps_jet(params, 1.0 / 16.0)[1] <= 1.0 / 12.0
+        assert (1.0 / 16.0) * feps_smoothfn(2.0**-k).d1(1.0 / 16.0) <= 1.0 / 12.0
 
 
 def test_appendix_bounds_basic():
     rep = appendix_c_bounds(CounterexampleParams(2.0**-5, 2))
     assert isinstance(rep, AppendixReport)
     assert np.isfinite(rep.integral) and rep.integral > 0
-    assert np.isfinite(rep.sup_big_eigen)
     # frozen adaptive-quadrature oracle values for n=2
     assert rep.integral == pytest.approx(1.1364098619e-4, rel=1e-6)
     rep40 = appendix_c_bounds(CounterexampleParams(2.0**-40, 2))
@@ -197,7 +169,10 @@ def test_appendix_rejects_overflowing_eps():
 
 
 def test_appendix_sup_stable_in_eps():
-    sups = [appendix_c_bounds(CounterexampleParams(2.0**-k, 2)).sup_big_eigen
+    # the sup of the big eigenvalue on [1/8, 1/4]; the family's coefficient
+    # scales every sup alike, so the ratio is that of the raw family
+    t = np.linspace(0.125, 0.25, 4097)
+    sups = [float(np.max(hessian_spectrum(RadialProfile(2, feps_smoothfn(2.0**-k)), t).lam_big))
             for k in (5, 10, 20, 30, 40)]
     assert max(sups) / min(sups) < 1.5
 
@@ -213,7 +188,7 @@ def test_build_v_eps_branches_and_seams():
     fn = build_v_eps(params).fn
     ts = np.linspace(1.0, 8.0, 50)
     assert np.max(np.abs(fn.d0(ts) - np.log1p(ts))) == 0.0
-    assert float(fn.d0(0.0)) == f_eps_at_zero(params)
+    assert float(fn.d0(0.0)) == float(feps_smoothfn(params.eps).d0(0.0))
     for seam in (1.0 / 16.0, 1.0):
         for d, tol in ((fn.d0, 1e-9), (fn.d1, 1e-7), (fn.d2, 1e-6)):
             left = float(d(seam - 1e-12))
@@ -291,12 +266,13 @@ def test_chart_sweep_builds_without_verifying(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [5, 20, 40])
-def test_chart_density_evaluates_the_family_on_17237_points(k, monkeypatch):
+def test_chart_density_evaluates_the_family_on_17236_points(k, monkeypatch):
     # 10,241 table nodes past the left piece's upper end (of the four cutoff
     # tables, the one a density reads), one probe at margin 0 and two at
     # delta_search's margins of 2,049 points each, 640 density nodes,
-    # 3 x 64 derivative-contract points and 17 single points.  A table or a
-    # probe that nothing reads would add 10,241 or 2,049.
+    # 3 x 64 derivative-contract points and 16 single points.  A table or a
+    # probe that nothing reads would add 10,241 or 2,049, and a second
+    # slope chain one.
     from luxglue import radialpsh
 
     points = []
@@ -304,7 +280,7 @@ def test_chart_density_evaluates_the_family_on_17237_points(k, monkeypatch):
     monkeypatch.setattr(radialpsh, "_feps_jet",
                         lambda t, eps, coeff: points.append(np.size(t)) or jet(t, eps, coeff))
     chart_density(2, 2.0**-k)
-    assert sum(points) == 17_237
+    assert sum(points) == 17_236
 
 
 def test_chart_measure_resolves_small_eps():
@@ -317,7 +293,7 @@ def test_chart_measure_resolves_small_eps():
 
 # reprs of (ent at n - 1, ent at n + 1, osc, apx_integral) for each row of
 # entropy_sweep(n, (n - 1, n + 1), [2^-5, 2^-20, 2^-40]), and of
-# (sup_big_eigen, integral, mass) of appendix_c_bounds at eps = 2^-10, n = 2;
+# (integral, mass) of appendix_c_bounds at eps = 2^-10, n = 2;
 # frozen from the code before the chart became a bare RadialProfile.  The two
 # entropies of each row are frozen from the solver whose norm is the narrowed
 # known side; each lies within 1e-10 (relative) below the plain-bisection
@@ -336,7 +312,7 @@ SWEEP_ROWS = {
         ("4.745203847714674", "5.3533072106516295", "0.3136540236472179",
          "0.18086528015941924")],
 }
-APPENDIX_2_10 = ("0.21559986595574765", "0.006877934112082297", "0.004355265086299882")
+APPENDIX_2_10 = ("0.006877934112082297", "0.004355265086299882")
 
 
 def test_chart_sweep_keeps_its_bits():
@@ -344,4 +320,4 @@ def test_chart_sweep_keeps_its_bits():
         rows = entropy_sweep(n, (n - 1, n + 1), [2.0**-5, 2.0**-20, 2.0**-40])
         assert [tuple(map(repr, (*row.ent, row.osc, row.apx_integral))) for row in rows] == want
     rep = appendix_c_bounds(CounterexampleParams(2.0**-10, 2))
-    assert tuple(map(repr, (rep.sup_big_eigen, rep.integral, rep.mass))) == APPENDIX_2_10
+    assert tuple(map(repr, (rep.integral, rep.mass))) == APPENDIX_2_10
