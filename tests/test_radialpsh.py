@@ -131,6 +131,14 @@ def test_feps_derivatives_match_finite_differences(t):
     assert abs(fd2 - d2) <= 1e-5 * abs(fd2)
 
 
+@pytest.mark.parametrize("t", [-1e-9, np.nan, [0.1, np.nan]])
+def test_feps_jet_rejects_negative_and_nan(t):
+    # hessian_spectrum is the one reader of the family's jet, and its guard
+    # is the family's domain guard.
+    with pytest.raises(OutOfDomain):
+        hessian_spectrum(RadialProfile(2, feps_smoothfn(2.0**-8)), t)
+
+
 def test_feps_slope_bound_at_sixteenth():
     for k in range(5, 41):
         assert (1.0 / 16.0) * feps_smoothfn(2.0**-k).d1(1.0 / 16.0) <= 1.0 / 12.0
