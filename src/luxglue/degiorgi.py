@@ -26,9 +26,6 @@ ZERO_FLOOR = 1e-300
 
 _FORM_AGREEMENT_RTOL = 1e-12
 _PAIR_CAP = 4096
-_BLOCK = 256
-# Strictly-below-diagonal cells of a block's leading square: pairs s <= t.
-_BELOW = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)
 _CHAIN_SLACK = 1e-9
 
 
@@ -164,34 +161,39 @@ class HypothesisReport:
     vacuous: bool  # every pair skipped because f(t) = 0
 
 
-def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, slice, slice], np.ndarray]
+def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, np.ndarray], np.ndarray]
                ) -> tuple[float, tuple[int, int]]:
-    """(max, (i, j)) of cell over the index pairs i < j of the increasing
-    nodes t, ties going to the first pair in row-major order; (-inf, (0, 0))
-    when t has one node.
+    """(max, (i, j)) of cell over the pairs i < j of the nodes t, ties going
+    to the first pair in row-major order and NaN cells counting as -inf;
+    (-inf, (0, 0)) when t has one node.
 
-    Rows go in blocks of _BLOCK.  ``cell(gap, rows, cols)`` gets the block's
-    gaps t[j] - t[i], with rows = i and cols = j as slices of t, and returns
-    a new array of the block's cells; those with j <= i are masked to -inf.
-    A NaN cell counts as -inf: only when a block's argmax lands on a NaN are
-    the block's NaN cells masked and its argmax taken again.
+    Needs a leftmost row argmax that does not decrease down the rows, as both
+    callers' exact cells have (DECISIONS section 9).  Divide and conquer over
+    rows: per level, one ``cell(rows, cols)`` call on gathered index arrays
+    (cols > rows, a new array back) scans each row segment's middle row, whose
+    leftmost argmax bounds the columns of the rows above and below it.
     """
-    best, at = -np.inf, (0, 0)
-    for start in range(0, t.size - 1, _BLOCK):
-        rows, cols = slice(start, min(start + _BLOCK, t.size - 1)), slice(start + 1, None)
-        gap = t[None, cols] - t[rows, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = cell(gap, rows, cols)
-        m = len(block)
-        block[:, :m][_BELOW[:m, :m]] = -np.inf
-        k = int(np.argmax(block))
-        if np.isnan(block.flat[k]):
-            block[np.isnan(block)] = -np.inf
-            k = int(np.argmax(block))
-        i, j = np.unravel_index(k, block.shape)
-        if block[i, j] > best:
-            best, at = float(block[i, j]), (start + int(i), start + 1 + int(j))
-    return best, at
+    if t.size < 2:
+        return -np.inf, (0, 0)
+    best, arg = np.empty(t.size - 1), np.empty(t.size - 1, dtype=np.intp)
+    lo, hi, left, right = (np.array([k]) for k in (0, t.size - 2, 1, t.size - 1))
+    while lo.size:
+        mid = (lo + hi) // 2
+        first = np.maximum(mid + 1, left)
+        counts = right - first + 1
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - first, counts)
+        vals = cell(np.repeat(mid, counts), cols)
+        vals[np.isnan(vals)] = -np.inf
+        top = np.maximum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == np.repeat(top, counts))
+        best[mid], arg[mid] = top, cols[hits[np.searchsorted(hits, starts)]]
+        up, down = lo < mid, mid < hi
+        lo, hi, left, right = (np.concatenate(pair) for pair in (
+            (lo[up], mid[down] + 1), (mid[up] - 1, hi[down]),
+            (left[up], arg[mid[down]]), (arg[mid[up]], right[down])))
+    i = int(np.argmax(best))
+    return float(best[i]), (i, int(arg[i]))
 
 
 def _pair_max(f: LevelSetFn, alpha: float, beta: float
@@ -207,9 +209,8 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
     idx = _select_indices(f.grid.size)
     t = f.grid[idx]
     v = f.values[idx]
-    n = t.size
     p = int(np.count_nonzero(v > 0))
-    checked = p * (n - 1) - p * (p - 1) // 2
+    checked = p * (t.size - 1) - p * (p - 1) // 2
     if p == 0:
         return -np.inf, (f.t0, f.t0), 0
     if p == 1:  # the one positive row sees only f(s) = 0
@@ -217,8 +218,7 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
     v = v[:p]
     weight = np.log1p(1.0 / v) ** beta
     # Same operation order as the definition, so fitted C stays bit-stable.
-    worst, (i, j) = _pair_scan(t[:p], lambda gap, rows, cols: (
-        v[None, cols] * gap**alpha * weight[rows, None] / v[rows, None]))
+    worst, (i, j) = _pair_scan(t[:p], lambda r, c: v[c] * (t[c] - t[r])**alpha * weight[r] / v[r])
     return worst, (float(t[i]), float(t[j])), checked
 
 
@@ -293,22 +293,21 @@ def simulate_vanishing(
                                report.pairs_checked)
     T = t_gamma(h, f.f_t0, gamma).value
     node, val = f.value_at_first_node_geq(f.t0 + T)
-    chain_ok = True
-    depth = 0
+    chain_ok, depth = True, 0
     if f.f_t0 > 0:
+        bounds, points = [], []
         for n in range(1, 200):
             bound = f.f_t0 * np.exp(1.0 - n)
             if bound < ZERO_FLOOR:
                 break
-            point = f.t0 + (1.0 - float(n) ** (1.0 - gamma)) * T
-            try:
-                _, v = f.value_at_first_node_geq(point)
-            except GridTooShort:
-                break
-            depth = n
-            if v > bound * (1.0 + _CHAIN_SLACK):
-                chain_ok = False
-                break
+            bounds.append(bound)
+            points.append(f.t0 + (1.0 - float(n) ** (1.0 - gamma)) * T)
+        idx = np.searchsorted(f.grid, points)  # each point's first node >= it
+        short = np.flatnonzero(idx >= f.grid.size)  # the chain stops at the grid's end
+        depth = int(short[0]) if short.size else idx.size
+        over = np.flatnonzero(f.values[idx[:depth]] > np.multiply(bounds[:depth], 1 + _CHAIN_SLACK))
+        if over.size:
+            depth, chain_ok = int(over[0]) + 1, False
     return VanishingReport("verified" if val == 0.0 else "not_vanished", T, node, val,
                            depth, chain_ok, report.pairs_checked)
 
@@ -355,8 +354,9 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> Verdict:
     with np.errstate(over="ignore"):  # e^t is inf past t = 709.78
         log_logfac = _log_log1p_exp_exp(t)
         et = np.exp(t)
-    best, _ = _pair_scan(t, lambda gap, rows, cols: (
-        alpha * np.log(gap) + alpha * log_logfac[rows, None] - (et[None, cols] - et[rows, None])))
+    with np.errstate(invalid="ignore"):  # inf - inf past t = 709.78 counts as -inf
+        best, _ = _pair_scan(t, lambda r, c: (
+            alpha * np.log(t[c] - t[r]) + alpha * log_logfac[r] - (et[c] - et[r])))
     sup = float(np.exp(best))
     bound = (2.0 * alpha / np.e) ** alpha
     return Verdict("sup_le_bound", sup <= bound * (1 + INEQ_SLACK), sup, bound, INEQ_SLACK)

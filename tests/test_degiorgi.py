@@ -229,8 +229,8 @@ def test_sharpness_near_attains_peak_value(alpha):
 
 # sharpness_sup(alpha, grid).lhs on the CLI's grid of nodes // 16 panels of
 # order 16 on [0, t_max], for alpha = 0.5, 1 and 4; frozen from the scan before
-# it was shared with the hypothesis scan.  272 and 528 nodes run past one and
-# two 256-row blocks; on [0, 800], e^t overflows from t = 709.78 on.
+# it was shared with the hypothesis scan, and kept by the blocked scan and the
+# monotone scan after it.  On [0, 800], e^t overflows from t = 709.78 on.
 SHARPNESS_LHS = {
     (10.0, 16): ("0.4225764862466746", "0.33934436796560985", "1.0752437431980677"),
     (10.0, 256): ("0.445486680232805", "0.3666096671739246", "4.555814508093361"),
@@ -250,7 +250,7 @@ def test_sharpness_sup_keeps_its_bits(t_max, nodes):
 @pytest.mark.parametrize("nodes", [240, 256, 272])
 def test_sharpness_sup_keeps_blocks_with_overflowed_pairs(nodes):
     # past t = 709.78 both e^s and e^t overflow, and their difference is NaN;
-    # such a pair's ratio is 0, and the finite pairs of its block still count
+    # such a pair's ratio is 0, and the finite pairs of the grid still count
     grid = gauss_measure(Interval(0.0, 800.0), nodes // 16, 16)
     t = grid.nodes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -265,19 +265,80 @@ def test_sharpness_sup_keeps_blocks_with_overflowed_pairs(nodes):
 
 @pytest.mark.parametrize("n", [2, 256, 257, 513])
 def test_pair_scan_matches_brute_force_with_ties(n):
-    # cells drawn from {0, 1, 2, 3}, cells peaking on the whole diagonal
-    # j - i = 37 (or j - i = 1 at n = 2) and cells equal to i, peaking on
-    # the last row, tie everywhere; the scan must return the first maximum of
-    # the upper triangle in row-major order
+    # The scan's contract: cells whose leftmost row argmax does not decrease
+    # down the rows.  Three such cell sets, all with ties: cells drawn from
+    # {0, 1, 2}, each row's peak 3 or 4 at a drawn non-decreasing column and
+    # again at drawn columns right of it; cells peaking on the whole diagonal
+    # j - i = 37 (or j - i = 1 at n = 2); cells equal to i, peaking on the
+    # last row.  The scan must return the first maximum of the upper triangle
+    # in row-major order.
     t = np.arange(n, dtype=float)
-    drawn = np.random.default_rng(n).integers(0, 4, (n, n)).astype(float)
-    for cell in (lambda gap, rows, cols: drawn[rows, cols].copy(),
-                 lambda gap, rows, cols: -np.abs(gap - min(37.0, n - 1.0)),
-                 lambda gap, rows, cols: t[rows, None] + 0.0 * gap):
-        full = cell(t[None, :] - t[:, None], slice(None), slice(None))
-        full[np.tril_indices(n)] = -np.inf
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    peak = np.maximum.accumulate(rng.integers(np.minimum(rows + 1, n - 1), n))
+    top = rng.integers(3, 5, n).astype(float)
+    drawn = rng.integers(0, 3, (n, n)).astype(float)
+    drawn[rows, peak] = top
+    again = (rng.random((n, n)) < 0.3) & (rows[None, :] > peak[:, None])
+    drawn[again] = np.broadcast_to(top[:, None], (n, n))[again]
+    for cell in (lambda r, c: drawn[r, c],
+                 lambda r, c: -np.abs(t[c] - t[r] - min(37.0, n - 1.0)),
+                 lambda r, c: t[r] + 0.0 * t[c]):
+        full = np.full((n, n), -np.inf)
+        full[np.triu_indices(n, 1)] = cell(*np.triu_indices(n, 1))
         first = int(np.argmax(full))
         assert degiorgi._pair_scan(t, cell) == (full.max(), (first // n, first % n))
+
+
+def _scan_checked_against_brute_force(t, cell, scan=degiorgi._pair_scan):
+    """The pair scan, asserting it returns the first maximum in row-major
+    order of every cell i < j, NaN counting as -inf, from the same cells."""
+    got = scan(t, cell)
+    if t.size > 1:
+        rows, cols = np.triu_indices(t.size, 1)
+        full = cell(rows, cols)
+        full[np.isnan(full)] = -np.inf
+        k = int(np.argmax(full))
+        assert got == (full[k], (rows[k], cols[k]))
+    return got
+
+
+_LEVELS = st.one_of(st.floats(1e-200, 1e5), st.sampled_from([0.0, 1e-300]))
+
+
+@st.composite
+def plateau_level_fns(draw):
+    # integer grids whose values repeat in plateaus, or e^(-e^t) on them
+    steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=150))
+    grid = draw(st.integers(-5, 5)) + np.concatenate([[0], np.cumsum(steps)]).astype(float)
+    if draw(st.booleans()):
+        levels = draw(st.lists(_LEVELS, min_size=1, max_size=6))
+        values = np.sort(draw(st.lists(st.sampled_from(levels), min_size=grid.size,
+                                       max_size=grid.size)))[::-1]
+    else:
+        values = np.exp(-np.exp(grid / draw(st.sampled_from([1.0, 4.0, 16.0]))))
+    return LevelSetFn(grid, values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plateau_level_fns(), st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+       st.floats(1.0, 800.0), st.integers(1, 40))
+def test_both_callers_scans_match_brute_force(f, alpha, beta, t_max, panels):
+    # the hypothesis cells and the sharpness cells (NaN past t = 709.78), each
+    # against all of its own pairs, ties and all
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degiorgi, "_pair_scan", _scan_checked_against_brute_force)
+        check_hypothesis(f, IterationHypothesis(1.0, alpha, beta))
+        sharpness_sup(alpha, gauss_measure(Interval(0.0, t_max), panels, 16))
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_hypothesis_on_a_drop_to_1e_300_warns_nothing():
+    # the cells with j < i overflowed in a divide once; no scanned cell has j <= i
+    f = LevelSetFn([0, 1, 2, 3], [3, 3, 1e-300, 1e-300])
+    rep = check_hypothesis(f, IterationHypothesis(1, 1, 3.76))
+    assert rep.worst_pair == (2.0, 3.0) and not rep.satisfied
+    assert rep.worst_ratio == pytest.approx(np.log1p(1e300) ** 3.76, rel=1e-15)
 
 
 def _square(interval) -> SmoothFn:

@@ -622,7 +622,7 @@ def _ragged_draw(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_ragged_draw())
-def test_replay_gives_the_bits_of_plain_bisection(drawn):
+def test_each_norm_lies_in_plain_bisections_bracket(drawn):
     fs, params = drawn
     _assert_enclosed(luxemburg_norms(fs, params), _reference_norms(fs, params))
 
