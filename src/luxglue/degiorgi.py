@@ -25,7 +25,6 @@ from .numgrid import INEQ_SLACK, Verdict, WeightedMeasure
 ZERO_FLOOR = 1e-300
 
 _FORM_AGREEMENT_RTOL = 1e-12
-_PAIR_CAP = 4096
 _CHAIN_SLACK = 1e-9
 
 
@@ -146,12 +145,6 @@ class LevelSetFn:
         return float(self.grid[idx]), float(self.values[idx])
 
 
-def _select_indices(n: int) -> np.ndarray:
-    if n <= _PAIR_CAP:
-        return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, _PAIR_CAP).astype(int))
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     satisfied: bool
@@ -206,9 +199,7 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
     only the pairs inside that prefix can beat the ratio 0 of the pairs
     whose f(s) = 0.
     """
-    idx = _select_indices(f.grid.size)
-    t = f.grid[idx]
-    v = f.values[idx]
+    t, v = f.grid, f.values
     p = int(np.count_nonzero(v > 0))
     checked = p * (t.size - 1) - p * (p - 1) // 2
     if p == 0:
@@ -229,8 +220,7 @@ def check_hypothesis(f: LevelSetFn, h: IterationHypothesis) -> HypothesisReport:
     The ratio scales exactly as 1/C, so one C-free maximum is computed per
     (alpha, beta) and cached on f; it scans only the upper triangle of the
     positive prefix of f.  Pairs with f(t) = 0 are skipped (the hypothesis is
-    vacuous there since f is non-increasing).  Grids beyond 4096 nodes are
-    subsampled evenly.
+    vacuous there since f is non-increasing).
     """
     key = (h.alpha, h.beta)
     if key not in f._scans:

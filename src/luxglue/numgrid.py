@@ -90,7 +90,7 @@ class Interval:
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Finite positive measure: finite, strictly increasing nodes with positive weights."""
+    """Finite positive measure: finite, strictly increasing nodes; finite positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -107,9 +107,10 @@ class WeightedMeasure:
             raise InvalidInput("measure needs at least one node")
         if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
             raise InvalidInput("nodes must be finite and strictly increasing")
-        if not np.all(weights > 0):
-            raise InvalidInput("weights must all be positive")
-        object.__setattr__(self, "mass", pairwise_sum(weights))
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise InvalidInput("weights must all be positive and finite")
+        with np.errstate(over="ignore"):  # an overflowed mass is the NonFinite below
+            object.__setattr__(self, "mass", pairwise_sum(weights))
         if not np.isfinite(self.mass) or self.mass <= 0:
             raise NonFinite("total mass must be finite and positive")
 

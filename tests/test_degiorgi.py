@@ -248,7 +248,7 @@ def test_sharpness_sup_keeps_its_bits(t_max, nodes):
 
 
 @pytest.mark.parametrize("nodes", [240, 256, 272])
-def test_sharpness_sup_keeps_blocks_with_overflowed_pairs(nodes):
+def test_sharpness_sup_keeps_finite_pairs_past_overflow(nodes):
     # past t = 709.78 both e^s and e^t overflow, and their difference is NaN;
     # such a pair's ratio is 0, and the finite pairs of the grid still count
     grid = gauss_measure(Interval(0.0, 800.0), nodes // 16, 16)
@@ -404,6 +404,7 @@ _OUTSIDE = {f"hessian-spectrum{label}-{name}":
     pytest.param(lambda: gauss_measure(Interval(0.0, 1.0), 2, 2.5), id="order-2.5"),
     pytest.param(lambda: WeightedMeasure([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]), id="node-inf"),
     pytest.param(lambda: WeightedMeasure([-np.inf, 0.0, 1.0], [1.0, 1.0, 1.0]), id="node-neginf"),
+    pytest.param(lambda: WeightedMeasure([0.0, 1.0], [1.0, np.inf]), id="weights-inf"),
     *(pytest.param(lambda s=s: rng_from_seed(s), id=f"seed-{s}") for s in (np.nan, 2.5, -1)),
     *(pytest.param(build, id=name) for name, build in _OUTSIDE.items()),
 ])
@@ -439,13 +440,11 @@ def test_level_set_arrays_are_private_and_read_only():
 
 
 def _reference_scan(f, h):
-    """Every pair i < j of the evenly subsampled grid, with the ratio written
-    as its definition (C included) and ties going to the first pair in
-    row-major order.  Each row is one numpy array because numpy's vectorised
-    pow can differ in the last bit from its scalar pow."""
-    n = f.grid.size
-    idx = np.arange(n) if n <= 4096 else np.unique(np.linspace(0, n - 1, 4096).astype(int))
-    t, v = f.grid[idx], f.values[idx]
+    """Every pair i < j of the grid, with the ratio written as its definition
+    (C included) and ties going to the first pair in row-major order.  Each
+    row is one numpy array because numpy's vectorised pow can differ in the
+    last bit from its scalar pow."""
+    t, v = f.grid, f.values
     worst, pair, checked = -np.inf, (f.t0, f.t0), 0
     for i in range(t.size - 1):
         if v[i] == 0:
@@ -504,10 +503,22 @@ def test_check_hypothesis_matches_brute_force(f, alpha, beta, C):
 @settings(max_examples=4, deadline=None)
 @given(st.integers(4097, 5000), st.floats(0.5, 4.0), st.floats(1.1, 5.0),
        exponents, exponents, st.floats(1e-3, 1e3))
-def test_check_hypothesis_matches_brute_force_subsampled(n, k, t_end, alpha, beta, C):
+def test_check_hypothesis_matches_brute_force_above_4096_nodes(n, k, t_end, alpha, beta, C):
     f = power_superlevel_fn(k, n_nodes=n, t_end=t_end)
     for c in (1.0, C):
         _assert_matches_reference(f, alpha, beta, c)
+
+
+@pytest.mark.parametrize("k, alpha, beta", [(2.0, 1.3, 3.0), (0.7, 1.0, 2.5), (3.5, 1.8, 4.0)])
+def test_fitted_constant_never_drops_when_nodes_are_added(k, alpha, beta):
+    # each grid's nodes are every other node of the next, bit for bit, so the
+    # next grid's pairs include this grid's pairs, and C is a maximum over them
+    fs = [power_superlevel_fn(k, n_nodes=n, t_end=3.0) for n in (2049, 4097, 8193, 16385)]
+    for coarse, fine in zip(fs, fs[1:]):
+        assert np.array_equal(fine.grid[::2].view(np.int64), coarse.grid.view(np.int64))
+        assert np.array_equal(fine.values[::2].view(np.int64), coarse.values.view(np.int64))
+    Cs = [fit_constant(f, alpha, beta) for f in fs]
+    assert Cs == sorted(Cs), Cs
 
 
 def test_fit_then_simulate_scans_once(monkeypatch):

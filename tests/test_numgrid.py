@@ -32,6 +32,13 @@ def test_measure_validation():
         WeightedMeasure(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
+def test_finite_weights_whose_mass_overflows_are_non_finite():
+    # an infinite weight is outside the domain (InvalidInput); finite weights
+    # whose pairwise sum overflows are a NonFinite mass, with no overflow warning
+    with pytest.raises(NonFinite, match="total mass"):
+        WeightedMeasure(np.array([0.0, 1.0]), np.array([1e308, 1e308]))
+
+
 def test_integrate_constant_and_zero():
     m = WeightedMeasure(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
     assert integrate(GridFn(m, np.array([1.0, 1.0]))) == 1.0
