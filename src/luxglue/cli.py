@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 from datetime import datetime, timezone
-from typing import Any, NoReturn
+from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -102,9 +102,15 @@ def _numpy_build() -> dict:
     return {"version": np.__version__, "kernels": kernels}
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a unique temp file beside path, fsync it, then rename it
-    over path; the temp file is removed if any step fails."""
+def _write_atomic(path: str, chunks: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks in order, to a unique temp
+    file beside path, fsync it, then rename it over path.  A report is one
+    chunk; a table streams its rows one block per chunk (_write_csv_table),
+    and the file's bytes are the chunks joined.  The temp file is removed if
+    any step fails, a chunk iterable that raises included, so a failed write
+    leaves no partial file and path as it was."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -114,7 +120,8 @@ def _write_atomic(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -152,13 +159,34 @@ def emit_report(report: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv_table(path: str, header: list[str], columns: list) -> None:
-    """One numpy or list column of numbers per header name, written as
-    csv.writer would: header row first, CRLF row ends, a float as its repr
-    (the shortest text that reads back to the same bits), an int as its
-    digits; no number and no header name here needs quoting."""
-    rows = zip(*(map(repr, np.asarray(c).tolist()) for c in columns))
-    _write_atomic(path, "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n")
+# Rows of a table formatted per write, and points of h evaluated per block
+# by glue --h-csv: an export's memory then stays flat in its row count.
+TABLE_BLOCK = 8192
+
+
+def _write_csv_table(path: str, header: list[str], blocks: Iterable[Sequence]) -> None:
+    """Write a table as csv.writer would: header row first, CRLF row ends, a
+    float as its repr (the shortest text that reads back to the same bits),
+    an int as its digits; no number and no header name here needs quoting.
+
+    blocks holds the rows in order, as runs of rows, each run one numpy or
+    list column of numbers per header name; callers with whole columns pass
+    them as one run.  Rows are formatted and written TABLE_BLOCK at a time,
+    so memory stays flat in the row count, and the bytes are those of the
+    whole table formatted at once.  glue --h-csv passes h evaluated one block
+    of points at a time.  The write is _write_atomic's: a failed one leaves
+    no partial file.
+    """
+    def chunks() -> Iterator[str]:
+        yield ",".join(header) + "\r\n"
+        for block in blocks:
+            for start in range(0, len(block[0]), TABLE_BLOCK):
+                rows = zip(*(map(repr, np.asarray(c[start:start + TABLE_BLOCK]).tolist())
+                             for c in block))
+                yield "\r\n".join(map(",".join, rows))
+                yield "\r\n"  # apart, so that ending the block copies none of it
+
+    _write_atomic(path, chunks())
 
 
 def read_data_csv(path: str) -> GridFn:
@@ -252,7 +280,7 @@ def cmd_orlicz_norm(args: argparse.Namespace) -> Outcome:
     }
     if args.emit_data:
         _write_csv_table(args.emit_data, ["t", "weight", "value"],
-                         [f.measure.nodes, f.measure.weights, f.values])
+                         [[f.measure.nodes, f.measure.weights, f.values]])
         results["data_file"] = args.emit_data
     inputs = {"young": args.young, **source}
     return inputs, results, [res.verdict, bound]
@@ -346,7 +374,9 @@ def cmd_glue(args: argparse.Namespace) -> Outcome:
     }
     if args.h_csv:
         ts = np.linspace(result.working.lo, result.working.hi, args.h_points)
-        _write_csv_table(args.h_csv, ["t", "h", "h1", "h2"], [ts, *result.h.eval(ts)])
+        _write_csv_table(args.h_csv, ["t", "h", "h1", "h2"],
+                         ([t, *result.h.eval(t)]
+                          for t in np.split(ts, range(TABLE_BLOCK, ts.size, TABLE_BLOCK))))
         results["h_csv"] = args.h_csv
     inputs = {k: getattr(args, k) for k in
               ("mode", "left_fn", "left_interval", "left_coeffs", "right_fn",
@@ -382,15 +412,15 @@ def cmd_counterexample(args: argparse.Namespace) -> Outcome:
         _write_csv_table(
             args.table,
             ["k", "eps", f"ent_r{r_low:g}", f"ent_r{n + 1}", "osc", "apx_integral"],
-            [ks, eps_list, *([row[key] for row in table]
-                             for key in ("ent_low", "ent_high", "osc", "apx_integral"))],
+            [[ks, eps_list, *([row[key] for row in table]
+                              for key in ("ent_low", "ent_high", "osc", "apx_integral"))]],
         )
         results["table_file"] = args.table
     if args.detail_k is not None:
         dens = chart_density(n, 2.0**-args.detail_k)
         path = args.detail_out or f"density_k{args.detail_k}.csv"
         _write_csv_table(path, ["t", "weight", "value"],
-                         [dens.measure.nodes, dens.measure.weights, dens.values])
+                         [[dens.measure.nodes, dens.measure.weights, dens.values]])
         results["detail_file"] = path
     inputs = {"n": n, "kmin": args.kmin, "kmax": args.kmax, "r": args.r}
     return inputs, results, verdicts

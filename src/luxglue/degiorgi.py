@@ -197,7 +197,8 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
 
     f is non-increasing, so its positive values are a prefix of length p and
     only the pairs inside that prefix can beat the ratio 0 of the pairs
-    whose f(s) = 0.
+    whose f(s) = 0.  A cell whose product form is not finite is computed in
+    log space instead (DECISIONS section 9, point 6).
     """
     t, v = f.grid, f.values
     p = int(np.count_nonzero(v > 0))
@@ -208,8 +209,21 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
         return 0.0, (float(t[0]), float(t[1])), checked
     v = v[:p]
     weight = np.log1p(1.0 / v) ** beta
-    # Same operation order as the definition, so fitted C stays bit-stable.
-    worst, (i, j) = _pair_scan(t[:p], lambda r, c: v[c] * (t[c] - t[r])**alpha * weight[r] / v[r])
+
+    def cell(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # Same operation order as the definition, so fitted C stays bit-stable.
+        out = v[c] * (t[c] - t[r])**alpha * weight[r] / v[r]
+        if not np.isfinite(out.max()):  # max passes a NaN on
+            # A product overflowed, or met a weight that underflowed to 0:
+            # only those cells are redone, in log space.
+            bad = ~np.isfinite(out)
+            r, c = r[bad], c[bad]
+            out[bad] = np.exp(np.log(v[c] / v[r]) + alpha * np.log(t[c] - t[r])
+                              + beta * np.log(np.log1p(1.0 / v[r])))
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        worst, (i, j) = _pair_scan(t[:p], cell)
     return worst, (float(t[i]), float(t[j])), checked
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -465,7 +466,7 @@ def _csv_module_bytes(header, columns):
 
 
 def _table_bytes(path, header, columns):
-    _write_csv_table(str(path), header, columns)
+    _write_csv_table(str(path), header, [columns])
     return path.read_bytes()
 
 
@@ -493,6 +494,65 @@ def test_table_writer_matches_csv_module_on_drawn_floats(tmp_path_factory, data,
     header = [f"c{i}" for i in range(n_cols)]
     path = tmp_path_factory.mktemp("table") / "t.csv"
     assert _table_bytes(path, header, columns) == _csv_module_bytes(header, columns)
+
+
+_B = cli.TABLE_BLOCK
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_table_writer_matches_csv_module_at_block_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    header = ["i", "x", "edge", "k"]
+    columns = [list(range(n_rows)),
+               rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+               np.resize(np.array(_EDGE_FLOATS), n_rows),
+               rng.integers(-2**62, 2**62, n_rows)]
+    expected = _csv_module_bytes(header, columns)
+    assert _table_bytes(tmp_path / "whole.csv", header, columns) == expected
+    # the same rows given as uneven blocks, as a lazily evaluated table arrives
+    cuts = sorted({0, min(3, n_rows), min(_B + 5, n_rows), n_rows})
+    blocks = ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+    _write_csv_table(str(tmp_path / "blocks.csv"), header, blocks)
+    assert (tmp_path / "blocks.csv").read_bytes() == expected
+
+
+def test_glue_h_csv_evaluated_per_block_keeps_its_bytes(tmp_path, monkeypatch):
+    # h evaluated on 2B + 1 points one block at a time, against one evaluation
+    # on all of them: the radial glue's jet has the most branches
+    argv = ["glue", "--mode", "radial", "--eps", "0.0009765625", "--left-fn", "feps",
+            "--left-interval", "0.015625,0.0625", "--right-fn", "log1p",
+            "--right-interval", "1,4", "--n", "2", "--h-points", str(2 * _B + 1),
+            "--out", str(tmp_path / "r.json"), "--h-csv"]
+    assert run_cli(argv + [str(tmp_path / "blocks.csv")]) == 0
+    monkeypatch.setattr(cli, "TABLE_BLOCK", 4 * _B)
+    assert run_cli(argv + [str(tmp_path / "whole.csv")]) == 0
+    blocks = (tmp_path / "blocks.csv").read_bytes()
+    assert blocks.count(b"\r\n") == 2 * _B + 2
+    assert blocks == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_a_table_write_that_fails_midway_leaves_no_file(tmp_path):
+    def blocks():
+        yield [np.arange(_B + 1.0)]
+        raise RuntimeError("the second block failed")
+
+    with pytest.raises(RuntimeError, match="second block"):
+        _write_csv_table(str(tmp_path / "t.csv"), ["t"], blocks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table_writer_peak_memory_does_not_hold_the_table(tmp_path):
+    # one block of formatted rows at a time: a 30,000 x 4 table written as one
+    # string peaked at 8.9 MiB
+    columns = [np.random.default_rng(0).random(30_000) for _ in range(4)]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _write_csv_table(str(tmp_path / "t.csv"), ["t", "h", "h1", "h2"], [columns])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 # The bytes of each table as the csv-module writer produced them.

@@ -341,6 +341,18 @@ def test_check_hypothesis_on_a_drop_to_1e_300_warns_nothing():
     assert rep.worst_ratio == pytest.approx(np.log1p(1e300) ** 3.76, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, values, worst", [
+    # 1e300 (1e10)^2 overflows and the weight log^3(1 + 1e-300) underflows: inf * 0
+    ([0, 1e10], [1e300, 1e300], 0.0),
+    # (1e200)^2 overflows, and so does the true ratio
+    ([0, 1e200], [1, 1], np.inf),
+])
+def test_check_hypothesis_redoes_overflowed_cells_in_log_space(grid, values, worst):
+    rep = check_hypothesis(LevelSetFn(grid, values), IterationHypothesis(1, 2, 3))
+    assert rep.worst_ratio == worst and rep.satisfied == (worst == 0.0)
+
+
 def _square(interval) -> SmoothFn:
     return SmoothFn(Interval(*interval), lambda t: (t * t, 2 * t, 2 + 0 * t))
 
