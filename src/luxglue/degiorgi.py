@@ -122,7 +122,8 @@ class LevelSetFn:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise InvalidInput("grid/values must be matching 1-D arrays, >= 2 points")
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        # grid[1:] > grid[:-1], not diff(grid) > 0: a gap may overflow
+        if not (np.all(np.isfinite(grid)) and np.all(grid[1:] > grid[:-1])):
             raise InvalidInput("grid must be finite and strictly increasing")
         if not np.all((values >= 0) & (values < np.inf)):
             raise InvalidInput("values must be finite and >= 0")
@@ -215,10 +216,15 @@ def _pair_max(f: LevelSetFn, alpha: float, beta: float
         out = v[c] * (t[c] - t[r])**alpha * weight[r] / v[r]
         if not np.isfinite(out.max()):  # max passes a NaN on
             # A product overflowed, or met a weight that underflowed to 0:
-            # only those cells are redone, in log space.
+            # only those cells are redone, in log space, where no term can
+            # underflow (v >= ZERO_FLOOR) or overflow (halves of a gap that
+            # overflowed are exact).
             bad = ~np.isfinite(out)
             r, c = r[bad], c[bad]
-            out[bad] = np.exp(np.log(v[c] / v[r]) + alpha * np.log(t[c] - t[r])
+            gap = t[c] - t[r]
+            log_gap = np.where(gap < np.inf, np.log(gap),
+                               np.log(t[c] / 2 - t[r] / 2) + np.log(2.0))
+            out[bad] = np.exp(np.log(v[c]) - np.log(v[r]) + alpha * log_gap
                               + beta * np.log(np.log1p(1.0 / v[r])))
         return out
 

@@ -291,24 +291,33 @@ def test_pair_scan_matches_brute_force_with_ties(n):
 
 
 def _scan_checked_against_brute_force(t, cell, scan=degiorgi._pair_scan):
-    """The pair scan, asserting it returns the first maximum in row-major
-    order of every cell i < j, NaN counting as -inf, from the same cells."""
+    """The pair scan, asserting it returns the maximum of every cell i < j,
+    NaN counting as -inf, from the same cells, at the first pair in
+    row-major order that attains it; where that maximum is inf, at a pair
+    whose cell is inf (cells that overflow tie, their exact values need not)."""
     got = scan(t, cell)
     if t.size > 1:
         rows, cols = np.triu_indices(t.size, 1)
         full = cell(rows, cols)
         full[np.isnan(full)] = -np.inf
         k = int(np.argmax(full))
-        assert got == (full[k], (rows[k], cols[k]))
+        if full[k] < np.inf:
+            assert got == (full[k], (rows[k], cols[k]))
+        else:
+            assert got[0] == np.inf and cell(*(np.array([k]) for k in got[1]))[0] == np.inf
     return got
 
 
-_LEVELS = st.one_of(st.floats(1e-200, 1e5), st.sampled_from([0.0, 1e-300]))
+_LEVELS = st.one_of(st.floats(1e-200, 1e5), st.floats(1e295, 1e305),
+                    st.sampled_from([0.0, 1e-300]))
 
 
 @st.composite
 def plateau_level_fns(draw):
-    # integer grids whose values repeat in plateaus, or e^(-e^t) on them
+    # integer grids whose values repeat in plateaus, or e^(-e^t) on them;
+    # then kept, scaled by 10^k, or spread over [-1.7e308, 1.7e308] so that
+    # gaps overflow: where the product form overflows, cells are redone in
+    # log space, beside product-form cells of the same rows
     steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=150))
     grid = draw(st.integers(-5, 5)) + np.concatenate([[0], np.cumsum(steps)]).astype(float)
     if draw(st.booleans()):
@@ -317,7 +326,11 @@ def plateau_level_fns(draw):
                                        max_size=grid.size)))[::-1]
     else:
         values = np.exp(-np.exp(grid / draw(st.sampled_from([1.0, 4.0, 16.0]))))
-    return LevelSetFn(grid, values)
+    scale = draw(st.one_of(st.just(1.0), st.integers(1, 100).map(lambda k: 10.0**k), st.none()))
+    if scale is None:
+        grid = grid - (grid[0] + grid[-1]) / 2
+        grid, scale = grid / grid[-1], 1.7e308
+    return LevelSetFn(grid * scale, values)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -330,6 +343,35 @@ def test_both_callers_scans_match_brute_force(f, alpha, beta, t_max, panels):
         mp.setattr(degiorgi, "_pair_scan", _scan_checked_against_brute_force)
         check_hypothesis(f, IterationHypothesis(1.0, alpha, beta))
         sharpness_sup(alpha, gauss_measure(Interval(0.0, t_max), panels, 16))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_over_log_form_and_product_form_cells_matches_brute_force():
+    # 300-1,200 nodes with values log-uniform over 1e-300..1e305 and grids
+    # spanning 10^(250/alpha)..10^(330/alpha), or at every fourth seed
+    # [-1.7e308, 1.7e308], where gaps overflow too: rows hold log-form cells
+    # beside product-form cells, and each scan must match all of its pairs
+    mixed = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 1200))
+        alpha, beta = rng.uniform(0.5, 5.0, 2)
+        span = 10.0 ** (rng.uniform(250, 330) / alpha)
+        if seed % 4 == 3:
+            alpha, span = alpha / 5, 1.7e308
+        grid = np.cumsum(rng.uniform(0.5, 1.5, n))
+        grid = ((grid - grid[0]) / (grid[-1] - grid[0]) * 2 - 1) * span
+        f = LevelSetFn(grid, np.sort(10.0 ** rng.uniform(-300, 305, n))[::-1])
+        rows, cols = np.triu_indices(n, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = (f.values[cols] * (f.grid[cols] - f.grid[rows])**alpha
+                       * np.log1p(1.0 / f.values[rows])**beta / f.values[rows])
+        redone = ~np.isfinite(product)
+        mixed += np.intersect1d(rows[redone], rows[~redone]).size > 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(degiorgi, "_pair_scan", _scan_checked_against_brute_force)
+            check_hypothesis(f, IterationHypothesis(1.0, alpha, beta))
+    assert mixed >= 10
 
 
 @pytest.mark.filterwarnings("error")
@@ -347,10 +389,16 @@ def test_check_hypothesis_on_a_drop_to_1e_300_warns_nothing():
     ([0, 1e10], [1e300, 1e300], 0.0),
     # (1e200)^2 overflows, and so does the true ratio
     ([0, 1e200], [1, 1], np.inf),
+    # 1e-300 (1e300)^2 overflows, but the true ratio is 1e204, though
+    # v_j / v_i = 1e-324 is below the smallest float
+    ([0, 1e300], [1e24, 1e-300], 1e204),
+    # and here the gap t_j - t_i = 2e308 overflows as well: 4e220
+    ([-1e308, 1e308], [1e24, 1e-300], 4e220),
 ])
 def test_check_hypothesis_redoes_overflowed_cells_in_log_space(grid, values, worst):
     rep = check_hypothesis(LevelSetFn(grid, values), IterationHypothesis(1, 2, 3))
-    assert rep.worst_ratio == worst and rep.satisfied == (worst == 0.0)
+    assert rep.worst_ratio == pytest.approx(worst, rel=1e-12, abs=0.0)
+    assert rep.satisfied == (worst == 0.0)
 
 
 def _square(interval) -> SmoothFn:
