@@ -102,11 +102,12 @@ def _numpy_build() -> dict:
     return {"version": np.__version__, "kernels": kernels}
 
 
-def _write_atomic(path: str, chunks: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text chunks in order, to a unique temp
-    file beside path, fsync it, then rename it over path.  A report is one
-    chunk; a table streams its rows one block per chunk (_write_csv_table),
-    and the file's bytes are the chunks joined.  The temp file is removed if
+def _write_atomic(path: str, chunks: str | Iterable[str | np.ndarray]) -> None:
+    """Write text, or an iterable of chunks in order, to a unique temp file
+    beside path, fsync it, then rename it over path.  A chunk is text, written
+    as UTF-8, or bytes, such as a numpy uint8 array.  A report is one chunk; a
+    table streams its rows a few thousand at a time (_write_csv_table), and
+    the file's bytes are the chunks' bytes joined.  The temp file is removed if
     any step fails, a chunk iterable that raises included, so a failed write
     leaves no partial file and path as it was."""
     if isinstance(chunks, str):
@@ -115,13 +116,13 @@ def _write_atomic(path: str, chunks: str | Iterable[str]) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             for chunk in chunks:
-                fh.write(chunk)
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -168,23 +169,26 @@ def _write_csv_table(path: str, header: list[str], blocks: Iterable[Sequence]) -
     """Write a table as csv.writer would: header row first, CRLF row ends, a
     float as its repr (the shortest text that reads back to the same bits),
     an int as its digits; no number and no header name here needs quoting.
+    _floattext.csv_rows makes each block's bytes, a whole float64 column at
+    a time and byte for byte repr's.
 
     blocks holds the rows in order, as runs of rows, each run one numpy or
     list column of numbers per header name; callers with whole columns pass
-    them as one run.  Rows are formatted and written TABLE_BLOCK at a time,
-    so memory stays flat in the row count, and the bytes are those of the
-    whole table formatted at once.  glue --h-csv passes h evaluated one block
-    of points at a time.  The write is _write_atomic's: a failed one leaves
-    no partial file.
+    them as one run.  Rows are formatted TABLE_BLOCK at a time, so memory
+    stays flat in the row count, and the bytes are those of the whole table
+    formatted at once.  glue --h-csv passes h evaluated one block of points
+    at a time.  The write is _write_atomic's: a failed one leaves no partial
+    file.
     """
-    def chunks() -> Iterator[str]:
+    # imported here, not with the module, so that only a command that writes
+    # a table compiles and loads it
+    from ._floattext import csv_rows
+
+    def chunks() -> Iterator[str | np.ndarray]:
         yield ",".join(header) + "\r\n"
         for block in blocks:
             for start in range(0, len(block[0]), TABLE_BLOCK):
-                rows = zip(*(map(repr, np.asarray(c[start:start + TABLE_BLOCK]).tolist())
-                             for c in block))
-                yield "\r\n".join(map(",".join, rows))
-                yield "\r\n"  # apart, so that ending the block copies none of it
+                yield from csv_rows([c[start:start + TABLE_BLOCK] for c in block])
 
     _write_atomic(path, chunks())
 

@@ -16,6 +16,7 @@ from .errors import (
     GridTooShort,
     HypothesisFails,
     InvalidInput,
+    NonFinite,
     VerificationFailed,
 )
 from .numgrid import INEQ_SLACK, Verdict, WeightedMeasure
@@ -356,10 +357,16 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> Verdict:
     e^-(e^s - e^t) (s-t)^alpha log^alpha(1 + e^(e^t)) against the closed
     bound (2 alpha / e)^alpha (rhs); passed iff lhs <= rhs up to slack.
 
-    Works in log space to dodge overflow.
+    Works in log space to dodge overflow.  Raises NonFinite where the bound
+    itself exceeds the largest float, past alpha = 150.7387.
     """
     if not 0 < alpha < np.inf:
         raise InvalidInput("alpha must be positive and finite")
+    try:
+        bound = (2.0 * alpha / np.e) ** alpha
+    except OverflowError:
+        raise NonFinite(f"the bound (2 alpha / e)^alpha exceeds the largest float "
+                        f"at alpha = {alpha!r}") from None
     t = grid.nodes
     with np.errstate(over="ignore"):  # e^t is inf past t = 709.78
         log_logfac = _log_log1p_exp_exp(t)
@@ -368,7 +375,6 @@ def sharpness_sup(alpha: float, grid: WeightedMeasure) -> Verdict:
         best, _ = _pair_scan(t, lambda r, c: (
             alpha * np.log(t[c] - t[r]) + alpha * log_logfac[r] - (et[c] - et[r])))
     sup = float(np.exp(best))
-    bound = (2.0 * alpha / np.e) ** alpha
     return Verdict("sup_le_bound", sup <= bound * (1 + INEQ_SLACK), sup, bound, INEQ_SLACK)
 
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from luxglue import cli, degiorgi, orlicz
 from luxglue.cli import _write_csv_table, main, read_data_csv
 from luxglue.errors import BadConfig, FileFormat
+from luxglue.gluing import GlueProblem, glue
+from luxglue.numgrid import Interval
 
 
 def run_cli(args):
@@ -423,6 +425,7 @@ def test_convex_glue_margin_skips_a_nan_probe(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["holder-young", "--young=1,1e308,0"],  # the constant C overflows
     ["orlicz-norm", "--young=1e308,1,0", "--panels", "4"],  # N^p overflows
+    ["degiorgi", "--mode", "sharpness", "--alpha", "151"],  # (2 alpha / e)^alpha overflows
 ])
 def test_overflowing_bounds_exit_2_with_json(argv, capsys, recwarn):
     assert run_cli(argv) == 2
@@ -518,7 +521,8 @@ def test_table_writer_matches_csv_module_at_block_edges(tmp_path, n_rows):
 
 def test_glue_h_csv_evaluated_per_block_keeps_its_bytes(tmp_path, monkeypatch):
     # h evaluated on 2B + 1 points one block at a time, against one evaluation
-    # on all of them: the radial glue's jet has the most branches
+    # on all of them written by csv.writer: the radial glue's jet has the most
+    # branches
     argv = ["glue", "--mode", "radial", "--eps", "0.0009765625", "--left-fn", "feps",
             "--left-interval", "0.015625,0.0625", "--right-fn", "log1p",
             "--right-interval", "1,4", "--n", "2", "--h-points", str(2 * _B + 1),
@@ -529,6 +533,12 @@ def test_glue_h_csv_evaluated_per_block_keeps_its_bytes(tmp_path, monkeypatch):
     blocks = (tmp_path / "blocks.csv").read_bytes()
     assert blocks.count(b"\r\n") == 2 * _B + 2
     assert blocks == (tmp_path / "whole.csv").read_bytes()
+    result = glue(GlueProblem(cli.build_family("feps", Interval(0.015625, 0.0625), None,
+                                               0.0009765625),
+                              cli.build_family("log1p", Interval(1.0, 4.0), None, None),
+                              "radial", n=2))
+    ts = np.linspace(result.working.lo, result.working.hi, 2 * _B + 1)
+    assert blocks == _csv_module_bytes(["t", "h", "h1", "h2"], [ts, *result.h.eval(ts)])
 
 
 def test_a_table_write_that_fails_midway_leaves_no_file(tmp_path):
