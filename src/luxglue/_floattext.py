@@ -166,6 +166,9 @@ def _shortest(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray, np.nda
     below, above = m + frac, (step - m) - frac
     fast &= np.abs(below - above) > 2 * MARGIN  # not a near tie between the two
     r = big - m + np.where(above < below, step, 0)
+    # ±0.0 is the one digit 0 at decpt 1, which the layout table writes as 0.0
+    zero = np.flatnonzero(a == 0)
+    r[zero], j_best[zero], k[zero], fast[zero] = 0, 16, 16, True
     return r, 17 - j_best, 17 - k, fast
 
 

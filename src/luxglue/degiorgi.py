@@ -5,6 +5,7 @@ sharpness example showing the threshold needs beta > alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -52,6 +53,17 @@ class TGamma(NamedTuple):
         return Verdict("t_gamma_finite", np.isfinite(self.value), self.value, np.inf, 0)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, reading +inf where it overflows, as a float64 power
+    does under ``np.errstate(over="ignore")``; a Python float power raises
+    OverflowError there instead."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore")  # an overflowing power reads +inf and fails t_gamma_finite
 def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     """Vanishing threshold: max-form of the two-branch expression in f(t0).
 
@@ -67,7 +79,8 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     ratio = h.beta / h.alpha
     if not (1.0 < gamma <= ratio):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {ratio}]")
-    front = (h.C * np.e) ** (1.0 / h.alpha) * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
+    ce = _power(h.C * np.e, 1.0 / h.alpha)
+    front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
     if f_t0 == 0.0:
         # log(1 + 1/f(t0)) -> infinity: first max argument tends to
         # L^(gamma - beta/alpha), the second to 0.
@@ -78,14 +91,16 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     if f_t0 <= 1.0:
         branch = front / L ** (ratio - gamma)
     else:
-        branch = (h.C * np.e) ** (1.0 / h.alpha) * 2.0**gamma / ((gamma - 1.0) * L**ratio)
-    if abs(branch - value) > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value)):
+        branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * L**ratio)
+    if np.isfinite(value) and (abs(branch - value)
+                               > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value))):
         raise VerificationFailed(
             f"threshold forms disagree: max-form {value} vs branch {branch}"
         )
     return TGamma(float(value), False)
 
 
+@np.errstate(over="ignore")
 def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
     f(t0) > 1 / (e^L - 1) with L the value returned here."""
@@ -93,11 +108,11 @@ def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
         raise InvalidInput("T must be positive and finite")
     if not (1.0 < gamma < h.beta / h.alpha):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {h.beta / h.alpha})")
-    ce = (h.C * np.e) ** (1.0 / h.alpha)
+    ce = _power(h.C * np.e, 1.0 / h.alpha)
     a1 = (ce * (2.0 / np.log(2.0)) ** gamma / ((gamma - 1.0) * T)) ** (
         h.alpha / (h.beta - gamma * h.alpha)
     )
-    a2 = (ce * 2.0**gamma / ((gamma - 1.0) * T)) ** (h.alpha / h.beta)
+    a2 = (ce * _power(2.0, gamma) / ((gamma - 1.0) * T)) ** (h.alpha / h.beta)
     return float(max(a1, a2))
 
 

@@ -84,25 +84,27 @@ def _tables(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return I, np.concatenate([[0.0], np.cumsum(incJ)]), g
 
 
-def _hermite(sq: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation on [0, 1] of step-end values V with exact
-    derivatives D (g for I, I for J)."""
-    sq = np.clip(np.asarray(sq, dtype=float), 0.0, 1.0)
-    i = np.clip((sq * _TABLE_N).astype(int), 0, _TABLE_N - 1)
+def _hermite(sq: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """Cubic Hermite interpolation on [0, 1] at sq, one interpolant per pair
+    (V, D) of step-end values V with exact derivatives D (g for I, I for J),
+    all from one cubic basis."""
+    sq = np.minimum(np.maximum(np.asarray(sq, dtype=float), 0.0), 1.0)
+    i = np.minimum(np.maximum((sq * _TABLE_N).astype(int), 0), _TABLE_N - 1)
+    i1 = i + 1
     d = 1.0 / _TABLE_N
     x = sq * _TABLE_N - i
     x2 = x * x
     x3 = x2 * x
-    return (
-        V[i] * (2 * x3 - 3 * x2 + 1)
-        + V[i + 1] * (-2 * x3 + 3 * x2)
-        + d * (D[i] * (x3 - 2 * x2 + x) + D[i + 1] * (x3 - x2))
-    )
+    b0, b1 = 2 * x3 - 3 * x2 + 1, -2 * x3 + 3 * x2
+    b2, b3 = x3 - 2 * x2 + x, x3 - x2
+    return [V.take(i) * b0 + V.take(i1) * b1 + d * (D.take(i) * b2 + D.take(i1) * b3)
+            for V, D in pairs]
 
 
-def _cdf(x: np.ndarray, I: np.ndarray, g: np.ndarray, mass: float) -> np.ndarray:
-    """Normalized CDF of the bump from its tables: 0 at -1, 1/2 at 0, 1 at +1."""
-    return 0.5 + np.sign(x) * _hermite(np.abs(x), I, g) / mass
+def _cdf(x: np.ndarray, Ix: np.ndarray, mass: float) -> np.ndarray:
+    """Normalized CDF of the bump from its I table's interpolant Ix at |x|:
+    0 at -1, 1/2 at 0, 1 at +1."""
+    return 0.5 + np.sign(x) * Ix / mass
 
 
 class _Fixed(NamedTuple):
@@ -123,7 +125,8 @@ def _fixed() -> _Fixed:
     nodes = np.concatenate([(mid[:, None] + (0.5 / n) * gauss_legendre(4)[0][None, :]).ravel(), s])
     I, J, g = _tables(_bump(nodes))
     mass = 2.0 * float(I[-1])
-    fixed = _Fixed(nodes, I, J, g, mass, 1.0 - _cdf(2.0 * nodes - 1.0, I, g, mass))
+    x = 2.0 * nodes - 1.0
+    fixed = _Fixed(nodes, I, J, g, mass, 1.0 - _cdf(x, _hermite(np.abs(x), (I, g))[0], mass))
     for a in (nodes, I, J, g, fixed.cutoff):
         a.setflags(write=False)
     return fixed
@@ -132,7 +135,8 @@ def _fixed() -> _Fixed:
 def smoothstep(s: np.ndarray) -> np.ndarray:
     """C^infinity monotone step on [0, 1] (bump CDF reparametrized)."""
     fx = _fixed()
-    return _cdf(2.0 * np.asarray(s, dtype=float) - 1.0, fx.I, fx.g, fx.mass)
+    x = 2.0 * np.asarray(s, dtype=float) - 1.0
+    return _cdf(x, _hermite(np.abs(x), (fx.I, fx.g))[0], fx.mass)
 
 
 def rho_eps(eps: float) -> SmoothFn:
@@ -152,9 +156,9 @@ def rho_eps(eps: float) -> SmoothFn:
     def inner(t: np.ndarray) -> Jet:
         x = t / eps
         ax = np.abs(x)
-        cdf_integral = (cdf_at_0 + (0.5 * ax + _hermite(ax, fx.J, fx.I) / fx.mass)
-                        + np.where(x < 0, x, 0.0))
-        return (2.0 * eps * cdf_integral - t, 2.0 * _cdf(x, fx.I, fx.g, fx.mass) - 1.0,
+        Jx, Ix = _hermite(ax, (fx.J, fx.I), (fx.I, fx.g))
+        cdf_integral = cdf_at_0 + (0.5 * ax + Jx / fx.mass) + np.where(x < 0, x, 0.0)
+        return (2.0 * eps * cdf_integral - t, 2.0 * _cdf(x, Ix, fx.mass) - 1.0,
                 2.0 * (_bump(x) / fx.mass) / eps)
 
     def jet(t: np.ndarray) -> Jet:
@@ -332,7 +336,7 @@ def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarra
         def band(t: np.ndarray) -> Jet:
             I, J, g = tables()
             x = np.abs(t - e) / ds
-            return extended(t, _hermite(x, J, I), _hermite(x, I, g),
+            return extended(t, *_hermite(x, (J, I), (I, g)),
                             smoothstep(1.0 - x) * (piece.d2(t) - c) + c)
 
         def tail(t: np.ndarray) -> Jet:

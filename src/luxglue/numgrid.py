@@ -215,18 +215,26 @@ class SmoothFn:
 
 def piecewise(t: np.ndarray,
               branches: Sequence[tuple[np.ndarray, Callable[[np.ndarray], Jet]]]) -> Jet:
-    """Jet of a function given branch by branch as (mask, jet) pairs.
+    """Jet of a function of a 1-D t given branch by branch as (mask, jet)
+    pairs.
 
     Each branch jet sees only t[mask] and may return scalars; masks are
-    disjoint, and points no mask covers come out NaN.
+    disjoint, and points no mask covers come out NaN.  A branch whose points
+    form one run, as an interval's do on a sorted t, gets that run as a view
+    of t (so a jet must not write into its argument) and its values land in
+    the same slice; any other branch goes through its index array.
     """
     t = np.asarray(t, dtype=float)
-    out = tuple(np.full_like(t, np.nan) for _ in range(3))
+    out = np.full((3, t.size), np.nan)
     for mask, jet in branches:
-        if np.any(mask):
-            for o, v in zip(out, jet(t[mask])):
-                o[mask] = v
-    return out
+        at = mask.nonzero()[0]
+        if not at.size:
+            continue
+        if at[-1] - at[0] + 1 == at.size:
+            at = slice(at[0], at[-1] + 1)
+        for o, v in zip(out, jet(t[at])):
+            o[at] = v
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,27 @@ def test_overflowing_bounds_exit_2_with_json(argv, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [
+    # (C e)^(1/alpha) overflows a Python float power, in t_gamma and l_gamma
+    ["degiorgi", "--mode", "formula", "--C", "1e300", "--alpha", "0.01", "--beta", "1",
+     "--gamma", "2"],
+    ["degiorgi", "--mode", "formula", "--C", "1", "--alpha", "0.001", "--beta", "2",
+     "--gamma", "2", "--T", "1"],
+    # (2 / log 2)^gamma overflows a float64 power
+    ["degiorgi", "--mode", "formula", "--C", "0.36787944117144233", "--alpha", "0.001",
+     "--beta", "3", "--gamma", "2000"],
+])
+def test_overflowing_thresholds_read_inf_and_exit_1(argv, tmp_path, capsys):
+    # an overflowing power reads +inf on either path, so t_gamma_finite fails
+    out = tmp_path / "r.json"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = load_without_meta(out)
+    assert report["results"]["t_gamma"] == np.inf
+    assert report["results"].get("l_gamma", np.inf) == np.inf
+    assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [("t_gamma_finite", False)]
+
+
 def test_orlicz_norm_that_overflows_exits_2_with_json(tmp_path, capsys):
     # L1 = 1e600: a norm past the largest float is a domain error, not
     # "norm": Infinity in the report

@@ -67,6 +67,19 @@ def test_t_gamma_vanishing_level_monotone():
     assert vals[0] < vals[1] < vals[2]
 
 
+@pytest.mark.parametrize("C, alpha, beta, f0", [
+    (1e300, 0.01, 1.0, 1.0),  # (C e)^(1/alpha) overflows a Python float power
+    (1.0, 0.001, 2.0, 1.0),
+    (1e300, 0.01, 1.0, 10.0),  # the upper branch, which computes the power again
+])
+def test_an_overflowing_power_reads_inf(C, alpha, beta, f0):
+    # as a float64 power does, with no warning; every finite result keeps its bits
+    h = IterationHypothesis(C, alpha, beta)
+    tg = t_gamma(h, f0, 2.0)
+    assert tg.value == np.inf and not tg.verdict.passed
+    assert l_gamma(h, 1.5, 1.0) == np.inf
+
+
 def test_t_gamma_guards():
     with pytest.raises(BetaNotGreaterThanAlpha):
         t_gamma(IterationHypothesis(1, 1, 1), 1.0, 1.0)

@@ -92,6 +92,23 @@ def test_the_fast_path_decides_nearly_every_cell():
     assert fast.mean() >= 0.95, fast.mean()
 
 
+def test_signed_zeros_are_laid_out_without_repr(monkeypatch):
+    # a convex glue's h'' is exactly 0 past its bands: a third of a column
+    x = np.array([0.0, -0.0, 1.5, 0.0, -0.0, -2.5e-7])
+    *_, fast = _floattext._shortest(x, _floattext._tables())
+    assert fast.tolist() == [True, True, True, True, True, True]
+
+    def no_repr(values):
+        assert not values, f"sent to repr: {values}"
+        return real(values)
+
+    real = _floattext._repr_bytes
+    monkeypatch.setattr(_floattext, "_repr_bytes", no_repr)
+    got = b"".join(map(bytes, _floattext.csv_rows([x, x[::-1]])))
+    assert got == (b"0.0,-2.5e-07\r\n-0.0,-0.0\r\n1.5,0.0\r\n"
+                   b"0.0,1.5\r\n-0.0,-0.0\r\n-2.5e-07,0.0\r\n")
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data(), n_rows=st.integers(0, 2 * TABLE_BLOCK + 1), n_cols=st.integers(1, 4))
 def test_drawn_columns_match_the_csv_module(tmp_path_factory, data, n_rows, n_cols):

@@ -15,6 +15,9 @@ from luxglue.gluing import (
     GlueProblem,
     MODES,
     MOLLIFIER_M,
+    _TABLE_N,
+    _fixed,
+    _hermite,
     _regularized,
     compatibility,
     delta_search,
@@ -484,3 +487,39 @@ def test_tables_touched_in_any_order_give_the_same_glue():
         for mask, ref in zip((below, above), want):
             assert all(np.array_equal(got[mask], w) for got, w in zip(jets[-1], ref))
     assert all(np.array_equal(a, b) for jet in jets[1:] for a, b in zip(jet, jets[0]))
+
+
+@pytest.mark.parametrize("kind", ["strict", "radial"])
+def test_h_eval_leaves_its_grid_unchanged(kind):
+    # branch jets get views of the grid's runs, so a jet that wrote into its
+    # argument would show here
+    res = glue(GLUE_PROBLEMS[kind]())
+    t = np.linspace(res.working.lo, res.working.hi, 4097)
+    before = t.copy()
+    res.h.eval(t)
+    verify_glue(res)
+    assert np.array_equal(t, before)
+
+
+def test_one_basis_gives_each_pairs_own_interpolant():
+    fx = _fixed()
+    rng = rng_from_seed(2049)
+    sq = np.concatenate([[0.0, 1.0, -0.5, 1.5, np.nan, 0.5, 1.0 - 2.0**-53],
+                         np.arange(_TABLE_N + 1) / _TABLE_N, rng.uniform(-0.1, 1.1, 5000)])
+
+    def clipped(V, D):  # the single-pair form with np.clip
+        with np.errstate(invalid="ignore"):  # NaN to int
+            x = np.clip(sq, 0.0, 1.0)
+            i = np.clip((x * _TABLE_N).astype(int), 0, _TABLE_N - 1)
+        x = x * _TABLE_N - i
+        x2 = x * x
+        x3 = x2 * x
+        return (V[i] * (2 * x3 - 3 * x2 + 1) + V[i + 1] * (-2 * x3 + 3 * x2)
+                + (1.0 / _TABLE_N) * (D[i] * (x3 - 2 * x2 + x) + D[i + 1] * (x3 - x2)))
+
+    with np.errstate(invalid="ignore"):
+        both = _hermite(sq, (fx.J, fx.I), (fx.I, fx.g))
+        single = [_hermite(sq, (fx.J, fx.I))[0], _hermite(sq, (fx.I, fx.g))[0]]
+    for got, one, ref in zip(both, single, (clipped(fx.J, fx.I), clipped(fx.I, fx.g))):
+        assert got.tobytes() == one.tobytes() == ref.tobytes()
+    assert np.isnan(both[0][4]) and not np.isnan(np.delete(both[0], 4)).any()

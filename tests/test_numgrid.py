@@ -160,6 +160,35 @@ def test_piecewise_evaluates_each_branch_on_its_own_points():
     assert np.isnan(piecewise(t, [(neg, lambda s: (s, s, s))])[0][~neg]).all()
 
 
+def test_piecewise_hands_a_run_its_view_and_other_branches_their_points():
+    t = np.linspace(0.0, 9.0, 10)
+    seen = {}
+
+    def record(name):
+        def jet(s):
+            seen[name] = s
+            return 10.0 * s, s + 1.0, 0.0
+        return jet
+
+    run, split, empty = (t >= 2) & (t < 5), (t < 2) | (t >= 8), t > 20
+    v, v1, v2 = piecewise(t, [(run, record("run")), (split, record("split")),
+                              (empty, record("empty"))])
+    # one run: a view of t, whose values land in the same slice
+    assert np.shares_memory(seen["run"], t) and seen["run"].tolist() == [2.0, 3.0, 4.0]
+    # two runs: a copy of the branch's points, scattered back by index
+    assert not np.shares_memory(seen["split"], t)
+    assert seen["split"].tolist() == [0.0, 1.0, 8.0, 9.0]
+    # an empty mask: the jet is never called
+    assert "empty" not in seen
+    covered = run | split
+    assert v[covered].tolist() == (10.0 * t[covered]).tolist()
+    assert v1[covered].tolist() == (t[covered] + 1.0).tolist()
+    assert (v2[covered] == 0.0).all()
+    # points no branch covers come out NaN
+    assert all(np.isnan(o[~covered]).all() for o in (v, v1, v2))
+    assert t.tolist() == list(range(10))
+
+
 def test_gridfn_and_bisect_raise_invalid_input():
     m = WeightedMeasure(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
     with pytest.raises(InvalidInput):
