@@ -63,14 +63,23 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-@np.errstate(over="ignore")  # an overflowing power reads +inf and fails t_gamma_finite
+def _log_ce(h: IterationHypothesis) -> float:
+    """log of (C e)^(1/alpha), finite wherever the power over- or underflows."""
+    return (np.log(h.C) + 1.0) / h.alpha
+
+
+# a product that overflows, or reads inf * 0 or x / 0, is redone in log space
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     """Vanishing threshold: max-form of the two-branch expression in f(t0).
 
     Requires beta > alpha and gamma in (1, beta/alpha].  When f(t0) = 0 the
     log(1 + 1/f) factor diverges and the max-form limit is returned (0 for
     gamma < beta/alpha) together with a flag.  Both written forms of the
-    threshold are evaluated and must agree to 1e-12 relative.
+    threshold are evaluated and must agree to 1e-12 relative.  Where the
+    max-form product is not finite, it is taken as the exp of its log, as
+    the pair scan does (docs/DECISIONS.md, section 9, point 6), so it reads
+    +inf only where it overflows and fails ``t_gamma_finite`` there.
     """
     if not 0 <= f_t0 < np.inf:
         raise InvalidInput("f_t0 must be finite and >= 0")
@@ -81,11 +90,12 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {ratio}]")
     ce = _power(h.C * np.e, 1.0 / h.alpha)
     front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
+    log_front = _log_ce(h) + gamma * np.log(2.0 / np.log(2.0)) - np.log(gamma - 1.0)
     if f_t0 == 0.0:
         # log(1 + 1/f(t0)) -> infinity: first max argument tends to
         # L^(gamma - beta/alpha), the second to 0.
         limit = front if gamma == ratio else 0.0
-        return TGamma(limit, True)
+        return TGamma(limit if np.isfinite(limit) else np.exp(log_front), True)
     L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
     if f_t0 <= 1.0:
@@ -97,22 +107,36 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
         raise VerificationFailed(
             f"threshold forms disagree: max-form {value} vs branch {branch}"
         )
+    if not np.isfinite(value):
+        log_L = np.log(L)
+        log_max = max((gamma - ratio) * log_L if gamma < ratio else 0.0,
+                      gamma * np.log(np.log(2.0)) - ratio * log_L)
+        value = np.exp(log_front + log_max)
     return TGamma(float(value), False)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
-    f(t0) > 1 / (e^L - 1) with L the value returned here."""
+    f(t0) > 1 / (e^L - 1) with L the value returned here.  An overflowing
+    power or quotient reads +inf; a term that reads inf * 0, where
+    (C e)^(1/alpha) underflows and a power of gamma overflows, is taken as
+    the exp of its log.
+    """
     if not 0 < T < np.inf:
         raise InvalidInput("T must be positive and finite")
     if not (1.0 < gamma < h.beta / h.alpha):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {h.beta / h.alpha})")
     ce = _power(h.C * np.e, 1.0 / h.alpha)
-    a1 = (ce * (2.0 / np.log(2.0)) ** gamma / ((gamma - 1.0) * T)) ** (
-        h.alpha / (h.beta - gamma * h.alpha)
-    )
-    a2 = (ce * _power(2.0, gamma) / ((gamma - 1.0) * T)) ** (h.alpha / h.beta)
+    p1, p2 = h.alpha / (h.beta - gamma * h.alpha), h.alpha / h.beta
+    den = np.float64(gamma - 1.0) * T  # a float64, whose quotient by 0 reads inf
+    a1 = (ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1
+    a2 = (ce * _power(2.0, gamma) / den) ** p2
+    log_base = _log_ce(h) - np.log(gamma - 1.0) - np.log(T)  # of ce / ((gamma - 1) T)
+    if np.isnan(a1):
+        a1 = np.exp(p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))))
+    if np.isnan(a2):
+        a2 = np.exp(p2 * (log_base + gamma * np.log(2.0)))
     return float(max(a1, a2))
 
 

@@ -19,13 +19,13 @@ then builds h with closed-form certificates and never samples h;
 determinant) on 16,385 points on request, so its extremes (and the glue's
 verdicts) are not enclosures.
 
-The construction: extend each piece from both ends of its interval, damping
-the second derivative down to a floor c through a smooth cutoff (on its
-interval the extension is the piece's own jet, bit for bit), then bridge the
-two extended functions with a regularized max built from a mollified
-absolute value.  Each end's cumulative tables are built the first time h is
-evaluated past that end, so a radial density, which reads h only on the
-bridge, builds two of the four.
+The construction: extend each piece past both ends of its interval, damping
+f'' to a floor c through a smooth cutoff of width ds, then bridge the two
+extensions on (b1, a2) with a regularized max built from a mollified |t|.
+h is one sorted table of edges a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2,
+b2 + ds with one jet per segment.  Each end's cumulative tables are built the
+first time h is evaluated past that end, so a radial density, which reads h
+only on the bridge, builds two of the four.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ def rho_eps(eps: float) -> SmoothFn:
     fx = _fixed()
     cdf_at_0 = 0.5 - float(fx.J[-1]) / fx.mass  # CDF integral from -1 to 0
 
-    def outer(t: np.ndarray) -> Jet:
-        return np.abs(t), np.sign(t), 0.0
-
     def inner(t: np.ndarray) -> Jet:
         x = t / eps
         ax = np.abs(x)
@@ -162,8 +159,12 @@ def rho_eps(eps: float) -> SmoothFn:
                 2.0 * (_bump(x) / fx.mass) / eps)
 
     def jet(t: np.ndarray) -> Jet:
-        core = np.abs(t / eps) < 1.0
-        return piecewise(t, [(~core, outer), (core, inner)])
+        out = np.abs(t), np.sign(t), np.zeros(t.shape)
+        core = np.abs(t / eps) < 1.0  # a bridge's F - G: chosen by value, not by t
+        if core.any():
+            for o, v in zip(out, inner(t[core])):
+                o[core] = v
+        return out
 
     return SmoothFn(Interval(-2.0 * eps, 2.0 * eps), jet, name=f"rho[{eps:g}]")
 
@@ -306,20 +307,17 @@ def delta_search(problem: GlueProblem, c: float, compat: CompatReport) -> float:
     raise DeltaSearchFailed("no dyadic delta satisfied the side conditions (j <= 60)")
 
 
-def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarray], Jet]:
-    """Jet of the piece extended past each end e of its interval, its second
-    derivative damped to the floor c through a smooth cutoff with support
-    margin ds = 0.9 * delta.  On the interval it is the piece's own jet.
+def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, Callable], ...]:
+    """Jets (tail, band) of the piece extended below its left end, then
+    (band, tail) past its right end: beyond each end e, f'' is damped to the
+    floor c through a smooth cutoff with support margin ds = 0.9 * delta.
 
     At d = t - e and x = |d| / ds, the band x < 1 reads
     f(e) + f'(e) d + c d^2/2 + ds^2 J(x), where I and J integrate
     cutoff*(f''-c) once and twice outward from e; past the band, J goes on
-    linearly and the curvature is c.  The tables of I and J beyond e cost
-    one evaluation of f'' on the fixed nodes, and are built the first time
-    the jet is evaluated beyond e.
+    linearly and the curvature is c.  The tables of I and J beyond e, one
+    evaluation of f'' on the fixed nodes, are built on a jet's first call.
     """
-    A, B = piece.interval.lo, piece.interval.hi
-    ds = 0.9 * delta
     fx = _fixed()
 
     def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
@@ -345,20 +343,9 @@ def _regularized(piece: SmoothFn, c: float, delta: float) -> Callable[[np.ndarra
 
         return band, tail
 
+    A, B = piece.interval.lo, piece.interval.hi
     (f0A, f0B), (f1A, f1B), _ = piece.eval(np.array([A, B], dtype=float))
-    left_band, left_tail = side(A, f0A, f1A, -1.0)
-    right_band, right_tail = side(B, f0B, f1B, 1.0)
-
-    def jet(t: np.ndarray) -> Jet:
-        return piecewise(t, [
-            ((t >= A) & (t <= B), piece.jet),
-            ((t > B) & (t < B + ds), right_band),
-            (t >= B + ds, right_tail),
-            ((t < A) & (t > A - ds), left_band),
-            (t <= A - ds, left_tail),
-        ])
-
-    return jet
+    return side(A, f0A, f1A, -1.0)[::-1], side(B, f0B, f1B, 1.0)
 
 
 def _validate_piece(fn: SmoothFn, label: str) -> None:
@@ -405,11 +392,13 @@ def glue(problem: GlueProblem) -> GlueResult:
             raise NotStrictlyConvexPiece("convex mode needs convex pieces")
         c = 0.0
     delta = delta_search(problem, c, compat)
-    F_jet = _regularized(problem.left, c, delta)
-    G_jet = _regularized(problem.right, c, delta)
-    seams = np.array([b1, a2], dtype=float)
-    (F_b1, F_a2), (G_b1, G_a2) = F_jet(seams)[0], G_jet(seams)[0]
-    gap_b1, gap_a2 = float(F_b1 - G_b1), float(G_a2 - F_a2)
+    ds = 0.9 * delta
+    f, g = problem.left, problem.right
+    (f_tail_a1, f_band_a1), (f_band_b1, f_tail_b1) = _extensions(f, c, ds)
+    (g_tail_a2, g_band_a2), (g_band_b2, g_tail_b2) = _extensions(g, c, ds)
+    # at b1 the sides are f and g's tail below a2; at a2, g and f's tail past b1
+    gap_b1 = float(f.d0(b1) - g_tail_a2(b1)[0])
+    gap_a2 = float(g.d0(a2) - f_tail_b1(a2)[0])
     eps = 0.5 * min(gap_b1, gap_a2)
     if not eps > 0:
         raise VerificationFailed(
@@ -417,20 +406,26 @@ def glue(problem: GlueProblem) -> GlueResult:
         )
     rho = rho_eps(eps)
 
-    def bridge(t: np.ndarray) -> Jet:
-        """Regularized max (F + G + rho(F - G)) / 2 by the chain rule."""
-        F, F1, F2 = F_jet(t)
-        G, G1, G2 = G_jet(t)
-        r0, r1, r2 = rho.jet(F - G)
-        return (0.5 * (F + G + r0), 0.5 * (F1 + G1 + r1 * (F1 - G1)),
-                0.5 * (F2 + G2 + r2 * (F1 - G1) ** 2 + r1 * (F2 - G2)))
+    def bridge(left: Callable, right: Callable) -> Callable[[np.ndarray], Jet]:
+        """Regularized max (F + G + rho(F - G)) / 2 of sides F and G, by the chain rule."""
 
-    def h_jet(t: np.ndarray) -> Jet:
-        return piecewise(t, [(t <= b1, F_jet), (t >= a2, G_jet),
-                             ((t > b1) & (t < a2), bridge)])
+        def jet(t: np.ndarray) -> Jet:
+            F, F1, F2 = left(t)
+            G, G1, G2 = right(t)
+            r0, r1, r2 = rho.jet(F - G)
+            return (0.5 * (F + G + r0), 0.5 * (F1 + G1 + r1 * (F1 - G1)),
+                    0.5 * (F2 + G2 + r2 * (F1 - G1) ** 2 + r1 * (F2 - G2)))
+
+        return jet
+
+    # each piece on its interval (so h is the piece there, bit for bit), a band and a
+    # tail beyond each outer end, and on (b1, a2) a bridge of the sides that meet there
+    edges = (a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2, b2 + ds)
+    jets = (f_tail_a1, f_band_a1, f.jet, bridge(f_band_b1, g_tail_a2),
+            bridge(f_tail_b1, g_tail_a2), bridge(f_tail_b1, g_band_a2), g.jet, g_band_b2, g_tail_b2)
 
     working = Interval(a1 - 1.0, b2 + 1.0)
-    h = SmoothFn(working, h_jet, name=f"glue[{problem.mode}]")
+    h = SmoothFn(working, lambda t: piecewise(t, edges, jets), name=f"glue[{problem.mode}]")
     denom = gap * min(compat.mid - compat.lhs, compat.rhs - compat.mid)
     slope_span = (compat.rhs - compat.lhs) ** 2
     lead = 16.0 if problem.mode == "strict" else 4.0
@@ -452,7 +447,7 @@ def _log_piece(fn: SmoothFn) -> SmoothFn:
 
     def jet(tau: np.ndarray) -> Jet:
         t = np.exp(tau)
-        f0, f1, f2 = fn.eval(t)
+        f0, f1, f2 = fn.jet(t)
         return f0, t * f1, t * f1 + t * t * f2
 
     return SmoothFn(Interval(np.log(fn.interval.lo), np.log(fn.interval.hi)), jet,

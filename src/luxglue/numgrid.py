@@ -5,9 +5,9 @@ Everything downstream works over two discrete stand-ins: a ``WeightedMeasure``
 (nodes + positive weights, the discrete measure space) and a ``SmoothFn``
 (a C^2 function on an interval, given by one jet map t -> (f, f', f'') so a
 single evaluation yields all three derivatives, as in Taylor-mode forward
-differentiation).  ``piecewise`` assembles a jet branch by branch, evaluating
-each branch only on its own points.  All reductions use a fixed pairwise tree
-so results are bit-stable.
+differentiation).  ``piecewise`` assembles a jet over a sorted table of edges
+with one searchsorted, evaluating each segment only on its own points.  All
+reductions use a fixed pairwise tree so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -213,21 +213,25 @@ class SmoothFn:
         return self.eval(t)[2]
 
 
-def piecewise(t: np.ndarray,
-              branches: Sequence[tuple[np.ndarray, Callable[[np.ndarray], Jet]]]) -> Jet:
-    """Jet of a function of a 1-D t given branch by branch as (mask, jet)
-    pairs.
-
-    Each branch jet sees only t[mask] and may return scalars; masks are
-    disjoint, and points no mask covers come out NaN.  A branch whose points
-    form one run, as an interval's do on a sorted t, gets that run as a view
-    of t (so a jet must not write into its argument) and its values land in
-    the same slice; any other branch goes through its index array.
-    """
+def piecewise(t: np.ndarray, edges: Sequence[float],
+              jets: Sequence[Callable[[np.ndarray], Jet]]) -> Jet:
+    """Jet of a function of a 1-D t given by one jet per segment of the sorted
+    edges.  An even edge closes the segment on its left and an odd one the
+    segment on its right, so edges (b, a) cut t <= b, b < t < a and t >= a.
+    One searchsorted of the edges in t, stably sorted, finds every segment's
+    points; NaN lies in none and comes out NaN.  Each jet sees only its own
+    points and may return scalars; a segment whose points form one run of t
+    gets a view of t (so a jet must not write into its argument)."""
     t = np.asarray(t, dtype=float)
+    cut = np.append(np.asarray(edges, dtype=float), np.nan)
+    cut[::2] = np.nextafter(cut[::2], np.inf)  # t > an even edge, t >= an odd one
+    order = np.argsort(t, kind="stable")  # NaN last, past the NaN cut
+    # an even edge equal to the next odd one keeps that point on its left
+    ends = np.searchsorted(t[order], np.maximum.accumulate(cut))
     out = np.full((3, t.size), np.nan)
-    for mask, jet in branches:
-        at = mask.nonzero()[0]
+    lo = 0
+    for jet, hi in zip(jets, ends):
+        at, lo = order[lo:hi], hi
         if not at.size:
             continue
         if at[-1] - at[0] + 1 == at.size:

@@ -202,13 +202,10 @@ def build_v_eps(params: CounterexampleParams) -> RadialProfile:
     fs = fs_potential()
     right = dataclasses.replace(fs, interval=Interval(1.0, 4.0))
     h = glue(GlueProblem(left, right, "radial", n=n)).h
-    b1, a2 = 1.0 / 16.0, 1.0
-
-    def jet(t: np.ndarray) -> Jet:
-        return piecewise(t, [(t <= b1, left.jet), (t >= a2, fs.jet),
-                             ((t > b1) & (t < a2), h.jet)])
-
-    return RadialProfile(n, SmoothFn(Interval(0.0, 9.0), jet, name=f"veps[{eps:g}]"))
+    # t <= 1/16 is the family's, 1/16 < t < 1 the glue's and t >= 1 the reference's
+    edges, jets = (1.0 / 16.0, 1.0), (left.jet, h.jet, fs.jet)
+    return RadialProfile(n, SmoothFn(Interval(0.0, 9.0), lambda t: piecewise(t, edges, jets),
+                                     name=f"veps[{eps:g}]"))
 
 
 def chart_measure(n: int, eps: float = EPS_MAX) -> WeightedMeasure:

@@ -80,6 +80,28 @@ def test_an_overflowing_power_reads_inf(C, alpha, beta, f0):
     assert l_gamma(h, 1.5, 1.0) == np.inf
 
 
+def test_an_overflowing_power_times_an_underflowed_factor_reads_inf():
+    # (C e)^(1/alpha) overflows and the max factor underflows to 0: the
+    # product is inf * 0, and its log form reads the overflow
+    tg = t_gamma(IterationHypothesis(1e300, 0.01, 10.0), 1e-300, 2.0)
+    assert tg.value == np.inf and not tg.verdict.passed
+    # where the exact threshold is below the smallest float, it reads 0
+    assert t_gamma(IterationHypothesis(0.01, 0.001, 3.0), 1.0, 2000.0).value == 0.0
+    assert t_gamma(IterationHypothesis(0.01, 0.001, 2.0), 0.0, 2000.0).value == 0.0
+    # l_gamma's inf * 0 term is its log form, a finite exponent
+    assert 0.0 < l_gamma(IterationHypothesis(0.01, 0.001, 3.0), 2000.0, 1.0) < np.inf
+
+
+def test_thresholds_warn_nothing_outside_the_cli():
+    # L^(beta/alpha) underflows to 0, so the product form divides by 0; the
+    # suite turns a warning into an error
+    tg = t_gamma(IterationHypothesis(1.0, 0.001, 2.0), 10.0, 2.0)
+    assert tg.value == np.inf and not tg.verdict.passed
+    # (gamma - 1) T underflows to 0, where a Python float quotient raised
+    # ZeroDivisionError
+    assert l_gamma(IterationHypothesis(1.0, 1.0, 2.0), 1.5, 5e-324) == np.inf
+
+
 def test_t_gamma_guards():
     with pytest.raises(BetaNotGreaterThanAlpha):
         t_gamma(IterationHypothesis(1, 1, 1), 1.0, 1.0)

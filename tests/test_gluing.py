@@ -18,7 +18,6 @@ from luxglue.gluing import (
     _TABLE_N,
     _fixed,
     _hermite,
-    _regularized,
     compatibility,
     delta_search,
     glue,
@@ -26,7 +25,7 @@ from luxglue.gluing import (
     verify_glue,
 )
 from luxglue.numgrid import Interval, SmoothFn, check_derivative_consistency
-from luxglue.radialpsh import feps_smoothfn, fs_potential
+from luxglue.radialpsh import CounterexampleParams, build_v_eps, feps_smoothfn, fs_potential
 from luxglue.sampling import rng_from_seed
 
 # measured curvature peak of the bump mollifier, times eps
@@ -388,10 +387,25 @@ def test_glue_rejects_a_piece_that_breaks_the_derivative_contract(mode):
 # repr of (c, delta, eps, cert_sup_h2, det_cert), then of (h, h', h'') at each
 # probe, frozen from the glue that extends each piece from its own
 # endpoints.  The probes cover both pieces, the four cutoff bands (one of
-# them below a1), the bridge and both affine tails.
+# them below a1), the bridge and both affine tails.  The strict and convex
+# glues are also probed at each edge of their segment table and at its two
+# float neighbours, frozen from the glue before its segments were one table.
 _LINEAR_PROBES = (-0.9, -0.2, 0.5, 1.2, 2.0, 2.7, 3.5, 4.3, 4.9)
+
+
+def _at_edges(a1, b1, a2, b2, delta):
+    """The edges a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2, b2 + ds, with
+    ds = 0.9 delta, each between its two float neighbours."""
+    ds = 0.9 * delta
+    edges = np.array([a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2, b2 + ds])
+    return tuple(np.stack([np.nextafter(edges, -np.inf), edges,
+                           np.nextafter(edges, np.inf)], axis=1).ravel())
+
+
+# both glues sit on [0, 1] and [3, 4] with delta = 0.5
+_EDGE_PROBES = _at_edges(0.0, 1.0, 3.0, 4.0, 0.5)
 GLUE_BITS = {
-    "strict": (_LINEAR_PROBES,
+    "strict": (_LINEAR_PROBES + _EDGE_PROBES,
                ("1.045", "0.5", "1.1081447961598316", "299.59698411601124", "None"),
                (("1.3336572610022166", "-0.8748556635490173", "1.045"),
                 ("0.9805071538241366", "-0.09012047715409957", "1.6602075444741518"),
@@ -401,8 +415,32 @@ GLUE_BITS = {
                 ("10.985761308505413", "7.287591521712303", "1.4100172900314218"),
                 ("17.557651118063166", "9.257295335418949", "2.657188600625685"),
                 ("25.809951289050733", "11.267012484490932", "1.4392313615999879"),
-                ("32.76810397734964", "11.91134734140596", "1.045"))),
-    "convex": (_LINEAR_PROBES,
+                ("32.76810397734964", "11.91134734140596", "1.045"),
+                ("1.045778462405159", "-0.40460566354901734", "1.045"),
+                ("1.045778462405159", "-0.4046056635490173", "1.045"),
+                ("1.045778462405159", "-0.4046056635490172", "1.045"),
+                ("1.0", "0.3", "2.09"),
+                ("1.0", "0.3", "2.09"),
+                ("1.0", "0.3", "2.09"),
+                ("2.3498588075760027", "2.4049576422728007", "2.12148729268184"),
+                ("2.349858807576003", "2.4049576422728007", "2.12148729268184"),
+                ("2.3498588075760036", "2.4049576422728016", "2.12148729268184"),
+                ("3.615786110876235", "3.1323247938958865", "1.879766900548022"),
+                ("3.6157861108762366", "3.1323247938958865", "1.8797669005480222"),
+                ("3.6157861108762366", "3.1323247938958865", "1.8797669005480315"),
+                ("9.906266875901844", "7.11484123267452", "1.045"),
+                ("9.906266875901848", "7.11484123267452", "1.045"),
+                ("9.906266875901851", "7.114841232674521", "1.045"),
+                ("13.259603111156945", "7.937880933347082", "2.6213642800041255"),
+                ("13.259603111156949", "7.937880933347084", "2.6213642800041255"),
+                ("13.259603111156952", "7.937880933347086", "2.6213642800041255"),
+                ("22.520116922736538", "10.596035076820963", "2.698810523046289"),
+                ("22.52011692273655", "10.596035076820964", "2.6988105230462893"),
+                ("22.52011692273656", "10.596035076820968", "2.6988105230462893"),
+                ("27.513803923716946", "11.44109734140596", "1.045"),
+                ("27.513803923716953", "11.44109734140596", "1.045"),
+                ("27.513803923716964", "11.441097341405962", "1.045"))),
+    "convex": (_LINEAR_PROBES + _EDGE_PROBES,
                ("0.0", "0.5", "0.7896573757089635", "57.0", "None"),
                (("0.34637049716414553", "-0.45000000000000023", "0.0"),
                 ("0.037585708432806696", "-0.347451017885018", "1.1833658724068052"),
@@ -412,7 +450,31 @@ GLUE_BITS = {
                 ("7.5385146642564", "4.785287042077198", "0.2343893554673065"),
                 ("11.625", "5.5", "1.0"),
                 ("16.338514664256397", "6.214712957922802", "0.2343893554673065"),
-                ("20.073185248582075", "6.2250000000000005", "0.0"))),
+                ("20.073185248582075", "6.2250000000000005", "0.0"),
+                ("0.14387049716414546", "-0.45000000000000023", "0.0"),
+                ("0.1438704971641454", "-0.45000000000000023", "0.0"),
+                ("0.14387049716414538", "-0.45000000000000023", "0.0"),
+                ("0.0", "-1e-323", "2.0"),
+                ("0.0", "0.0", "2.0"),
+                ("0.0", "1e-323", "2.0"),
+                ("0.9999999999999998", "1.9999999999999998", "2.0"),
+                ("1.0", "2.0", "2.0"),
+                ("1.0000000000000004", "2.000000000000001", "2.0"),
+                ("2.049148943000376", "2.6104739503772665", "3.224113775395864"),
+                ("2.049148943000377", "2.610473950377268", "3.224113775395875"),
+                ("2.0491489430003775", "2.6104739503772683", "3.224113775395878"),
+                ("6.8219352485820695", "4.7749999999999995", "0.0"),
+                ("6.821935248582072", "4.7749999999999995", "0.0"),
+                ("6.821935248582076", "4.7749999999999995", "0.0"),
+                ("8.999999999999998", "5.0", "1.0"),
+                ("9.0", "5.0", "1.0"),
+                ("9.000000000000004", "5.0", "1.0"),
+                ("14.499999999999996", "6.0", "1.0"),
+                ("14.5", "6.0", "1.0"),
+                ("14.500000000000005", "6.000000000000001", "1.0"),
+                ("17.271935248582068", "6.2250000000000005", "0.0"),
+                ("17.271935248582075", "6.2250000000000005", "0.0"),
+                ("17.27193524858208", "6.2250000000000005", "0.0"))),
     "radial": ((0.0125, 0.03, 0.07, 0.15, 0.3, 0.8, 2.0, 5.0, 8.0),
                ("0.001987411402653746", "0.34657359027997264", "0.18441767239499096",
                 "24.350459279799434", "3116.8587878143276"),
@@ -452,6 +514,27 @@ def test_glue_keeps_its_bits(kind):
     assert tuple(tuple(repr(float(v)) for v in col) for col in zip(*h)) == jets
 
 
+# repr of (h, h', h'') at NaN, -inf and +inf, frozen from the glue before
+# its segments were one table; the last is the README's chart potential at
+# eps = 2^-10.  NaN lies past +inf in numpy's sort order, so a bare
+# searchsorted would hand it to the right piece's tail, whose h'' is c.
+NONFINITE_BITS = {
+    "strict": (("nan", "nan", "nan"), ("nan", "-inf", "1.045"), ("inf", "inf", "1.045")),
+    "convex": (("nan", "nan", "nan"), ("nan", "nan", "0.0"), ("nan", "nan", "0.0")),
+    "radial": (("nan", "nan", "nan"), ("nan", "nan", "nan"), ("inf", "nan", "nan")),
+    "chart": (("nan", "nan", "nan"), ("0.0", "0.0", "0.0"), ("inf", "0.0", "-0.0")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NONFINITE_BITS))
+def test_h_keeps_its_values_at_nan_and_inf(kind):
+    fn = (build_v_eps(CounterexampleParams(2.0**-10, 2)).fn if kind == "chart"
+          else glue(GLUE_PROBLEMS[kind]()).h)
+    with np.errstate(all="ignore"):  # the tails read inf - inf and 0 * inf
+        jet = fn.eval(np.array([np.nan, -np.inf, np.inf]))
+    assert tuple(tuple(repr(float(v)) for v in col) for col in zip(*jet)) == NONFINITE_BITS[kind]
+
+
 @pytest.mark.parametrize("kind", ["strict", "convex", "random"])
 def test_h_is_the_piece_on_its_interval(kind):
     rng = rng_from_seed(103)
@@ -470,14 +553,12 @@ def test_h_is_the_piece_on_its_interval(kind):
 def test_tables_touched_in_any_order_give_the_same_glue():
     # Each end's cumulative tables are built on first use.  Building the
     # glue reads F past b1 and G before a2; below a1 and past b2, touched in
-    # either order or together, h must read what a fresh regularized piece
-    # reads when that end is the first it touches.
+    # either order or together, h must read what a fresh glue reads when
+    # that end is the first it touches.
     problem = GLUE_PROBLEMS["strict"]()
     t = np.linspace(-1.0, 5.0, 4097)
     below, above = t < 0.0, t > 4.0
-    res = glue(problem)
-    want = [_regularized(problem.left, res.c, res.delta)(t[below]),
-            _regularized(problem.right, res.c, res.delta)(t[above])]
+    want = [glue(problem).h.eval(t[below]), glue(problem).h.eval(t[above])]
     jets = []
     for order in ([below, above], [above, below], []):
         h = glue(problem).h

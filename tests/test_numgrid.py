@@ -138,30 +138,41 @@ def test_smooth_fn_eval_scalar_jet():
 
 
 def test_piecewise_evaluates_each_branch_on_its_own_points():
-    t = np.array([-2, -1, 0, 1, 2])  # integer input must not truncate values
+    t = np.array([-2, -1, 0, 1, 2, 3])  # integer input must not truncate values
+    # edges (0, 2): an even edge closes the segment on its left and an odd
+    # one the segment on its right, so the segments are t <= 0, 0 < t < 2
+    # and t >= 2
+    owned = [t <= 0, (t > 0) & (t < 2), t >= 2]
 
-    def only(mask, jet):
+    def only(k, jet):
         def guarded(s):
-            if not np.array_equal(s, t[mask]):
-                raise AssertionError(f"branch handed {s}, expected {t[mask]}")
+            if not np.array_equal(s, t[owned[k]]):
+                raise AssertionError(f"segment {k} handed {s}, expected {t[owned[k]]}")
             return jet(s)
         return guarded
 
-    neg, pos, far = t < 0, t >= 0, t > 5
-    v, v1, v2 = piecewise(t, [
-        (neg, only(neg, lambda s: (-s - 0.5, -1.0, 0.0))),
-        (pos, only(pos, lambda s: (s + 0.5, 1.0 + 0 * s, 0 * s))),
-        (far, only(far, lambda s: (s, s, s))),
+    v, v1, v2 = piecewise(t, (0, 2), [
+        only(0, lambda s: (-s - 0.5, -1.0, 0.0)),
+        only(1, lambda s: (s + 0.5, 1.0 + 0 * s, 0 * s)),
+        only(2, lambda s: (s, s, s)),
     ])
-    assert v.tolist() == [1.5, 0.5, 0.5, 1.5, 2.5]
-    assert v1.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0]
-    assert v2.tolist() == [0.0] * 5
-    # points no branch covers come out NaN
-    assert np.isnan(piecewise(t, [(neg, lambda s: (s, s, s))])[0][~neg]).all()
+    assert v.tolist() == [1.5, 0.5, -0.5, 1.5, 2.0, 3.0]
+    assert v1.tolist() == [-1.0, -1.0, -1.0, 1.0, 2.0, 3.0]
+    assert v2.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0, 3.0]
+    # the infinities fall in the end segments; NaN lies in none, and no jet
+    # sees it
+    seen = []
+    ends = np.array([-np.inf, np.nan, np.inf])
+    v, v1, v2 = piecewise(ends, (0, 2), [lambda s: seen.append(s) or (s, 1.0, 2.0)] * 3)
+    assert [s.tolist() for s in seen] == [[-np.inf], [np.inf]]
+    assert np.isnan(v[1]) and np.isnan(v1[1]) and np.isnan(v2[1])
+    assert v[[0, 2]].tolist() == [-np.inf, np.inf]
+    assert v1[[0, 2]].tolist() == [1.0, 1.0] and v2[[0, 2]].tolist() == [2.0, 2.0]
 
 
 def test_piecewise_hands_a_run_its_view_and_other_branches_their_points():
-    t = np.linspace(0.0, 9.0, 10)
+    # segments t <= 1.5, 1.5 < t < 4.5, 4.5 <= t <= 5, 5 < t < 6 and t >= 6
+    t = np.array([0.0, 2.0, 3.0, 4.0, 9.0, 1.0, 8.0, np.nan])
     seen = {}
 
     def record(name):
@@ -170,23 +181,33 @@ def test_piecewise_hands_a_run_its_view_and_other_branches_their_points():
             return 10.0 * s, s + 1.0, 0.0
         return jet
 
-    run, split, empty = (t >= 2) & (t < 5), (t < 2) | (t >= 8), t > 20
-    v, v1, v2 = piecewise(t, [(run, record("run")), (split, record("split")),
-                              (empty, record("empty"))])
+    v, v1, v2 = piecewise(t, (1.5, 4.5, 5.0, 6.0), [
+        record("split"), record("run"), record("empty"), record("empty"), record("split2")])
     # one run: a view of t, whose values land in the same slice
     assert np.shares_memory(seen["run"], t) and seen["run"].tolist() == [2.0, 3.0, 4.0]
-    # two runs: a copy of the branch's points, scattered back by index
-    assert not np.shares_memory(seen["split"], t)
-    assert seen["split"].tolist() == [0.0, 1.0, 8.0, 9.0]
-    # an empty mask: the jet is never called
+    # two runs: a copy of the segment's points, sorted, scattered back by index
+    assert not np.shares_memory(seen["split"], t) and seen["split"].tolist() == [0.0, 1.0]
+    assert seen["split2"].tolist() == [8.0, 9.0]
+    # an empty segment: its jet is never called
     assert "empty" not in seen
-    covered = run | split
+    covered = ~np.isnan(t)
     assert v[covered].tolist() == (10.0 * t[covered]).tolist()
     assert v1[covered].tolist() == (t[covered] + 1.0).tolist()
     assert (v2[covered] == 0.0).all()
-    # points no branch covers come out NaN
+    # the NaN point comes out NaN
     assert all(np.isnan(o[~covered]).all() for o in (v, v1, v2))
-    assert t.tolist() == list(range(10))
+    assert np.array_equal(t, [0.0, 2.0, 3.0, 4.0, 9.0, 1.0, 8.0, np.nan], equal_nan=True)
+
+
+def test_piecewise_gives_each_edge_its_owner():
+    # an edge at an even position belongs to the segment on its left, one at
+    # an odd position to the segment on its right; an even edge equal to the
+    # next one keeps that point on its left
+    segment = [lambda s, k=k: (k + 0.0 * s, 0.0, 0.0) for k in range(5)]
+    edges = (1.0, 2.0, 3.0, 4.0)
+    t = np.array([1.0, 2.0, 3.0, 4.0, np.nextafter(1.0, 2.0), np.nextafter(4.0, 3.0)])
+    assert piecewise(t, edges, segment)[0].tolist() == [0.0, 2.0, 2.0, 4.0, 1.0, 3.0]
+    assert piecewise(np.array([1.0, 2.0]), (1.0, 1.0, 2.0, 2.0), segment)[0].tolist() == [0.0, 2.0]
 
 
 def test_gridfn_and_bisect_raise_invalid_input():
