@@ -219,19 +219,19 @@ def piecewise(t: np.ndarray, edges: Sequence[float],
     edges.  An even edge closes the segment on its left and an odd one the
     segment on its right, so edges (b, a) cut t <= b, b < t < a and t >= a.
     One searchsorted of the edges in t, stably sorted, finds every segment's
-    points; NaN lies in none and comes out NaN.  Each jet sees only its own
-    points and may return scalars; a segment whose points form one run of t
-    gets a view of t (so a jet must not write into its argument)."""
+    points; NaN lies in none and comes out NaN.  Each jet sees its own points
+    in the order of t and may return scalars; a segment whose points are one
+    run of t gets a view of t (so a jet must not write into its argument)."""
     t = np.asarray(t, dtype=float)
     cut = np.append(np.asarray(edges, dtype=float), np.nan)
     cut[::2] = np.nextafter(cut[::2], np.inf)  # t > an even edge, t >= an odd one
-    order = np.argsort(t, kind="stable")  # NaN last, past the NaN cut
+    ascending = bool((t[1:] >= t[:-1]).all())  # no NaN but a lone one: its own sort
+    order = np.arange(t.size) if ascending else np.argsort(t, kind="stable")  # NaN last
     # an even edge equal to the next odd one keeps that point on its left
-    ends = np.searchsorted(t[order], np.maximum.accumulate(cut))
-    out = np.full((3, t.size), np.nan)
-    lo = 0
+    ends = np.searchsorted(t if ascending else t[order], np.maximum.accumulate(cut))
+    out, lo = np.full((3, t.size), np.nan), 0
     for jet, hi in zip(jets, ends):
-        at, lo = order[lo:hi], hi
+        at, lo = order[lo:hi] if ascending else np.sort(order[lo:hi]), hi
         if not at.size:
             continue
         if at[-1] - at[0] + 1 == at.size:

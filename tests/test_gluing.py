@@ -535,6 +535,25 @@ def test_h_keeps_its_values_at_nan_and_inf(kind):
     assert tuple(tuple(repr(float(v)) for v in col) for col in zip(*jet)) == NONFINITE_BITS[kind]
 
 
+@pytest.mark.parametrize("kind", ["strict", "convex", "radial", "chart"])
+def test_h_of_a_shuffled_grid_is_the_shuffled_h(kind):
+    # on an unsorted grid a segment's points, taken in the order of their
+    # values, can span another segment's points by index; each point must
+    # still read its own segment, bit for bit
+    fn = (build_v_eps(CounterexampleParams(2.0**-10, 2)).fn if kind == "chart"
+          else glue(GLUE_PROBLEMS[kind]()).h)
+    t = np.linspace(fn.interval.lo, fn.interval.hi, 4097)
+    perm = rng_from_seed(4097).permutation(t.size)
+    want = fn.eval(t)
+    got = fn.eval(t[perm])
+    assert all(np.array_equal(g, w[perm]) for g, w in zip(got, want))
+    if kind == "strict":  # pieces on [0, 1] and [3, 4]; 9.0 lies in g's tail
+        t = np.array([0.5, 9.0, 0.3, 9.0, 0.7])
+        got = fn.eval(t)
+        want = [np.concatenate(col) for col in zip(*(fn.eval(t[[k]]) for k in range(t.size)))]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("kind", ["strict", "convex", "random"])
 def test_h_is_the_piece_on_its_interval(kind):
     rng = rng_from_seed(103)

@@ -185,9 +185,10 @@ def test_piecewise_hands_a_run_its_view_and_other_branches_their_points():
         record("split"), record("run"), record("empty"), record("empty"), record("split2")])
     # one run: a view of t, whose values land in the same slice
     assert np.shares_memory(seen["run"], t) and seen["run"].tolist() == [2.0, 3.0, 4.0]
-    # two runs: a copy of the segment's points, sorted, scattered back by index
+    # two runs: a copy of the segment's points, in the order of t, scattered
+    # back by index
     assert not np.shares_memory(seen["split"], t) and seen["split"].tolist() == [0.0, 1.0]
-    assert seen["split2"].tolist() == [8.0, 9.0]
+    assert seen["split2"].tolist() == [9.0, 8.0]
     # an empty segment: its jet is never called
     assert "empty" not in seen
     covered = ~np.isnan(t)
@@ -197,6 +198,25 @@ def test_piecewise_hands_a_run_its_view_and_other_branches_their_points():
     # the NaN point comes out NaN
     assert all(np.isnan(o[~covered]).all() for o in (v, v1, v2))
     assert np.array_equal(t, [0.0, 2.0, 3.0, 4.0, 9.0, 1.0, 8.0, np.nan], equal_nan=True)
+
+
+def test_piecewise_keeps_a_segment_whose_extreme_points_span_another_apart():
+    # segment 1 (0 < t < 2) holds indices 2, 0 and 4 in the order of their
+    # values: three points whose first and last index in that order are 2
+    # apart, yet not a run, since index 1 and 3 lie in segment 2
+    t = np.array([0.5, 9.0, 0.3, 9.0, 0.7])
+    seen = []
+
+    def middle(s):
+        seen.append(s.tolist())
+        return 10.0 * s, s, 0.0 * s
+
+    v, v1, v2 = piecewise(t, (0.0, 2.0), [lambda s: (s, s, s), middle,
+                                          lambda s: (-s, -s, -s)])
+    assert seen == [[0.5, 0.3, 0.7]]
+    assert v.tolist() == [5.0, -9.0, 3.0, -9.0, 7.0]
+    assert v1.tolist() == [0.5, -9.0, 0.3, -9.0, 0.7]
+    assert v2.tolist() == [0.0, -9.0, 0.0, -9.0, 0.0]
 
 
 def test_piecewise_gives_each_edge_its_owner():
