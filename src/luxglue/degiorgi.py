@@ -118,10 +118,11 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
-    f(t0) > 1 / (e^L - 1) with L the value returned here.  An overflowing
-    power or quotient reads +inf; a term that reads inf * 0, where
-    (C e)^(1/alpha) underflows and a power of gamma overflows, is taken as
-    the exp of its log.
+    f(t0) > 1 / (e^L - 1) with L the value returned here.  A term that is not
+    finite (a power or quotient that overflows, or inf * 0, where
+    (C e)^(1/alpha) underflows and a power of gamma overflows) is taken as
+    the exp of its log, as in ``t_gamma``, so L reads +inf only where it
+    exceeds the largest float.
     """
     if not 0 < T < np.inf:
         raise InvalidInput("T must be positive and finite")
@@ -133,9 +134,9 @@ def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     a1 = (ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1
     a2 = (ce * _power(2.0, gamma) / den) ** p2
     log_base = _log_ce(h) - np.log(gamma - 1.0) - np.log(T)  # of ce / ((gamma - 1) T)
-    if np.isnan(a1):
+    if not np.isfinite(a1):
         a1 = np.exp(p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))))
-    if np.isnan(a2):
+    if not np.isfinite(a2):
         a2 = np.exp(p2 * (log_base + gamma * np.log(2.0)))
     return float(max(a1, a2))
 
@@ -344,14 +345,13 @@ def simulate_vanishing(
     T = t_gamma(h, f.f_t0, gamma).value
     node, val = f.value_at_first_node_geq(f.t0 + T)
     chain_ok, depth = True, 0
-    if f.f_t0 > 0:
-        bounds, points = [], []
-        for n in range(1, 200):
-            bound = f.f_t0 * np.exp(1.0 - n)
-            if bound < ZERO_FLOOR:
-                break
-            bounds.append(bound)
-            points.append(f.t0 + (1.0 - float(n) ** (1.0 - gamma)) * T)
+    f_t0, t0 = f.f_t0, f.t0
+    if f_t0 > 0:
+        # the bounds f(t0) e^(1-n), n = 1..199, fall, so those >= ZERO_FLOOR are a prefix
+        bounds = f_t0 * np.exp(1.0 - np.arange(1, 200))
+        bounds = bounds[:int(np.count_nonzero(bounds >= ZERO_FLOOR))]
+        # a Python float power, whose bits a float64 array power need not give
+        points = [t0 + (1.0 - float(n) ** (1.0 - gamma)) * T for n in range(1, bounds.size + 1)]
         idx = np.searchsorted(f.grid, points)  # each point's first node >= it
         short = np.flatnonzero(idx >= f.grid.size)  # the chain stops at the grid's end
         depth = int(short[0]) if short.size else idx.size

@@ -13,7 +13,6 @@ Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
 
 ``glue()`` checks each piece's derivatives, probes its curvature with one jet
 evaluation on 2,049 points (a radial glue's pieces in log coordinates),
-taken once per problem and read by every demand and by ``delta_search``,
 then builds h with closed-form certificates and never samples h;
 ``verify_glue()`` samples h'' (a radial glue's H'' and H', and its bridge
 determinant) on 16,385 points on request, so its extremes (and the glue's
@@ -26,6 +25,12 @@ h is one sorted table of edges a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2,
 b2 + ds with one jet per segment.  Each end's cumulative tables are built the
 first time h is evaluated past that end, so a radial density, which reads h
 only on the bridge, builds two of the four.
+
+What depends on a piece alone is kept on the piece (``_kept``): its log
+piece, its derivative-contract check, its probe extremes per margin and its
+f'' on each end's table nodes per ds.  Glues of one piece, such as the rows
+of an eps-sweep, which share its reference piece, make these once; only the
+tables' integration, which depends on the floor c, runs per glue.
 """
 
 from __future__ import annotations
@@ -196,10 +201,10 @@ class GlueProblem:
         if not (1 <= self.n < np.inf and int(self.n) == self.n):
             raise InvalidInput("n must be an integer >= 1")
 
-    @functools.cached_property
+    @property
     def probes(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """``_probe`` of the left and the right piece at margin 0, taken on
-        first use and kept: the curvature demands and ``delta_search`` read it."""
+        """``_probe`` of the left and the right piece at margin 0: the curvature
+        demands and ``delta_search`` read it."""
         return _probe(self.left), _probe(self.right)
 
 
@@ -248,12 +253,27 @@ def compatibility(problem: GlueProblem) -> CompatReport:
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
 
+def _kept(fn: SmoothFn, key: tuple, make: Callable[[], object]):
+    """fn's product under key: made on first use and kept on fn, so that it
+    lives as long as fn does.  A product must depend on fn and key alone."""
+    kept = fn._kept
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
+
+
 def _probe(fn: SmoothFn, margin: float = 0.0) -> tuple[float, float, float]:
     """(min f', min f'', max f'') on _PROBE_N points of fn's interval widened
-    by margin, from one jet evaluation.  A NaN at any point makes them NaN,
-    so every demand on them is written as membership, which a NaN fails."""
-    _, f1, f2 = fn.eval(np.linspace(fn.interval.lo - margin, fn.interval.hi + margin, _PROBE_N))
-    return float(np.min(f1)), float(np.min(f2)), float(np.max(f2))
+    by margin, from one jet evaluation, kept on fn per margin.  A NaN at any
+    point makes them NaN, so every demand on them is written as membership,
+    which a NaN fails."""
+
+    def make() -> tuple[float, float, float]:
+        lo, hi = fn.interval.lo - margin, fn.interval.hi + margin
+        _, f1, f2 = fn.eval(np.linspace(lo, hi, _PROBE_N))
+        return float(np.min(f1)), float(np.min(f2)), float(np.max(f2))
+
+    return _kept(fn, ("probe", margin), make)
 
 
 def delta_search(problem: GlueProblem, c: float, compat: CompatReport) -> float:
@@ -315,17 +335,23 @@ def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, C
     At d = t - e and x = |d| / ds, the band x < 1 reads
     f(e) + f'(e) d + c d^2/2 + ds^2 J(x), where I and J integrate
     cutoff*(f''-c) once and twice outward from e; past the band, J goes on
-    linearly and the curvature is c.  The tables of I and J beyond e, one
-    evaluation of f'' on the fixed nodes, are built on a jet's first call.
+    linearly and the curvature is c.  The tables of I and J beyond e are
+    built on a jet's first call, from f'' on the fixed nodes, which is kept
+    on the piece per (side, ds).
     """
     fx = _fixed()
 
     def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
         """The band and tail jets beyond e, on the side sign points to."""
 
+        def nodes_d2() -> np.ndarray:
+            f2 = piece.d2(e + sign * fx.nodes * ds)
+            f2.setflags(write=False)
+            return f2
+
         @functools.cache
         def tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return _tables(fx.cutoff * (piece.d2(e + sign * fx.nodes * ds) - c))
+            return _tables(fx.cutoff * (_kept(piece, ("nodes_d2", sign, ds), nodes_d2) - c))
 
         def extended(t: np.ndarray, Jx, Ix, d2) -> Jet:
             d = t - e
@@ -349,7 +375,7 @@ def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, C
 
 
 def _validate_piece(fn: SmoothFn, label: str) -> None:
-    report = check_derivative_consistency(fn)
+    report = _kept(fn, ("contract",), lambda: check_derivative_consistency(fn))
     if not report.ok:
         raise VerificationFailed(
             f"{label} piece failed the derivative-consistency contract: "
@@ -419,8 +445,11 @@ def glue(problem: GlueProblem) -> GlueResult:
         return jet
 
     # each piece on its interval (so h is the piece there, bit for bit), a band and a
-    # tail beyond each outer end, and on (b1, a2) a bridge of the sides that meet there
-    edges = (a1 - ds, a1, b1, b1 + ds, a2 - ds, a2, b2, b2 + ds)
+    # tail beyond each outer end, and on (b1, a2) a bridge of the sides that meet there;
+    # where ds is under half the float spacing at a1 or a2, e - ds rounds to e, and the
+    # float below e stands in for it, so the piece keeps e (DECISIONS section 7)
+    lo1, lo2 = (min(e - ds, np.nextafter(e, -np.inf)) for e in (a1, a2))
+    edges = (lo1, a1, b1, b1 + ds, lo2, a2, b2, b2 + ds)
     jets = (f_tail_a1, f_band_a1, f.jet, bridge(f_band_b1, g_tail_a2),
             bridge(f_tail_b1, g_tail_a2), bridge(f_tail_b1, g_band_a2), g.jet, g_band_b2, g_tail_b2)
 
@@ -443,15 +472,18 @@ def glue(problem: GlueProblem) -> GlueResult:
 
 
 def _log_piece(fn: SmoothFn) -> SmoothFn:
-    """Same function in logarithmic coordinates: tau -> f(e^tau)."""
+    """Same function in logarithmic coordinates: tau -> f(e^tau), kept on fn
+    (with its own kept products); its jet holds fn's jet, not fn, so the two
+    make no reference cycle and fn's products go with fn."""
+    f_jet = fn.jet
 
     def jet(tau: np.ndarray) -> Jet:
         t = np.exp(tau)
-        f0, f1, f2 = fn.jet(t)
+        f0, f1, f2 = f_jet(t)
         return f0, t * f1, t * f1 + t * t * f2
 
-    return SmoothFn(Interval(np.log(fn.interval.lo), np.log(fn.interval.hi)), jet,
-                    name=f"log[{fn.name}]")
+    return _kept(fn, ("log",), lambda: SmoothFn(
+        Interval(np.log(fn.interval.lo), np.log(fn.interval.hi)), jet, name=f"log[{fn.name}]"))
 
 
 def _glue_radial(problem: GlueProblem) -> GlueResult:

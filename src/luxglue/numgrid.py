@@ -190,12 +190,16 @@ class SmoothFn:
     The interval is the nominal domain (the piece an operation acts on);
     the jet itself is expected to evaluate on a neighbourhood of it so that
     one-sided constructions can probe slightly outside.  The jet receives a
-    1-D float array and returns three arrays of its shape.
+    1-D float array and returns three arrays of its shape, the same ones for
+    the same points on every call, so a product of it may be kept.
     """
 
     interval: Interval
     jet: Callable[[np.ndarray], Jet] = field(repr=False)
     name: str = ""
+    # products that depend on nothing but this function (gluing keeps its
+    # probes and tables here), so they live exactly as long as it does
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def eval(self, t: ArrayLike) -> Jet:
         """(f, f', f'') at t, each shaped like t."""

@@ -94,6 +94,11 @@ def fs_potential() -> SmoothFn:
     )
 
 
+def _reference_piece() -> SmoothFn:
+    """The reference potential on [1, 4], the right piece of every chart glue."""
+    return dataclasses.replace(fs_potential(), interval=Interval(1.0, 4.0))
+
+
 def fs_background_det(n: int, t: np.ndarray) -> np.ndarray:
     """Complex-Hessian determinant of the reference potential: (1+t)^-(n+1)."""
     return (1.0 + np.asarray(t, dtype=float)) ** (-(n + 1))
@@ -140,21 +145,29 @@ class AppendixReport:
     mass: float
 
 
-def appendix_c_bounds(params: CounterexampleParams) -> AppendixReport:
+def _appendix_rule(eps: float) -> WeightedMeasure:
+    """The geometric Gauss rule of ``appendix_c_bounds`` at eps on [0, 1/4]."""
+    return geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
+
+
+def appendix_c_bounds(params: CounterexampleParams,
+                      rule: WeightedMeasure | None = None) -> AppendixReport:
     """The chart-weighted entropy integral of the determinant F on [0, 1/4]
     for the raw (coefficient-1) family.
 
     The integrand varies on the scale t ~ eps, so the geometric rule follows
     eps (see ``_eps_panels``): 40 panels down to eps = 2^-44, one more per
-    halving of eps past that.  Raises NonFinite once eps is so small (about
-    2^-250) that the family's second derivative overflows.
+    halving of eps past that.  ``rule`` is that rule when the caller has it
+    (``entropy_sweep`` builds one per panel count), else it is built here.
+    Raises NonFinite once eps is so small (about 2^-250) that the family's
+    second derivative overflows.
     """
     eps, n = params.eps, params.n
     raw = RadialProfile(n, SmoothFn(Interval(0.0, 0.25), lambda t: _feps_jet(t, eps, 1.0)))
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(raw.fn.d2(0.0)):
             raise NonFinite(f"the family's f'' overflows at t = 0 for eps = {eps:g}")
-    m = geometric_gauss_measure(Interval(0.0, 0.25), panels=_eps_panels(eps, 2), order=16)
+    m = _appendix_rule(eps) if rule is None else rule
     tt = m.nodes
     F = hessian_spectrum(raw, tt).det
     integrand = (
@@ -188,22 +201,25 @@ def appendix_bound(n: int) -> float:
 # the assembled chart potential and its entropy sweep
 
 
-def build_v_eps(params: CounterexampleParams) -> RadialProfile:
+def build_v_eps(params: CounterexampleParams,
+                reference: SmoothFn | None = None) -> RadialProfile:
     """The chart potential for the given eps: the quadruple-log family near
     0, the reference potential past t = 1, and a strictly psh radial glue on
     the band between.
 
     Glue pieces sit on t in [1/64, 1/16] (the family) and [1, 4] (the
     reference); the glue happens in log coordinates and is exact on both
-    pieces, so the seams at 1/16 and 1 are exact.
+    pieces, so the seams at 1/16 and 1 are exact.  ``reference`` is the
+    reference piece on [1, 4] when the caller has one (``entropy_sweep``
+    hands every row one piece, which keeps the glue's products that do not
+    depend on eps), else a fresh one is built.
     """
     eps, n = params.eps, params.n
     left = feps_smoothfn(eps, lo=1.0 / 64.0, hi=1.0 / 16.0)
-    fs = fs_potential()
-    right = dataclasses.replace(fs, interval=Interval(1.0, 4.0))
+    right = _reference_piece() if reference is None else reference
     h = glue(GlueProblem(left, right, "radial", n=n)).h
     # t <= 1/16 is the family's, 1/16 < t < 1 the glue's and t >= 1 the reference's
-    edges, jets = (1.0 / 16.0, 1.0), (left.jet, h.jet, fs.jet)
+    edges, jets = (1.0 / 16.0, 1.0), (left.jet, h.jet, right.jet)
     return RadialProfile(n, SmoothFn(Interval(0.0, 9.0), lambda t: piecewise(t, edges, jets),
                                      name=f"veps[{eps:g}]"))
 
@@ -244,7 +260,7 @@ def density_ratio(profile: RadialProfile, measure: WeightedMeasure) -> GridFn:
 
 def chart_density(n: int, eps: float) -> GridFn:
     """Density ratio of the chart potential at eps on the chart measure for
-    eps; the only builder of a sweep density."""
+    eps, the same bits as the row of ``entropy_sweep`` at eps."""
     return density_ratio(build_v_eps(CounterexampleParams(eps, n)), chart_measure(n, eps))
 
 
@@ -261,17 +277,28 @@ def entropy_sweep(n: int, rs, eps_list) -> list[SweepRow]:
     """For each eps: one chart density, its entropy at weight (1, n, r) and
     that entropy's upper bound max(1, integral of phi(density)) for every r in
     rs, the oscillation proxy |f(0)| of the family and the appendix integral.
-    Every (eps, r) entropy is solved in one ``entropies`` call."""
+    Every (eps, r) entropy is solved in one ``entropies`` call.
+
+    What does not depend on eps is built once per sweep and handed to every
+    row: the reference piece, and the chart measure and the appendix rule per
+    panel count (``_eps_panels``).  All of it goes with the sweep
+    (docs/DECISIONS.md, section 11)."""
     scales = [EntropyParams(n, r) for r in rs]
-    eps_list = [float(eps) for eps in eps_list]
-    pairs = [(d, ep) for d in (chart_density(n, eps) for eps in eps_list) for ep in scales]
+    params = [CounterexampleParams(float(eps), n) for eps in eps_list]
+    reference = _reference_piece()
+    # chart_measure and _appendix_rule depend on eps through these panel counts alone
+    chart_k, rule_k = ([_eps_panels(p.eps, h) for p in params] for h in (4, 2))
+    measures = {k: chart_measure(n, p.eps) for k, p in dict(zip(chart_k, params)).items()}
+    rules = {k: _appendix_rule(p.eps) for k, p in dict(zip(rule_k, params)).items()}
+    dens = [density_ratio(build_v_eps(p, reference), measures[k]) for p, k in zip(params, chart_k)]
+    pairs = [(d, ep) for d in dens for ep in scales]
     ents = entropies([d for d, _ in pairs], [ep for _, ep in pairs])
     bounds = [max(1.0, integrate(GridFn(d.measure, phi(ep.young, d.values)))) for d, ep in pairs]
-    params = [CounterexampleParams(eps, n) for eps in eps_list]
-    k = len(scales)
-    return [SweepRow(p.eps, tuple(ents[i * k:(i + 1) * k]), tuple(bounds[i * k:(i + 1) * k]),
-                     abs(float(feps_smoothfn(p.eps).d0(0.0))), appendix_c_bounds(p).integral)
-            for i, p in enumerate(params)]
+    m = len(scales)
+    return [SweepRow(p.eps, tuple(ents[i * m:(i + 1) * m]), tuple(bounds[i * m:(i + 1) * m]),
+                     abs(float(feps_smoothfn(p.eps).d0(0.0))),
+                     appendix_c_bounds(p, rules[k]).integral)
+            for i, (p, k) in enumerate(zip(params, rule_k))]
 
 
 def sweep_verdicts(rs: tuple[float, float], rows: list[SweepRow]) -> list[Verdict]:

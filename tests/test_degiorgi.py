@@ -39,6 +39,9 @@ from luxglue.youngfn import YoungParams
 T_1_1_2_2_F1 = 22.630989917543453427205206889       # C=1 a=1 b=2 g=2 f0=1
 T_2_1_3_15_F10 = 35520.706904534328430524459353     # C=2 a=1 b=3 g=1.5 f0=10
 L_1_1_3_2_T1 = 22.630989917543453427205206889       # C=1 a=1 b=3 g=2 T=1
+# ... of l_gamma at g=1.5 T=1 where (C e)^(1/a) overflows, C the float nearest 1e300
+L_1E300_001_1_15_T1 = 1.04592454591927119853126753454e+305  # C=1e300 a=0.01 b=1
+L_1_0001_2_15_T1 = 1.65122503313073844319586055408          # C=1 a=0.001 b=2
 
 
 def test_t_gamma_branch_crossing_value():
@@ -77,7 +80,9 @@ def test_an_overflowing_power_reads_inf(C, alpha, beta, f0):
     h = IterationHypothesis(C, alpha, beta)
     tg = t_gamma(h, f0, 2.0)
     assert tg.value == np.inf and not tg.verdict.passed
-    assert l_gamma(h, 1.5, 1.0) == np.inf
+    # l_gamma's exact value is finite here, and its log form reads it
+    exact = L_1E300_001_1_15_T1 if C == 1e300 else L_1_0001_2_15_T1
+    assert l_gamma(h, 1.5, 1.0) == pytest.approx(exact, rel=1e-13)
 
 
 def test_an_overflowing_power_times_an_underflowed_factor_reads_inf():
@@ -100,6 +105,50 @@ def test_thresholds_warn_nothing_outside_the_cli():
     # (gamma - 1) T underflows to 0, where a Python float quotient raised
     # ZeroDivisionError
     assert l_gamma(IterationHypothesis(1.0, 1.0, 2.0), 1.5, 5e-324) == np.inf
+
+
+def _chain_by_steps(f: LevelSetFn, T: float, gamma: float) -> tuple[int, bool]:
+    """(chain_depth, chain_ok) of the decay chain with one scalar bound per
+    step, as ``simulate_vanishing`` first computed it: the reference for its
+    one array pass."""
+    depth, ok = 0, True
+    if f.f_t0 > 0:
+        bounds, points = [], []
+        for n in range(1, 200):
+            bound = f.f_t0 * np.exp(1.0 - n)
+            if bound < degiorgi.ZERO_FLOOR:
+                break
+            bounds.append(bound)
+            points.append(f.t0 + (1.0 - float(n) ** (1.0 - gamma)) * T)
+        idx = np.searchsorted(f.grid, points)
+        short = np.flatnonzero(idx >= f.grid.size)
+        depth = int(short[0]) if short.size else idx.size
+        over = np.flatnonzero(f.values[idx[:depth]]
+                              > np.multiply(bounds[:depth], 1 + degiorgi._CHAIN_SLACK))
+        if over.size:
+            depth, ok = int(over[0]) + 1, False
+    return depth, ok
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 1.7, 2.0])
+@pytest.mark.parametrize("scale, shrink, want", [
+    (1.0, 1.0, (199, True)),  # every step holds
+    (1.0, 0.05, (2, False)),  # a threshold shrunk 20-fold: f is still high at step 2
+    (1e-290, 1.0, (24, True)),  # the bounds pass below ZERO_FLOOR after 24 steps
+    (0.0, 1.0, (0, True)),  # no chain at f(t0) = 0
+])
+def test_decay_chain_matches_its_step_by_step_form(scale, shrink, want, gamma, monkeypatch):
+    threshold = degiorgi.t_gamma
+
+    def shrunk(h, f0, g):
+        tg = threshold(h, f0, g)
+        return tg._replace(value=shrink * tg.value)
+
+    monkeypatch.setattr(degiorgi, "t_gamma", shrunk)
+    t = np.append(np.linspace(0.0, 40.0, 2000), 1e300)  # the far zero node covers any threshold
+    f = LevelSetFn(t, scale * np.append(np.maximum(0.0, 1.0 - t[:-1] / 2.0), 0.0))
+    rep = simulate_vanishing(f, IterationHypothesis(fit_constant(f, 1.0, 2.0), 1.0, 2.0), gamma)
+    assert (rep.chain_depth, rep.chain_ok) == _chain_by_steps(f, rep.threshold, gamma) == want
 
 
 def test_t_gamma_guards():

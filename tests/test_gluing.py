@@ -569,6 +569,22 @@ def test_h_is_the_piece_on_its_interval(kind):
         assert match == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("mode", ["strict", "convex"])
+def test_each_piece_owns_its_ends_where_a_band_collapses(mode):
+    # near 1e17 the float spacing is 16, so each end e and e -+ ds are one
+    # float; h must still read the piece at e, not a tail or the bridge
+    def square(lo, hi):
+        return SmoothFn(Interval(lo, hi), lambda t: (
+            (t - 1e17) ** 2, 2.0 * (t - 1e17), np.full(t.shape, 2.0)), name="square")
+
+    f, g = square(1e17, 1e17 + 1e8), square(1e17 + 1e8 + 32, 1e17 + 2e8)
+    res = glue(GlueProblem(f, g, mode))
+    ends = (f.interval.lo, f.interval.hi, g.interval.lo, g.interval.hi)
+    assert all(e - 0.9 * res.delta == e == e + 0.9 * res.delta for e in ends)
+    for e, piece in zip(ends, (f, f, g, g)):
+        assert [float(v) for v in res.h.eval(e)] == [float(v) for v in piece.eval(e)]
+
+
 def test_tables_touched_in_any_order_give_the_same_glue():
     # Each end's cumulative tables are built on first use.  Building the
     # glue reads F past b1 and G before a2; below a1 and past b2, touched in

@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -289,6 +291,87 @@ def test_chart_density_evaluates_the_family_on_17236_points(k, monkeypatch):
                         lambda t, eps, coeff: points.append(np.size(t)) or jet(t, eps, coeff))
     chart_density(2, 2.0**-k)
     assert sum(points) == 17_236
+
+
+def test_a_sweep_evaluates_the_reference_once_for_what_no_row_changes(monkeypatch):
+    # one sweep makes the reference side's three probes of 2,049 points
+    # (margin 0 and delta_search's two margins), its 10,241 table nodes below
+    # the glue's right piece and its 3 x 64 derivative-contract points; each
+    # row makes the rest (single points, and the density on the nodes of the
+    # band below t = 1 and on the atom past it).  Made per row, the four rows
+    # below read 66,788 points.
+    from luxglue import radialpsh
+
+    points = []
+    reference = radialpsh.fs_potential
+
+    def counted():
+        fs = reference()
+        return SmoothFn(fs.interval, lambda t: points.append(np.size(t)) or fs.jet(t), fs.name)
+
+    monkeypatch.setattr(radialpsh, "fs_potential", counted)
+    entropy_sweep(2, (1, 3), [2.0**-20])
+    one_row, shared = sum(points), 3 * 2049 + 10_241 + 3 * 64
+    points.clear()
+    entropy_sweep(2, (1, 3), [2.0**-k for k in (5, 20, 30, 40)])
+    assert one_row == 16_697
+    assert sum(points) == shared + 4 * (one_row - shared) == 17_048
+
+
+@pytest.mark.parametrize("ks, measures, rules", [
+    ((5, 6, 7, 8), 1, 1),  # 40 panels each
+    ((45, 46, 47), 2, 3),  # chart measure 40, 40, 41 panels; appendix rule 41, 42, 43
+])
+def test_a_sweep_builds_one_chart_measure_and_rule_per_panel_count(ks, measures, rules,
+                                                                   monkeypatch):
+    from luxglue import radialpsh
+
+    calls = {"chart_measure": 0, "_appendix_rule": 0}
+    for name in calls:
+        original = getattr(radialpsh, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(radialpsh, name, counted)
+    rows = entropy_sweep(2, (1,), [2.0**-k for k in ks])
+    assert calls == {"chart_measure": measures, "_appendix_rule": rules}
+    for row in rows:  # the same bits as a row built alone
+        assert row.apx_integral == appendix_c_bounds(CounterexampleParams(row.eps, 2)).integral
+
+
+def _module_containers() -> dict[tuple[str, str], int]:
+    """Size of every container and function cache that a luxglue module holds."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("luxglue") and mod is not None:
+            for attr, obj in vars(mod).items():
+                if isinstance(obj, (dict, list, set)):
+                    sizes[name, attr] = len(obj)
+                elif hasattr(obj, "cache_info"):
+                    sizes[name, attr] = obj.cache_info().currsize
+    return sizes
+
+
+def test_a_sweep_keeps_nothing_past_its_return(monkeypatch):
+    from luxglue import radialpsh
+
+    held = []
+    build = radialpsh.build_v_eps
+
+    def recorded(params, reference=None):
+        held.append((id(reference), weakref.ref(reference)))
+        return build(params, reference)
+
+    monkeypatch.setattr(radialpsh, "build_v_eps", recorded)
+    entropy_sweep(2, (1, 3), [2.0**-6])  # fills what a process builds once (the bump tables)
+    before = _module_containers()
+    held.clear()
+    entropy_sweep(2, (1, 3), [2.0**-k for k in (7, 8, 9)])
+    assert len(held) == 3 and len({key for key, _ in held}) == 1  # one piece, every row
+    assert all(ref() is None for _, ref in held)  # gone without a collection: no cycle holds it
+    assert _module_containers() == before
 
 
 def test_chart_measure_resolves_small_eps():
