@@ -344,14 +344,10 @@ def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, C
     def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
         """The band and tail jets beyond e, on the side sign points to."""
 
-        def nodes_d2() -> np.ndarray:
-            f2 = piece.d2(e + sign * fx.nodes * ds)
-            f2.setflags(write=False)
-            return f2
-
         @functools.cache
         def tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return _tables(fx.cutoff * (_kept(piece, ("nodes_d2", sign, ds), nodes_d2) - c))
+            f2 = _kept(piece, ("nodes_d2", sign, ds), lambda: piece.d2(e + sign * fx.nodes * ds))
+            return _tables(fx.cutoff * (f2 - c))
 
         def extended(t: np.ndarray, Jx, Ix, d2) -> Jet:
             d = t - e
