@@ -68,6 +68,13 @@ def _log_ce(h: IterationHypothesis) -> float:
     return (np.log(h.C) + 1.0) / h.alpha
 
 
+def _normal(ce: float) -> bool:
+    """Whether the power (C e)^(1/alpha) is a normal float: a subnormal one
+    carries few significant bits, an underflowed or overflowed one none, so
+    a product of it is redone in log space."""
+    return np.finfo(float).tiny <= ce < np.inf
+
+
 # a product that overflows, or reads inf * 0 or x / 0, is redone in log space
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
@@ -77,9 +84,10 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     log(1 + 1/f) factor diverges and the max-form limit is returned (0 for
     gamma < beta/alpha) together with a flag.  Both written forms of the
     threshold are evaluated and must agree to 1e-12 relative.  Where the
-    max-form product is not finite, it is taken as the exp of its log, as
-    the pair scan does (docs/DECISIONS.md, section 9, point 6), so it reads
-    +inf only where it overflows and fails ``t_gamma_finite`` there.
+    max-form product is not finite, or (C e)^(1/alpha) is not a normal
+    float, it is taken as the exp of its log, as the pair scan does
+    (docs/DECISIONS.md, section 9, point 6), so it reads +inf only where it
+    overflows and fails ``t_gamma_finite`` there.
     """
     if not 0 <= f_t0 < np.inf:
         raise InvalidInput("f_t0 must be finite and >= 0")
@@ -89,25 +97,27 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     if not (1.0 < gamma <= ratio):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {ratio}]")
     ce = _power(h.C * np.e, 1.0 / h.alpha)
+    normal = _normal(ce)
     front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
     log_front = _log_ce(h) + gamma * np.log(2.0 / np.log(2.0)) - np.log(gamma - 1.0)
     if f_t0 == 0.0:
         # log(1 + 1/f(t0)) -> infinity: first max argument tends to
         # L^(gamma - beta/alpha), the second to 0.
-        limit = front if gamma == ratio else 0.0
-        return TGamma(limit if np.isfinite(limit) else np.exp(log_front), True)
+        if gamma < ratio:
+            return TGamma(0.0, True)
+        return TGamma(front if normal and np.isfinite(front) else np.exp(log_front), True)
     L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
     if f_t0 <= 1.0:
         branch = front / L ** (ratio - gamma)
     else:
         branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * L**ratio)
-    if np.isfinite(value) and (abs(branch - value)
-                               > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value))):
+    exact = normal and np.isfinite(value)
+    if exact and abs(branch - value) > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value)):
         raise VerificationFailed(
             f"threshold forms disagree: max-form {value} vs branch {branch}"
         )
-    if not np.isfinite(value):
+    if not exact:
         log_L = np.log(L)
         log_max = max((gamma - ratio) * log_L if gamma < ratio else 0.0,
                       gamma * np.log(np.log(2.0)) - ratio * log_L)
@@ -120,9 +130,10 @@ def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
     f(t0) > 1 / (e^L - 1) with L the value returned here.  A term that is not
     finite (a power or quotient that overflows, or inf * 0, where
-    (C e)^(1/alpha) underflows and a power of gamma overflows) is taken as
-    the exp of its log, as in ``t_gamma``, so L reads +inf only where it
-    exceeds the largest float.
+    (C e)^(1/alpha) underflows and a power of gamma overflows), and every
+    term where (C e)^(1/alpha) is not a normal float, is taken as the exp of
+    its log, as in ``t_gamma``, so L reads +inf only where it exceeds the
+    largest float.
     """
     if not 0 < T < np.inf:
         raise InvalidInput("T must be positive and finite")
@@ -134,9 +145,10 @@ def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     a1 = (ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1
     a2 = (ce * _power(2.0, gamma) / den) ** p2
     log_base = _log_ce(h) - np.log(gamma - 1.0) - np.log(T)  # of ce / ((gamma - 1) T)
-    if not np.isfinite(a1):
+    normal = _normal(ce)
+    if not (normal and np.isfinite(a1)):
         a1 = np.exp(p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))))
-    if not np.isfinite(a2):
+    if not (normal and np.isfinite(a2)):
         a2 = np.exp(p2 * (log_base + gamma * np.log(2.0)))
     return float(max(a1, a2))
 

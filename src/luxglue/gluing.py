@@ -13,7 +13,8 @@ Each piece is a SmoothFn, matched exactly on its interval.  Three modes:
 
 ``glue()`` checks each piece's derivatives, probes its curvature with one jet
 evaluation on 2,049 points (a radial glue's pieces in log coordinates),
-then builds h with closed-form certificates and never samples h;
+whose end nodes also give every end value the construction reads, then
+builds h with closed-form certificates and never samples h;
 ``verify_glue()`` samples h'' (a radial glue's H'' and H', and its bridge
 determinant) on 16,385 points on request, so its extremes (and the glue's
 verdicts) are not enclosures.
@@ -27,10 +28,11 @@ first time h is evaluated past that end, so a radial density, which reads h
 only on the bridge, builds two of the four.
 
 What depends on a piece alone is kept on the piece (``_kept``): its log
-piece, its derivative-contract check, its probe extremes per margin and its
-f'' on each end's table nodes per ds.  Glues of one piece, such as the rows
-of an eps-sweep, which share its reference piece, make these once; only the
-tables' integration, which depends on the floor c, runs per glue.
+piece, its derivative-contract check, its probe per margin and its f'' on
+each end's table nodes per ds, evaluated in blocks of _BLOCK_N nodes.
+Glues of one piece, such as the rows of an eps-sweep, which share its
+reference piece, make these once; only the tables' integration, which
+depends on the floor c, runs per glue.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ MOLLIFIER_M = 3.0
 _TABLE_N = 2048
 _PROBE_N = 2049
 _WORK_N = 16385
+# table nodes per jet call: a call on all 10,241 nodes makes temporaries of
+# 80 KB, which the allocator hands back to the system and faults in again
+# on every call (docs/DECISIONS.md, section 11)
+_BLOCK_N = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +208,9 @@ class GlueProblem:
             raise InvalidInput("n must be an integer >= 1")
 
     @property
-    def probes(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    def probes(self) -> tuple[_Probe, _Probe]:
         """``_probe`` of the left and the right piece at margin 0: the curvature
-        demands and ``delta_search`` read it."""
+        demands, the slope chain, ``delta_search`` and the extensions read it."""
         return _probe(self.left), _probe(self.right)
 
 
@@ -247,8 +253,8 @@ def compatibility(problem: GlueProblem) -> CompatReport:
     if problem.mode == "radial":
         f, g = _log_piece(f), _log_piece(g)
     b1, a2 = f.interval.hi, g.interval.lo
-    fb, lhs, _ = map(float, f.eval(b1))
-    ga, rhs, _ = map(float, g.eval(a2))
+    fb, lhs, _ = _probe(f).hi
+    ga, rhs, _ = _probe(g).lo
     mid = (ga - fb) / (a2 - b1)
     return CompatReport(lhs, mid, rhs, bool(lhs < mid < rhs))
 
@@ -262,16 +268,29 @@ def _kept(fn: SmoothFn, key: tuple, make: Callable[[], object]):
     return kept[key]
 
 
-def _probe(fn: SmoothFn, margin: float = 0.0) -> tuple[float, float, float]:
-    """(min f', min f'', max f'') on _PROBE_N points of fn's interval widened
-    by margin, from one jet evaluation, kept on fn per margin.  A NaN at any
-    point makes them NaN, so every demand on them is written as membership,
-    which a NaN fails."""
+class _Probe(NamedTuple):
+    """What a glue reads of a piece on its interval widened by a margin."""
 
-    def make() -> tuple[float, float, float]:
+    min_f1: float
+    min_f2: float
+    max_f2: float
+    lo: tuple[float, float, float]  # (f, f', f'') at the widened interval's ends
+    hi: tuple[float, float, float]
+
+
+def _probe(fn: SmoothFn, margin: float = 0.0) -> _Probe:
+    """fn on _PROBE_N points of its interval widened by margin, from one jet
+    evaluation, kept on fn per margin.  The first and last points are the
+    widened ends, so the jets there are the ones a single-point evaluation
+    reads.  A NaN at any point makes the extremes NaN, so every demand on
+    them is written as membership, which a NaN fails."""
+
+    def make() -> _Probe:
         lo, hi = fn.interval.lo - margin, fn.interval.hi + margin
-        _, f1, f2 = fn.eval(np.linspace(lo, hi, _PROBE_N))
-        return float(np.min(f1)), float(np.min(f2)), float(np.max(f2))
+        f0, f1, f2 = fn.eval(np.linspace(lo, hi, _PROBE_N))
+        return _Probe(float(np.min(f1)), float(np.min(f2)), float(np.max(f2)),
+                      (float(f0[0]), float(f1[0]), float(f2[0])),
+                      (float(f0[-1]), float(f1[-1]), float(f2[-1])))
 
     return _kept(fn, ("probe", margin), make)
 
@@ -287,21 +306,21 @@ def delta_search(problem: GlueProblem, c: float, compat: CompatReport) -> float:
     gap = a2 - b1
     if not compat.ok:
         raise DeltaSearchFailed("compatibility chain fails; conditions unsatisfiable")
-    (_, _, sup_f), (_, _, sup_g) = problem.probes
+    pf, pg = problem.probes
+    sup_f, sup_g = pf.max_f2, pg.max_f2
     mid = compat.mid
     f1b, g1a = compat.lhs, compat.rhs
-    f_b1, g_a2 = float(f.d0(b1)), float(g.d0(a2))
+    f_b1, g_a2 = pf.hi[0], pg.lo[0]
 
     for j in range(2, 61):
         delta = gap / 2.0**j
-        _, min_f_d, max_f_d = _probe(f, delta)
-        _, min_g_d, max_g_d = _probe(g, delta)
-        if not (max_f_d <= sup_f + 1.0 and max_g_d <= sup_g + 1.0):
+        pf_d, pg_d = _probe(f, delta), _probe(g, delta)
+        if not (pf_d.max_f2 <= sup_f + 1.0 and pg_d.max_f2 <= sup_g + 1.0):
             continue
-        fb, fpb, _ = map(float, f.eval(b1 + delta))
-        ga, gpa, _ = map(float, g.eval(a2 - delta))
+        fb, fpb, _ = pf_d.hi  # at b1 + delta
+        ga, gpa, _ = pg_d.lo  # at a2 - delta
         if problem.mode == "strict":
-            if not (min_f_d >= c and min_g_d >= c):
+            if not (pf_d.min_f2 >= c and pg_d.min_f2 >= c):
                 continue
             if not (gpa - fpb) / (gap - 2 * delta) > c:
                 continue
@@ -315,7 +334,7 @@ def delta_search(problem: GlueProblem, c: float, compat: CompatReport) -> float:
             # convex mode: the pieces' global formulas stand in for convex
             # extensions, so the extension must stay convex on the margins
             floor = -1e-12 * (1.0 + max(abs(sup_f), abs(sup_g)))
-            if not (min_f_d >= floor and min_g_d >= floor):
+            if not (pf_d.min_f2 >= floor and pg_d.min_f2 >= floor):
                 continue
             if not fpb < gpa:
                 continue
@@ -337,16 +356,22 @@ def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, C
     cutoff*(f''-c) once and twice outward from e; past the band, J goes on
     linearly and the curvature is c.  The tables of I and J beyond e are
     built on a jet's first call, from f'' on the fixed nodes, which is kept
-    on the piece per (side, ds).
+    on the piece per (side, ds); f(e) and f'(e) are read from the probe.
     """
     fx = _fixed()
 
     def side(e: float, f0: float, f1: float, sign: float) -> tuple[Callable, Callable]:
         """The band and tail jets beyond e, on the side sign points to."""
 
+        def nodes_d2() -> np.ndarray:
+            f2 = np.empty(fx.nodes.size)
+            for i in range(0, f2.size, _BLOCK_N):
+                f2[i:i + _BLOCK_N] = piece.d2(e + sign * fx.nodes[i:i + _BLOCK_N] * ds)
+            return f2
+
         @functools.cache
         def tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            f2 = _kept(piece, ("nodes_d2", sign, ds), lambda: piece.d2(e + sign * fx.nodes * ds))
+            f2 = _kept(piece, ("nodes_d2", sign, ds), nodes_d2)
             return _tables(fx.cutoff * (f2 - c))
 
         def extended(t: np.ndarray, Jx, Ix, d2) -> Jet:
@@ -366,7 +391,8 @@ def _extensions(piece: SmoothFn, c: float, ds: float) -> tuple[tuple[Callable, C
         return band, tail
 
     A, B = piece.interval.lo, piece.interval.hi
-    (f0A, f0B), (f1A, f1B), _ = piece.eval(np.array([A, B], dtype=float))
+    probe = _probe(piece)
+    (f0A, f1A, _), (f0B, f1B, _) = probe.lo, probe.hi
     return side(A, f0A, f1A, -1.0)[::-1], side(B, f0B, f1B, 1.0)
 
 
@@ -397,7 +423,8 @@ def glue(problem: GlueProblem) -> GlueResult:
             f"slope chain must increase strictly: {compat.lhs} < {compat.mid} "
             f"< {compat.rhs} fails"
         )
-    (_, alpha1, sup_f), (_, alpha2, sup_g) = problem.probes
+    pf, pg = problem.probes
+    alpha1, sup_f, alpha2, sup_g = pf.min_f2, pf.max_f2, pg.min_f2, pg.max_f2
     a1, b1 = problem.left.interval.lo, problem.left.interval.hi
     a2, b2 = problem.right.interval.lo, problem.right.interval.hi
     gap = a2 - b1
@@ -419,8 +446,8 @@ def glue(problem: GlueProblem) -> GlueResult:
     (f_tail_a1, f_band_a1), (f_band_b1, f_tail_b1) = _extensions(f, c, ds)
     (g_tail_a2, g_band_a2), (g_band_b2, g_tail_b2) = _extensions(g, c, ds)
     # at b1 the sides are f and g's tail below a2; at a2, g and f's tail past b1
-    gap_b1 = float(f.d0(b1) - g_tail_a2(b1)[0])
-    gap_a2 = float(g.d0(a2) - f_tail_b1(a2)[0])
+    gap_b1 = float(pf.hi[0] - g_tail_a2(b1)[0])
+    gap_a2 = float(pg.lo[0] - f_tail_b1(a2)[0])
     eps = 0.5 * min(gap_b1, gap_a2)
     if not eps > 0:
         raise VerificationFailed(
@@ -492,8 +519,8 @@ def _glue_radial(problem: GlueProblem) -> GlueResult:
     a2, b2 = g.interval.lo, g.interval.hi
     n = problem.n
     log_problem = GlueProblem(_log_piece(f), _log_piece(g), "strict", n=n)
-    for (min_h1, min_h2, _), label in zip(log_problem.probes, ("left", "right")):
-        if not (min_h1 > 0 and min_h2 > 0):
+    for probe, label in zip(log_problem.probes, ("left", "right")):
+        if not (probe.min_f1 > 0 and probe.min_f2 > 0):
             raise NotStrictlyConvexPiece(f"{label} piece is not strictly "
                                          "plurisubharmonic in t = |z|^2")
     log_res = glue(log_problem)

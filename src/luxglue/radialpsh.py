@@ -113,8 +113,9 @@ def _feps_jet(t: np.ndarray, eps: float, coeff: float) -> Jet:
     L1 = np.log1p(u)
     L2 = np.log1p(L1)
     L3 = np.log1p(L2)
-    D = (1 + u) * (1 + L1) * (1 + L2) * (1 + L3)
-    S = (1 + L1) * (1 + L2) * (1 + L3) + (1 + L2) * (1 + L3) + (1 + L3) + 1.0
+    p1, p2, p3 = 1 + L1, 1 + L2, 1 + L3
+    D = (1 + u) * p1 * p2 * p3
+    S = p1 * p2 * p3 + p2 * p3 + p3 + 1.0
     return (-coeff * np.log1p(L3), coeff * u * u / D,
             coeff * u**3 * (u * S - 2.0 * D) / D**2)
 
@@ -170,14 +171,10 @@ def appendix_c_bounds(params: CounterexampleParams,
     m = _appendix_rule(eps) if rule is None else rule
     tt = m.nodes
     F = hessian_spectrum(raw, tt).det
-    integrand = (
-        tt ** (n - 1)
-        * F
-        * np.log1p(F) ** n
-        * np.log1p(np.log1p(F)) ** (n - 1)
-    )
-    integral = pairwise_sum(m.weights * integrand)
-    mass = pairwise_sum(m.weights * tt ** (n - 1) * F)
+    tn = tt ** (n - 1)
+    logF = np.log1p(F)
+    integral = pairwise_sum(m.weights * (tn * F * logF ** n * np.log1p(logF) ** (n - 1)))
+    mass = pairwise_sum(m.weights * tn * F)
     return AppendixReport(integral, mass)
 
 

@@ -42,6 +42,12 @@ L_1_1_3_2_T1 = 22.630989917543453427205206889       # C=1 a=1 b=3 g=2 T=1
 # ... of l_gamma at g=1.5 T=1 where (C e)^(1/a) overflows, C the float nearest 1e300
 L_1E300_001_1_15_T1 = 1.04592454591927119853126753454e+305  # C=1e300 a=0.01 b=1
 L_1_0001_2_15_T1 = 1.65122503313073844319586055408          # C=1 a=0.001 b=2
+# 60-digit mpmath evaluations where (C e)^(1/alpha) is subnormal (about 3.16e-320)
+# at C = 7.53766052568409e-246, alpha = 0.7658461568897805, beta = 663.7336321393266:
+# t_gamma at gamma = 1.5, f0 = 1, and l_gamma at gamma = 801.608711020282,
+# T = 2.540258941056332e+78
+T_SUBNORMAL_CE = 1.59621616257273871863485737716e-181
+L_SUBNORMAL_CE = 0.654576858383801868785729113686
 
 
 def test_t_gamma_branch_crossing_value():
@@ -95,6 +101,17 @@ def test_an_overflowing_power_times_an_underflowed_factor_reads_inf():
     assert t_gamma(IterationHypothesis(0.01, 0.001, 2.0), 0.0, 2000.0).value == 0.0
     # l_gamma's inf * 0 term is its log form, a finite exponent
     assert 0.0 < l_gamma(IterationHypothesis(0.01, 0.001, 3.0), 2000.0, 1.0) < np.inf
+
+
+def test_a_subnormal_power_reads_its_log_form():
+    # the product form carries the power's few significant bits: 6.5e-5 and
+    # 7.8e-8 relative off in t_gamma and l_gamma
+    h = IterationHypothesis(7.53766052568409e-246, 0.7658461568897805, 663.7336321393266)
+    assert 0.0 < (h.C * np.e) ** (1.0 / h.alpha) < np.finfo(float).tiny
+    tg = t_gamma(h, 1.0, 1.5)
+    assert abs(tg.value - T_SUBNORMAL_CE) <= 1e-13 * T_SUBNORMAL_CE and tg.verdict.passed
+    L = l_gamma(h, 801.608711020282, 2.540258941056332e+78)
+    assert abs(L - L_SUBNORMAL_CE) <= 1e-13 * L_SUBNORMAL_CE
 
 
 def test_thresholds_warn_nothing_outside_the_cli():

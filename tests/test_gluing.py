@@ -15,6 +15,8 @@ from luxglue.gluing import (
     GlueProblem,
     MODES,
     MOLLIFIER_M,
+    _BLOCK_N,
+    _PROBE_N,
     _TABLE_N,
     _fixed,
     _hermite,
@@ -639,3 +641,69 @@ def test_one_basis_gives_each_pairs_own_interpolant():
     for got, one, ref in zip(both, single, (clipped(fx.J, fx.I), clipped(fx.I, fx.g))):
         assert got.tobytes() == one.tobytes() == ref.tobytes()
     assert np.isnan(both[0][4]) and not np.isnan(np.delete(both[0], 4)).any()
+
+
+# ---------------------------------------------------------------------------
+# what a glue evaluates
+
+
+def _recording(fn, sizes):
+    """fn with a jet that appends the size of each call to sizes."""
+    return dataclasses.replace(fn, jet=lambda t: sizes.append(t.size) or fn.jet(t))
+
+
+def _glue_call_sizes(kind, monkeypatch):
+    """The jet call sizes of the left and right piece while the glue of kind
+    is built, or for kind "chart" while the chart density at eps = 2^-10 is."""
+    left, right = [], []
+    if kind != "chart":
+        problem = GLUE_PROBLEMS[kind]()
+        glue(dataclasses.replace(problem, left=_recording(problem.left, left),
+                                 right=_recording(problem.right, right)))
+        return left, right
+    from luxglue import radialpsh
+
+    jet, reference = radialpsh._feps_jet, radialpsh.fs_potential
+    monkeypatch.setattr(radialpsh, "_feps_jet",
+                        lambda t, eps, coeff: left.append(t.size) or jet(t, eps, coeff))
+    monkeypatch.setattr(radialpsh, "fs_potential", lambda: _recording(reference(), right))
+    radialpsh.chart_density(2, 2.0**-10)
+    return left, right
+
+
+@pytest.mark.parametrize("kind, right_small", [
+    ("strict", []),
+    ("convex", []),
+    # the radial determinant certificate reads g'(a2) of the right piece in t
+    ("radial", [1]),
+    # and the chart potential also reads the reference on the measure's atom at t = 2
+    ("chart", [1, 1]),
+])
+def test_a_glue_reads_its_end_values_from_its_probes(kind, right_small, monkeypatch):
+    # the slope chain, delta_search's margin ends, the extensions' end values
+    # and the bridge gaps are the end nodes of the pieces' probes: no jet call
+    # on one or two points
+    left, right = _glue_call_sizes(kind, monkeypatch)
+    assert left and [s for s in left if s < 3] == []
+    assert [s for s in right if s < 3] == right_small
+    # building the glue makes one table per piece, f's past b1 and g's below
+    # a2, and each table's f'' is evaluated in blocks: two full ones and a
+    # last of 2,049 nodes
+    assert _fixed().nodes.size == 2 * _BLOCK_N + _PROBE_N
+    for sizes in (left, right):
+        assert [s for s in sizes if s > _PROBE_N] == [_BLOCK_N, _BLOCK_N]
+
+
+@pytest.mark.parametrize("kind", ["convex", "radial"])
+def test_kept_table_curvature_is_the_one_call_curvature(kind):
+    # convex: quadratic pieces; radial: the README's pieces, whose glue runs on
+    # the log pieces of the family and of log1p
+    res = glue(GLUE_PROBLEMS[kind]())
+    cert = res.log_result or res
+    cert.h.eval(np.array([cert.working.lo, cert.working.hi]))  # the two tables glue left
+    nodes, ds = _fixed().nodes, 0.9 * res.delta
+    assert nodes.size % _BLOCK_N  # a last, partial block
+    for piece in (cert.problem.left, cert.problem.right):
+        for sign, e in ((-1.0, piece.interval.lo), (1.0, piece.interval.hi)):
+            kept = piece._kept[("nodes_d2", sign, ds)]
+            assert kept.tobytes() == piece.d2(e + sign * nodes * ds).tobytes(), (piece.name, sign)

@@ -124,6 +124,40 @@ def test_smooth_fn_contract_pass_and_fail():
     assert not check_derivative_consistency(bad).ok
 
 
+def _three_call_report(fn, n_probes=64):
+    """check_derivative_consistency as written with one jet call per grid."""
+    dom = fn.interval
+    scale = max(1.0, abs(dom.lo), abs(dom.hi))
+    h = min(1e-5 * scale, dom.length / 8.0)
+    t = np.linspace(dom.lo + h, dom.hi - h, n_probes)
+
+    def sup_rel_err(approx, exact):
+        denom = max(float(np.max(np.abs(approx))), float(np.max(np.abs(exact))), 1e-12)
+        return float(np.max(np.abs(approx - exact)) / denom)
+
+    f0_hi, f1_hi, _ = fn.eval(t + h)
+    f0_lo, f1_lo, _ = fn.eval(t - h)
+    _, f1, f2 = fn.eval(t)
+    e1 = sup_rel_err((f0_hi - f0_lo) / (2 * h), f1)
+    e2 = sup_rel_err((f1_hi - f1_lo) / (2 * h), f2)
+    return e1 <= 1e-5 and e2 <= 1e-5, e1, e2
+
+
+@pytest.mark.parametrize("jet, ok", [
+    (lambda t: (np.exp(t) + t**3, np.exp(t) + 3 * t**2, np.exp(t) + 6 * t), True),
+    (lambda t: (np.exp(t) + t**3, np.exp(t) + 3 * t**2, np.exp(t) + 5 * t), False),
+])
+def test_the_derivative_check_makes_one_jet_call(jet, ok):
+    sizes = []
+    fn = SmoothFn(Interval(0.1, 3.0), lambda t: sizes.append(t.size) or jet(t))
+    got = check_derivative_consistency(fn)
+    assert sizes == [3 * 64]
+    want = _three_call_report(SmoothFn(fn.interval, jet))
+    assert want[0] is ok
+    assert [repr(v) for v in (got.ok, got.worst_d1_err, got.worst_d2_err)] == [
+        repr(v) for v in want]
+
+
 def test_smooth_fn_scalar_shape():
     fn = SmoothFn(Interval(0.0, 1.0), lambda t: (t**2, 2 * t, 2.0 + 0 * t))
     assert np.ndim(fn.d0(0.5)) == 0

@@ -141,6 +141,38 @@ def test_feps_jet_rejects_negative_and_nan(t):
         hessian_spectrum(RadialProfile(2, feps_smoothfn(2.0**-8)), t)
 
 
+def _feps_jet_as_written(t, eps, coeff):
+    """The family's jet with each 1 + L formed where it is used."""
+    u = 1.0 / (t + eps)
+    L1 = np.log1p(u)
+    L2 = np.log1p(L1)
+    L3 = np.log1p(L2)
+    D = (1 + u) * (1 + L1) * (1 + L2) * (1 + L3)
+    S = (1 + L1) * (1 + L2) * (1 + L3) + (1 + L2) * (1 + L3) + (1 + L3) + 1.0
+    return (-coeff * np.log1p(L3), coeff * u * u / D,
+            coeff * u**3 * (u * S - 2.0 * D) / D**2)
+
+
+def test_feps_jet_keeps_its_bits():
+    # t from -2 eps (where log1p reads NaN) through the eps scale to 1/4, with
+    # eps = 2^-k for k up to 299; f'' overflows at t = 0 from k = 254 on
+    from luxglue.radialpsh import _feps_jet
+
+    rng = rng_from_seed(299)
+    overflowed = 0
+    for k in range(1, 300):
+        eps = 2.0**-k
+        t = np.concatenate([eps * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0]),
+                            [np.nan, np.inf, -np.inf], eps * 2.0 ** rng.uniform(-2.0, k, 32),
+                            rng.uniform(0.0, 0.25, 32)])
+        for coeff in (1.0, FEPS_COEFF):
+            with np.errstate(all="ignore"):
+                got, want = _feps_jet(t, eps, coeff), _feps_jet_as_written(t, eps, coeff)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (k, coeff)
+        overflowed += not np.isfinite(want[2][3])
+    assert overflowed == 46
+
+
 def test_feps_slope_bound_at_sixteenth():
     for k in range(5, 41):
         assert (1.0 / 16.0) * feps_smoothfn(2.0**-k).d1(1.0 / 16.0) <= 1.0 / 12.0
@@ -276,13 +308,15 @@ def test_chart_sweep_builds_without_verifying(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [5, 20, 40])
-def test_chart_density_evaluates_the_family_on_17236_points(k, monkeypatch):
+def test_chart_density_evaluates_the_family_on_17229_points(k, monkeypatch):
     # 10,241 table nodes past the left piece's upper end (of the four cutoff
     # tables, the one a density reads), one probe at margin 0 and two at
-    # delta_search's margins of 2,049 points each, 640 density nodes,
-    # 3 x 64 derivative-contract points and 16 single points.  A table or a
-    # probe that nothing reads would add 10,241 or 2,049, and a second
-    # slope chain one.
+    # delta_search's margins of 2,049 points each, 640 density nodes below
+    # t = 1/16, 3 x 64 derivative-contract points and 9 density nodes in the
+    # band past the left piece: 10,241 + 3 x 2,049 + 640 + 192 + 9.  Every end
+    # value the glue reads is a probe's end node, so no call is on one point.
+    # A table or a probe that nothing reads would add 10,241 or 2,049, and an
+    # end value read by its own call one.
     from luxglue import radialpsh
 
     points = []
@@ -290,16 +324,17 @@ def test_chart_density_evaluates_the_family_on_17236_points(k, monkeypatch):
     monkeypatch.setattr(radialpsh, "_feps_jet",
                         lambda t, eps, coeff: points.append(np.size(t)) or jet(t, eps, coeff))
     chart_density(2, 2.0**-k)
-    assert sum(points) == 17_236
+    assert sum(points) == 17_229
 
 
 def test_a_sweep_evaluates_the_reference_once_for_what_no_row_changes(monkeypatch):
     # one sweep makes the reference side's three probes of 2,049 points
     # (margin 0 and delta_search's two margins), its 10,241 table nodes below
-    # the glue's right piece and its 3 x 64 derivative-contract points; each
-    # row makes the rest (single points, and the density on the nodes of the
-    # band below t = 1 and on the atom past it).  Made per row, the four rows
-    # below read 66,788 points.
+    # the glue's right piece and its 3 x 64 derivative-contract points:
+    # 16,580.  Each row makes the other 110: the density on the nodes of the
+    # band below t = 1 and on the atom past it, and one point, the radial
+    # determinant certificate's g'(a2).  Made per row, the four rows below
+    # read 4 x 16,690 = 66,760 points.
     from luxglue import radialpsh
 
     points = []
@@ -314,8 +349,9 @@ def test_a_sweep_evaluates_the_reference_once_for_what_no_row_changes(monkeypatc
     one_row, shared = sum(points), 3 * 2049 + 10_241 + 3 * 64
     points.clear()
     entropy_sweep(2, (1, 3), [2.0**-k for k in (5, 20, 30, 40)])
-    assert one_row == 16_697
-    assert sum(points) == shared + 4 * (one_row - shared) == 17_048
+    assert shared == 16_580
+    assert one_row == 16_690
+    assert sum(points) == shared + 4 * (one_row - shared) == 17_020
 
 
 @pytest.mark.parametrize("ks, measures, rules", [
