@@ -5,7 +5,6 @@ sharpness example showing the threshold needs beta > alpha.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -53,16 +52,6 @@ class TGamma(NamedTuple):
         return Verdict("t_gamma_finite", np.isfinite(self.value), self.value, np.inf, 0)
 
 
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent, reading +inf where it overflows, as a float64 power
-    does under ``np.errstate(over="ignore")``; a Python float power raises
-    OverflowError there instead."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
-
-
 def _log_ce(h: IterationHypothesis) -> float:
     """log of (C e)^(1/alpha), finite wherever the power over- or underflows."""
     return (np.log(h.C) + 1.0) / h.alpha
@@ -75,6 +64,12 @@ def _normal(ce: float) -> bool:
     return np.finfo(float).tiny <= ce < np.inf
 
 
+def _product_or_log(product: float, log_value: float, normal: bool) -> float:
+    """The product where (C e)^(1/alpha) is normal and the product finite,
+    else the exp of its log (docs/DECISIONS.md, section 9, point 6)."""
+    return float(product if normal and np.isfinite(product) else np.exp(log_value))
+
+
 # a product that overflows, or reads inf * 0 or x / 0, is redone in log space
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
@@ -83,11 +78,10 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     Requires beta > alpha and gamma in (1, beta/alpha].  When f(t0) = 0 the
     log(1 + 1/f) factor diverges and the max-form limit is returned (0 for
     gamma < beta/alpha) together with a flag.  Both written forms of the
-    threshold are evaluated and must agree to 1e-12 relative.  Where the
-    max-form product is not finite, or (C e)^(1/alpha) is not a normal
-    float, it is taken as the exp of its log, as the pair scan does
-    (docs/DECISIONS.md, section 9, point 6), so it reads +inf only where it
-    overflows and fails ``t_gamma_finite`` there.
+    threshold are evaluated and must agree to 1e-12 relative where the
+    product form is taken.  Each value is a product or the exp of its log by
+    the rule of docs/DECISIONS.md, section 9, point 6, so it reads +inf only
+    where it overflows and fails ``t_gamma_finite`` there.
     """
     if not 0 <= f_t0 < np.inf:
         raise InvalidInput("f_t0 must be finite and >= 0")
@@ -96,7 +90,7 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     ratio = h.beta / h.alpha
     if not (1.0 < gamma <= ratio):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {ratio}]")
-    ce = _power(h.C * np.e, 1.0 / h.alpha)
+    ce = np.float64(h.C * np.e) ** (1.0 / h.alpha)
     normal = _normal(ce)
     front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
     log_front = _log_ce(h) + gamma * np.log(2.0 / np.log(2.0)) - np.log(gamma - 1.0)
@@ -105,52 +99,46 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
         # L^(gamma - beta/alpha), the second to 0.
         if gamma < ratio:
             return TGamma(0.0, True)
-        return TGamma(front if normal and np.isfinite(front) else np.exp(log_front), True)
+        return TGamma(_product_or_log(front, log_front, normal), True)
     L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
     if f_t0 <= 1.0:
         branch = front / L ** (ratio - gamma)
     else:
-        branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * L**ratio)
-    exact = normal and np.isfinite(value)
-    if exact and abs(branch - value) > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value)):
+        branch = ce * np.float64(2.0) ** gamma / ((gamma - 1.0) * L**ratio)
+    if (normal and np.isfinite(value)
+            and abs(branch - value) > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value))):
         raise VerificationFailed(
             f"threshold forms disagree: max-form {value} vs branch {branch}"
         )
-    if not exact:
-        log_L = np.log(L)
-        log_max = max((gamma - ratio) * log_L if gamma < ratio else 0.0,
-                      gamma * np.log(np.log(2.0)) - ratio * log_L)
-        value = np.exp(log_front + log_max)
-    return TGamma(float(value), False)
+    log_L = np.log(L)
+    log_max = max((gamma - ratio) * log_L if gamma < ratio else 0.0,
+                  gamma * np.log(np.log(2.0)) - ratio * log_L)
+    return TGamma(_product_or_log(value, log_front + log_max, normal), False)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def l_gamma(h: IterationHypothesis, gamma: float, T: float) -> float:
     """Dual lower-bound exponent: if the hypothesis holds and f(t0+T) > 0 then
-    f(t0) > 1 / (e^L - 1) with L the value returned here.  A term that is not
-    finite (a power or quotient that overflows, or inf * 0, where
-    (C e)^(1/alpha) underflows and a power of gamma overflows), and every
-    term where (C e)^(1/alpha) is not a normal float, is taken as the exp of
-    its log, as in ``t_gamma``, so L reads +inf only where it exceeds the
-    largest float.
+    f(t0) > 1 / (e^L - 1) with L the value returned here.  Each of its two
+    terms is a product or the exp of its log by the rule of
+    docs/DECISIONS.md, section 9, point 6, so L reads +inf only where it
+    exceeds the largest float.
     """
     if not 0 < T < np.inf:
         raise InvalidInput("T must be positive and finite")
     if not (1.0 < gamma < h.beta / h.alpha):
         raise GammaOutOfRange(f"gamma={gamma} outside (1, {h.beta / h.alpha})")
-    ce = _power(h.C * np.e, 1.0 / h.alpha)
-    p1, p2 = h.alpha / (h.beta - gamma * h.alpha), h.alpha / h.beta
-    den = np.float64(gamma - 1.0) * T  # a float64, whose quotient by 0 reads inf
-    a1 = (ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1
-    a2 = (ce * _power(2.0, gamma) / den) ** p2
-    log_base = _log_ce(h) - np.log(gamma - 1.0) - np.log(T)  # of ce / ((gamma - 1) T)
+    ce = np.float64(h.C * np.e) ** (1.0 / h.alpha)
     normal = _normal(ce)
-    if not (normal and np.isfinite(a1)):
-        a1 = np.exp(p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))))
-    if not (normal and np.isfinite(a2)):
-        a2 = np.exp(p2 * (log_base + gamma * np.log(2.0)))
-    return float(max(a1, a2))
+    p1, p2 = h.alpha / (h.beta - gamma * h.alpha), h.alpha / h.beta
+    den = (gamma - 1.0) * T
+    log_base = _log_ce(h) - np.log(gamma - 1.0) - np.log(T)  # of ce / ((gamma - 1) T)
+    a1 = _product_or_log((ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1,
+                         p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))), normal)
+    a2 = _product_or_log((ce * np.float64(2.0) ** gamma / den) ** p2,
+                         p2 * (log_base + gamma * np.log(2.0)), normal)
+    return max(a1, a2)
 
 
 @dataclass(frozen=True)

@@ -454,7 +454,7 @@ def test_overflowing_thresholds_read_inf_and_exit_1(argv, tmp_path, capsys):
     assert report["results"]["t_gamma"] == np.inf
     if "l_gamma" in report["results"]:  # C = 1, alpha = 0.001, beta = 2, gamma = 2, T = 1
         # its exact value is finite, and its log form reads it (50-digit value)
-        assert report["results"]["l_gamma"] == pytest.approx(1.65129729985533043067, rel=1e-13)
+        assert report["results"]["l_gamma"] == pytest.approx(1.65129729985533043067, rel=1e-13, abs=0)
     assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [("t_gamma_finite", False)]
 
 

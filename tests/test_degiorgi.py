@@ -1,3 +1,7 @@
+import math
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from luxglue.errors import (
     HypothesisFails,
     InvalidInput,
     OutOfDomain,
+    VerificationFailed,
 )
 from luxglue.gluing import GlueProblem
 from luxglue.numgrid import (Interval, SmoothFn, WeightedMeasure, gauss_measure,
@@ -88,7 +93,7 @@ def test_an_overflowing_power_reads_inf(C, alpha, beta, f0):
     assert tg.value == np.inf and not tg.verdict.passed
     # l_gamma's exact value is finite here, and its log form reads it
     exact = L_1E300_001_1_15_T1 if C == 1e300 else L_1_0001_2_15_T1
-    assert l_gamma(h, 1.5, 1.0) == pytest.approx(exact, rel=1e-13)
+    assert l_gamma(h, 1.5, 1.0) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_an_overflowing_power_times_an_underflowed_factor_reads_inf():
@@ -197,6 +202,133 @@ def test_thresholds_keep_their_bits():
     assert repr(l_gamma(h, 1.5, 1.0)) == "710.0068831350086"
     with pytest.raises(GammaOutOfRange):
         l_gamma(h, 2.0, 1.0)
+
+
+def _power(base, exponent):
+    """base ** exponent as a Python float power, +inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _t_gamma_by_cases(h, f_t0, gamma):
+    """t_gamma's value and flag as first written with a Python float power
+    and one hand-written log fallback per product: the reference for its
+    bits."""
+    ratio = h.beta / h.alpha
+    ce = _power(h.C * np.e, 1.0 / h.alpha)
+    normal = np.finfo(float).tiny <= ce < np.inf
+    front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
+    log_front = ((np.log(h.C) + 1.0) / h.alpha + gamma * np.log(2.0 / np.log(2.0))
+                 - np.log(gamma - 1.0))
+    if f_t0 == 0.0:
+        if gamma < ratio:
+            return 0.0, True
+        return (front if normal and np.isfinite(front) else np.exp(log_front)), True
+    L = np.log1p(1.0 / f_t0)
+    value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
+    if f_t0 <= 1.0:
+        branch = front / L ** (ratio - gamma)
+    else:
+        branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * L**ratio)
+    exact = normal and np.isfinite(value)
+    if exact and abs(branch - value) > 1e-12 * max(abs(branch), abs(value)):
+        raise VerificationFailed(f"threshold forms disagree: max-form {value} vs branch {branch}")
+    if not exact:
+        log_L = np.log(L)
+        log_max = max((gamma - ratio) * log_L if gamma < ratio else 0.0,
+                      gamma * np.log(np.log(2.0)) - ratio * log_L)
+        value = np.exp(log_front + log_max)
+    return float(value), False
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _l_gamma_by_cases(h, gamma, T):
+    """l_gamma as first written, as ``_t_gamma_by_cases``."""
+    ce = _power(h.C * np.e, 1.0 / h.alpha)
+    p1, p2 = h.alpha / (h.beta - gamma * h.alpha), h.alpha / h.beta
+    den = np.float64(gamma - 1.0) * T
+    a1 = (ce * (2.0 / np.log(2.0)) ** gamma / den) ** p1
+    a2 = (ce * _power(2.0, gamma) / den) ** p2
+    log_base = (np.log(h.C) + 1.0) / h.alpha - np.log(gamma - 1.0) - np.log(T)
+    normal = np.finfo(float).tiny <= ce < np.inf
+    if not (normal and np.isfinite(a1)):
+        a1 = np.exp(p1 * (log_base + gamma * np.log(2.0 / np.log(2.0))))
+    if not (normal and np.isfinite(a2)):
+        a2 = np.exp(p2 * (log_base + gamma * np.log(2.0)))
+    return float(max(a1, a2))
+
+
+def _threshold_draws(n, seed):
+    """n draws of (hypothesis, gamma, f0, T): C in [1e-300, 1e300], alpha in
+    [1e-3, 1e2] and gamma up to 101, log-uniform; every fourth C is drawn so
+    that (C e)^(1/alpha) is near the subnormal range, every third f0 is 0
+    and every fifth gamma is beta/alpha."""
+    rng = rng_from_seed(seed)
+    for i in range(n):
+        alpha = 10.0 ** rng.uniform(-3.0, 2.0)
+        if i % 4 == 3:  # log (C e)^(1/alpha) in [-750, -700]
+            alpha = 10.0 ** rng.uniform(-3.0, np.log10(0.9))
+            C = float(np.exp(alpha * rng.uniform(-750.0, -700.0) - 1.0))
+        else:
+            C = 10.0 ** rng.uniform(-300.0, 300.0)
+        beta = alpha * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0))
+        ratio = beta / alpha
+        gamma = ratio if i % 5 == 1 else 1.0 + rng.uniform(0.0, 1.0) * (min(ratio, 101.0) - 1.0)
+        f0 = 0.0 if i % 3 == 0 else 10.0 ** float(rng.choice([rng.uniform(-300.0, 300.0),
+                                                              rng.uniform(-2.0, 2.0)]))
+        T = 10.0 ** rng.uniform(-300.0, 300.0)
+        yield IterationHypothesis(C, alpha, beta), gamma, f0, T
+
+
+def test_thresholds_keep_the_bits_of_their_hand_written_fallbacks():
+    # each value is ==, NaN-free and a float; the cases named in the tests
+    # above and the draws reach every case that the fallback rule tells apart
+    named = [(IterationHypothesis(C, alpha, beta), gamma, f0, T)
+             for C, alpha, beta, gamma, f0, T in [
+        (7.53766052568409e-246, 0.7658461568897805, 663.7336321393266, 1.5, 1.0, 1.0),
+        (7.53766052568409e-246, 0.7658461568897805, 663.7336321393266, 801.608711020282, 1.0,
+         2.540258941056332e+78),
+        (1e300, 0.01, 10.0, 2.0, 1e-300, 1.0), (0.01, 0.001, 3.0, 2000.0, 1.0, 1.0),
+        (1.0, 0.001, 2.0, 2.0, 10.0, 5e-324)]]
+    seen = Counter()
+    for h, gamma, f0, T in [*named, *_threshold_draws(6000, 39)]:
+        ratio = h.beta / h.alpha
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ce = _power(h.C * np.e, 1.0 / h.alpha)
+            L = np.log1p(1.0 / np.float64(f0))
+            front = ce * (2.0 / np.log(2.0)) ** gamma / (gamma - 1.0)
+            den = np.float64(gamma - 1.0) * T
+            t_nan = f0 > 0 and np.isnan(front * max(L ** (gamma - ratio),
+                                                    np.log(2.0) ** gamma / L**ratio))
+            l_nan = (np.isnan(ce * (2.0 / np.log(2.0)) ** gamma / den)
+                     or np.isnan(ce * 2.0**gamma / den))
+        seen["subnormal power"] += 0.0 < ce < np.finfo(float).tiny
+        if 1.0 < gamma <= ratio:
+            try:
+                want = _t_gamma_by_cases(h, f0, gamma)
+            except VerificationFailed as exc:
+                with pytest.raises(VerificationFailed, match=re.escape(str(exc))):
+                    t_gamma(h, f0, gamma)
+                continue
+            tg = t_gamma(h, f0, gamma)
+            assert tuple(tg) == want, (h, gamma, f0)
+            assert type(tg.value) is float and isinstance(want[0], float)
+            assert not math.isnan(tg.value)
+            seen["t finite" if tg.value < np.inf else "t inf"] += 1
+            seen["t inf * 0"] += t_nan
+            seen["f0 = 0" if gamma < ratio else "f0 = 0, gamma = beta/alpha"] += f0 == 0.0
+        if 1.0 < gamma < ratio:
+            lg = l_gamma(h, gamma, T)
+            assert lg == _l_gamma_by_cases(h, gamma, T), (h, gamma, T)
+            assert type(lg) is float and not math.isnan(lg)
+            seen["l finite" if lg < np.inf else "l inf"] += 1
+            seen["l inf * 0"] += l_nan
+    assert min(seen[k] for k in ("subnormal power", "t finite", "t inf", "t inf * 0", "f0 = 0",
+                                 "f0 = 0, gamma = beta/alpha", "l finite", "l inf",
+                                 "l inf * 0")) > 0, seen
 
 
 def test_l_gamma_oracle_and_symmetric():

@@ -202,7 +202,7 @@ def test_appendix_quadrature_resolves_small_eps(n):
         d1 = u * u / ((1 + u) * (1 + L1) * (1 + L2) * (1 + L3))
         exact = (0.25 * d1) ** n / n
         rep = appendix_c_bounds(CounterexampleParams(eps, n))
-        assert rep.mass == pytest.approx(exact, rel=1e-10)
+        assert rep.mass == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 def test_appendix_rejects_overflowing_eps():
