@@ -27,6 +27,9 @@ ZERO_FLOOR = 1e-300
 
 _FORM_AGREEMENT_RTOL = 1e-12
 _CHAIN_SLACK = 1e-9
+# The pair scan's stride falls by this factor per pass: fewer passes (fewer
+# numpy calls) against more cells per pass (DECISIONS section 9, point 4).
+_LADDER_BASE = 4
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,18 @@ def _log_ce(h: IterationHypothesis) -> float:
     return (np.log(h.C) + 1.0) / h.alpha
 
 
-def _normal(ce: float) -> bool:
-    """Whether the power (C e)^(1/alpha) is a normal float: a subnormal one
-    carries few significant bits, an underflowed or overflowed one none, so
-    a product of it is redone in log space."""
-    return np.finfo(float).tiny <= ce < np.inf
+def _normal(x: float) -> bool:
+    """Whether a factor of a product form, such as the power (C e)^(1/alpha),
+    is a normal float: a subnormal one carries few significant bits, an
+    underflowed or overflowed one none, so a product of it is redone in log
+    space."""
+    return np.finfo(float).tiny <= x < np.inf
 
 
 def _product_or_log(product: float, log_value: float, normal: bool) -> float:
-    """The product where (C e)^(1/alpha) is normal and the product finite,
-    else the exp of its log (docs/DECISIONS.md, section 9, point 6)."""
+    """The product where its factors, (C e)^(1/alpha) among them, are normal
+    (``normal``) and the product finite, else the exp of its log
+    (docs/DECISIONS.md, section 9, point 6)."""
     return float(product if normal and np.isfinite(product) else np.exp(log_value))
 
 
@@ -103,9 +108,14 @@ def t_gamma(h: IterationHypothesis, f_t0: float, gamma: float) -> TGamma:
     L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
     if f_t0 <= 1.0:
-        branch = front / L ** (ratio - gamma)
+        power = L ** (ratio - gamma)
+        branch = front / power
     else:
-        branch = ce * np.float64(2.0) ** gamma / ((gamma - 1.0) * L**ratio)
+        power = L**ratio
+        branch = ce * np.float64(2.0) ** gamma / ((gamma - 1.0) * power)
+    # Where the branch's power is not normal, neither form is the value: the
+    # max form's factor is the power's reciprocal, or (log 2)^gamma over it.
+    normal = normal and _normal(power)
     if (normal and np.isfinite(value)
             and abs(branch - value) > _FORM_AGREEMENT_RTOL * max(abs(branch), abs(value))):
         raise VerificationFailed(
@@ -203,30 +213,45 @@ def _pair_scan(t: np.ndarray, cell: Callable[[np.ndarray, np.ndarray], np.ndarra
     (-inf, (0, 0)) when t has one node.
 
     Needs a leftmost row argmax that does not decrease down the rows, as both
-    callers' exact cells have (DECISIONS section 9).  Divide and conquer over
-    rows: per level, one ``cell(rows, cols)`` call on gathered index arrays
-    (cols > rows, a new array back) scans each row segment's middle row, whose
-    leftmost argmax bounds the columns of the rows above and below it.
+    callers' exact cells have (DECISIONS section 9, point 4).  Coarse to
+    fine over rows: pass 0 reads rows 0, S, 2S, ... whole, S the largest
+    power of _LADDER_BASE below the row count; each later pass divides the
+    stride by _LADDER_BASE and reads the rows that earlier passes left, each
+    bounded by the leftmost argmaxes of the nearest resolved rows above and
+    below it.  A pass is one ``cell(rows, cols)`` call on gathered index
+    arrays (cols > rows, a new array back).
     """
-    if t.size < 2:
+    rows_total = t.size - 1
+    if rows_total < 1:
         return -np.inf, (0, 0)
-    best, arg = np.empty(t.size - 1), np.empty(t.size - 1, dtype=np.intp)
-    lo, hi, left, right = (np.array([k]) for k in (0, t.size - 2, 1, t.size - 1))
-    while lo.size:
-        mid = (lo + hi) // 2
-        first = np.maximum(mid + 1, left)
-        counts = right - first + 1
+    # arg[rows_total], the last column, bounds the rows with no resolved row
+    # below; in pass 0 every row's row above is row 0, whose arg is still 0
+    best, arg = np.empty(rows_total), np.zeros(rows_total + 1, dtype=np.intp)
+    arg[rows_total] = rows_total
+    stride = 1
+    while stride * _LADDER_BASE < rows_total:
+        stride *= _LADDER_BASE
+    rows, resolved = np.arange(0, rows_total, stride), stride * _LADDER_BASE
+    while True:
+        # a range ends at the argmax below, which is > row; it starts no later
+        # than that end, so it is never empty even where computed argmaxes
+        # decrease down the rows (ties at inf)
+        above = rows - rows % resolved
+        last = arg[np.minimum(above + resolved, rows_total)]
+        first = np.minimum(np.maximum(rows + 1, arg[above]), last)
+        counts = last - first + 1
         starts = np.cumsum(counts) - counts
         cols = np.arange(starts[-1] + counts[-1]) - np.repeat(starts - first, counts)
-        vals = cell(np.repeat(mid, counts), cols)
+        vals = cell(np.repeat(rows, counts), cols)
         vals[np.isnan(vals)] = -np.inf
         top = np.maximum.reduceat(vals, starts)
         hits = np.flatnonzero(vals == np.repeat(top, counts))
-        best[mid], arg[mid] = top, cols[hits[np.searchsorted(hits, starts)]]
-        up, down = lo < mid, mid < hi
-        lo, hi, left, right = (np.concatenate(pair) for pair in (
-            (lo[up], mid[down] + 1), (mid[up] - 1, hi[down]),
-            (left[up], arg[mid[down]]), (arg[mid[up]], right[down])))
+        best[rows], arg[rows] = top, cols[hits[np.searchsorted(hits, starts)]]
+        if stride == 1:
+            break
+        stride, resolved = stride // _LADDER_BASE, stride
+        rows = np.arange(stride, rows_total, stride)
+        rows = rows[rows % resolved != 0]
     i = int(np.argmax(best))
     return float(best[i]), (i, int(arg[i]))
 

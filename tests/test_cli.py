@@ -458,6 +458,20 @@ def test_overflowing_thresholds_read_inf_and_exit_1(argv, tmp_path, capsys):
     assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [("t_gamma_finite", False)]
 
 
+def test_threshold_whose_branch_form_overflows_exits_0(tmp_path, capsys):
+    # L^(beta/alpha - gamma) overflows, so the branch form reads 0 where the
+    # max form is finite; a power of L that is not normal takes the log form
+    # and skips the check between the two forms (60-digit value)
+    out = tmp_path / "r.json"
+    assert run_cli(["degiorgi", "--mode", "formula", "--C", "140668800.3059611",
+                    "--alpha", "9.132669923521963", "--beta", "5427.308500115181",
+                    "--gamma", "36.62218724843038", "--f0", "0.024856550977609963",
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    t = load_without_meta(out)["results"]["t_gamma"]
+    assert t == pytest.approx(1.35013335705091151263139209094e-302, rel=1e-12, abs=0)
+
+
 def test_orlicz_norm_that_overflows_exits_2_with_json(tmp_path, capsys):
     # L1 = 1e600: a norm past the largest float is a domain error, not
     # "norm": Infinity in the report

@@ -53,6 +53,11 @@ L_1_0001_2_15_T1 = 1.65122503313073844319586055408          # C=1 a=0.001 b=2
 # T = 2.540258941056332e+78
 T_SUBNORMAL_CE = 1.59621616257273871863485737716e-181
 L_SUBNORMAL_CE = 0.654576858383801868785729113686
+# 60-digit mpmath evaluations of t_gamma where the branch's power of L is not a
+# normal float, at (C, alpha, beta, gamma, f0) as in the test that reads them
+T_BRANCH_OVERFLOWS = 1.35013335705091151263139209094e-302
+T_FACTOR_UNDERFLOWS = 1.11327023675040088487855406974e-296
+T_POWER_SUBNORMAL = 7.52484680083267394875256351598e+295
 
 
 def test_t_gamma_branch_crossing_value():
@@ -117,6 +122,25 @@ def test_a_subnormal_power_reads_its_log_form():
     assert abs(tg.value - T_SUBNORMAL_CE) <= 1e-13 * T_SUBNORMAL_CE and tg.verdict.passed
     L = l_gamma(h, 801.608711020282, 2.540258941056332e+78)
     assert abs(L - L_SUBNORMAL_CE) <= 1e-13 * L_SUBNORMAL_CE
+
+
+@pytest.mark.parametrize("C, alpha, beta, gamma, f0, exact", [
+    # L^(beta/alpha - gamma) overflows, so the branch reads 0, and the max
+    # factor L^(gamma - beta/alpha) is subnormal: the check raised, and the
+    # product form was 1.0e-6 relative off
+    (140668800.3059611, 9.132669923521963, 5427.308500115181, 36.62218724843038,
+     0.024856550977609963, T_BRANCH_OVERFLOWS),
+    # both arguments of the max underflow to 0, so both forms read 0
+    (2.91844521633226e+76, 0.6516454635989862, 132.48415513697006, 35.85454618167111,
+     6.216605024826762e-159, T_FACTOR_UNDERFLOWS),
+    # f0 > 1 and L^(beta/alpha) is subnormal: both forms agreed, 4.8e-12
+    # relative off
+    (1.0802614628551793e-74, 1.841091021767215, 906.649401927059, 83.8964790976213,
+     3.82990703001309, T_POWER_SUBNORMAL),
+])
+def test_a_power_of_L_that_is_not_normal_reads_the_log_form(C, alpha, beta, gamma, f0, exact):
+    tg = t_gamma(IterationHypothesis(C, alpha, beta), f0, gamma)
+    assert abs(tg.value - exact) <= 1e-12 * exact and tg.verdict.passed
 
 
 def test_thresholds_warn_nothing_outside_the_cli():
@@ -215,8 +239,8 @@ def _power(base, exponent):
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _t_gamma_by_cases(h, f_t0, gamma):
     """t_gamma's value and flag as first written with a Python float power
-    and one hand-written log fallback per product: the reference for its
-    bits."""
+    and one hand-written log fallback per product, taken also where the
+    branch's power of L is not a normal float: the reference for its bits."""
     ratio = h.beta / h.alpha
     ce = _power(h.C * np.e, 1.0 / h.alpha)
     normal = np.finfo(float).tiny <= ce < np.inf
@@ -230,10 +254,12 @@ def _t_gamma_by_cases(h, f_t0, gamma):
     L = np.log1p(1.0 / f_t0)
     value = front * max(L ** (gamma - ratio), np.log(2.0) ** gamma / L**ratio)
     if f_t0 <= 1.0:
-        branch = front / L ** (ratio - gamma)
+        power = L ** (ratio - gamma)
+        branch = front / power
     else:
-        branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * L**ratio)
-    exact = normal and np.isfinite(value)
+        power = L**ratio
+        branch = ce * _power(2.0, gamma) / ((gamma - 1.0) * power)
+    exact = normal and np.isfinite(value) and np.finfo(float).tiny <= power < np.inf
     if exact and abs(branch - value) > 1e-12 * max(abs(branch), abs(value)):
         raise VerificationFailed(f"threshold forms disagree: max-form {value} vs branch {branch}")
     if not exact:
@@ -303,6 +329,8 @@ def test_thresholds_keep_the_bits_of_their_hand_written_fallbacks():
             den = np.float64(gamma - 1.0) * T
             t_nan = f0 > 0 and np.isnan(front * max(L ** (gamma - ratio),
                                                     np.log(2.0) ** gamma / L**ratio))
+            power = L ** (ratio - gamma) if f0 <= 1.0 else L**ratio
+            t_odd = f0 > 0 and not np.finfo(float).tiny <= power < np.inf
             l_nan = (np.isnan(ce * (2.0 / np.log(2.0)) ** gamma / den)
                      or np.isnan(ce * 2.0**gamma / den))
         seen["subnormal power"] += 0.0 < ce < np.finfo(float).tiny
@@ -319,6 +347,7 @@ def test_thresholds_keep_the_bits_of_their_hand_written_fallbacks():
             assert not math.isnan(tg.value)
             seen["t finite" if tg.value < np.inf else "t inf"] += 1
             seen["t inf * 0"] += t_nan
+            seen["t power not normal, finite"] += t_odd and tg.value < np.inf
             seen["f0 = 0" if gamma < ratio else "f0 = 0, gamma = beta/alpha"] += f0 == 0.0
         if 1.0 < gamma < ratio:
             lg = l_gamma(h, gamma, T)
@@ -326,7 +355,8 @@ def test_thresholds_keep_the_bits_of_their_hand_written_fallbacks():
             assert type(lg) is float and not math.isnan(lg)
             seen["l finite" if lg < np.inf else "l inf"] += 1
             seen["l inf * 0"] += l_nan
-    assert min(seen[k] for k in ("subnormal power", "t finite", "t inf", "t inf * 0", "f0 = 0",
+    assert min(seen[k] for k in ("subnormal power", "t finite", "t inf", "t inf * 0",
+                                 "t power not normal, finite", "f0 = 0",
                                  "f0 = 0, gamma = beta/alpha", "l finite", "l inf",
                                  "l inf * 0")) > 0, seen
 
@@ -496,7 +526,13 @@ def test_sharpness_sup_keeps_finite_pairs_past_overflow(nodes):
     assert sup == np.exp(np.max(upper[~np.isnan(upper)])) > 0.05
 
 
-@pytest.mark.parametrize("n", [2, 256, 257, 513])
+# Node counts at and beside each stride of the scan's ladder: the row count,
+# one less, is a power of the base, or one or two past it.
+_LADDER_SIZES = sorted({1, 2, 3, 513} | {degiorgi._LADDER_BASE**k + d
+                                         for k in range(1, 5) for d in (-1, 0, 1, 2)})
+
+
+@pytest.mark.parametrize("n", _LADDER_SIZES)
 def test_pair_scan_matches_brute_force_with_ties(n):
     # The scan's contract: cells whose leftmost row argmax does not decrease
     # down the rows.  Three such cell sets, all with ties: cells drawn from
@@ -521,6 +557,22 @@ def test_pair_scan_matches_brute_force_with_ties(n):
         full[np.triu_indices(n, 1)] = cell(*np.triu_indices(n, 1))
         first = int(np.argmax(full))
         assert degiorgi._pair_scan(t, cell) == (full.max(), (first // n, first % n))
+
+
+def test_pair_scan_shape_on_a_2049_node_profile(monkeypatch):
+    # The passes set the scan's fixed cost, one cell call and some 25 numpy
+    # calls each, and the largest pass its working set: 2,981 cells, 23 KiB
+    # an array, below glibc's default mmap threshold of 128 KiB, so no pass
+    # maps and unmaps an array of its own (DECISIONS section 9, point 4)
+    sizes = []
+    scan = degiorgi._pair_scan
+
+    def counted(t, cell):
+        return scan(t, lambda r, c: (sizes.append(r.size), cell(r, c))[1])
+
+    monkeypatch.setattr(degiorgi, "_pair_scan", counted)
+    check_hypothesis(power_superlevel_fn(2.0, n_nodes=2049), IterationHypothesis(1.0, 1.3, 3.0))
+    assert sizes == [1706, 1537, 1881, 1999, 2208, 2981]
 
 
 def _scan_checked_against_brute_force(t, cell, scan=degiorgi._pair_scan):
@@ -605,6 +657,20 @@ def test_scan_over_log_form_and_product_form_cells_matches_brute_force():
             mp.setattr(degiorgi, "_pair_scan", _scan_checked_against_brute_force)
             check_hypothesis(f, IterationHypothesis(1.0, alpha, beta))
     assert mixed >= 10
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_keeps_every_range_non_empty_where_inf_ties_reverse_the_argmaxes():
+    # Row 0 first reads inf at column 18 (e^459 at column 17), row 16 already
+    # at column 17: computed argmaxes decrease down the rows, and rows 4, 8
+    # and 12 sit between two resolved rows whose argmaxes cross.  Each of
+    # their ranges must still hold one column, or the scan reduces nothing.
+    t = np.array([k / 16 for k in range(17)] + [1e4, 1e6, 1e7, 1e8])
+    f = LevelSetFn(t, [1.0] + [1e-200] * 20)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degiorgi, "_pair_scan", _scan_checked_against_brute_force)
+        rep = check_hypothesis(f, IterationHypothesis(1, 100, 3))
+    assert rep.worst_ratio == np.inf and not rep.satisfied
 
 
 @pytest.mark.filterwarnings("error")
